@@ -164,12 +164,6 @@ def lie_derivative(X, V):
     return LieDerivative(X, V)
 
 
-def iterated_lie_derivative(X, V, n):
-    for _ in range(n):
-        V = LieDerivative(X, V)
-    return V
-
-
 def gradient(V, x):
     """DV(x) as a plain vector (one unit-direction jet per coordinate)."""
     x = list(np.asarray(x, dtype=float))

@@ -4,8 +4,14 @@ Classical 4th-order Runge-Kutta on a uniform grid: runs are bit-reproducible,
 which the certificate regression tests rely on. Blow-up (norm above a
 threshold, or non-finite values) truncates the trajectory and sets the
 escape flag; it is a reported outcome, not an exception.
+
+The step loop evaluates the input once per stage time: the input at the end
+of a step is reused as the next step's start input. A caller that replays
+substeps from the grid (the frozen-gain controller's playback) can collect
+each step's first stage and pass it to :func:`rk4_autonomous_step`.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +31,14 @@ class IntegrationConfig:
             raise ValueError("blow-up threshold must exceed 1")
 
 
-def integrate(sys, x0, u, window, cfg=IntegrationConfig()):
+def integrate(sys, x0, u, window, cfg=IntegrationConfig(), first_stages=None):
     """Integrate dx/dt = rhs(x, u(t - t0)) over window = (t0, t1).
 
     The control's clock starts at 0 at the window's left edge. The final
     grid point lands on t1 exactly (a shorter last step is taken when the
-    window is not an integer number of steps).
+    window is not an integer number of steps). When ``first_stages`` is a
+    list, each step's first RK4 stage rhs(x_k, u_k) is appended to it, so
+    entry k belongs to grid point k.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0:
@@ -43,33 +51,40 @@ def integrate(sys, x0, u, window, cfg=IntegrationConfig()):
     span = t1 - t0
     n_steps = int(np.ceil(span / h - 1e-12))
     record_u = u is not None
+    rhs = sys.rhs
+    blowup = cfg.blowup_norm
+    # The input at the end of one step is the input at the start of the
+    # next: value() clamps t to the horizon, and a clamped tau ends the loop.
+    u_start = u.value(0.0) if record_u else np.zeros(sys.dim_input)
 
     times = [t0]
     states = [x.copy()]
-    inputs = [u.value(0.0)] if record_u else None
+    inputs = [u_start] if record_u else None
     escaped = False
     escape_time = None
-
-    def f(tau, xx):
-        uu = u.value(tau) if u is not None else np.zeros(sys.dim_input)
-        return sys.rhs(xx, uu), uu
 
     tau = 0.0
     for k in range(n_steps):
         hk = min(h, span - tau)
         if hk <= 0:
             break
-        k1, _ = f(tau, x)
-        u_half = u.value(tau + hk / 2) if u is not None else None
-        uu_mid = u_half if u is not None else np.zeros(sys.dim_input)
-        k2 = sys.rhs(x + (hk / 2) * k1, uu_mid)
-        k3 = sys.rhs(x + (hk / 2) * k2, uu_mid)
-        k4, u_end = f(tau + hk, x + hk * k3)
+        k1 = rhs(x, u_start)
+        if first_stages is not None:
+            first_stages.append(k1)
+        u_mid = u.value(tau + hk / 2) if record_u else u_start
+        k2 = rhs(x + (hk / 2) * k1, u_mid)
+        k3 = rhs(x + (hk / 2) * k2, u_mid)
+        u_end = u.value(tau + hk) if record_u else u_start
+        k4 = rhs(x + hk * k3, u_end)
         x_new = x + (hk / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         tau += hk
         if tau >= span - 1e-12:
             tau = span
-        if not np.all(np.isfinite(x_new)) or float(np.linalg.norm(x_new)) > cfg.blowup_norm:
+        # Escape unless every |x_i| and then the norm are within the
+        # threshold. A state the coordinate test rejects would fail the norm
+        # test too; testing it first keeps x @ x from overflowing. NaN fails
+        # every comparison and so escapes.
+        if not (all(-blowup <= v <= blowup for v in x_new.tolist()) and math.sqrt(x_new @ x_new) <= blowup):
             escaped = True
             escape_time = t0 + tau
             break
@@ -78,6 +93,7 @@ def integrate(sys, x0, u, window, cfg=IntegrationConfig()):
         states.append(x.copy())
         if record_u:
             inputs.append(u_end)
+        u_start = u_end
 
     return Trajectory(
         times=np.array(times),
@@ -88,9 +104,12 @@ def integrate(sys, x0, u, window, cfg=IntegrationConfig()):
     )
 
 
-def rk4_autonomous_step(f, x, h):
-    """One classical RK4 step of size h for an autonomous field f."""
-    k1 = f(x)
+def rk4_autonomous_step(f, x, h, k1):
+    """One classical RK4 step of size h for an autonomous field f.
+
+    ``k1`` is the first stage f(x), computed earlier by the caller (for
+    instance collected through :func:`integrate`'s ``first_stages``).
+    """
     k2 = f(x + (h / 2) * k1)
     k3 = f(x + (h / 2) * k2)
     k4 = f(x + h * k3)

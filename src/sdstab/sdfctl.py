@@ -9,6 +9,7 @@ a hold variant is available behind a flag for comparison runs). The plant
 may differ from the model; the decrease certificate quantifies the result.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +48,10 @@ class FrozenGainController(SampledController):
     plan(xi, eps): synthesize F, P, decay at the frozen sample xi, integrate
     the internal model dxh/dt = (A(xh) + B(xh) F) xh from xh(0) = xi, and
     return u(t) = F xh(t) with bound |F| * max |xh|. The internal model uses
-    the same integrator configuration as the plant.
+    the same integrator configuration as the plant. Between grid points,
+    xh(t) is one RK4 substep from the grid point before t; its first stage
+    is the one the model run computed at that point, so playback evaluates
+    the model field three times per substep, not four.
     """
 
     def __init__(self, sys, cfg=IntegrationConfig(), zero_order_hold=False):
@@ -84,22 +88,28 @@ class FrozenGainController(SampledController):
             return (Ax + Bx @ F) @ x
 
         model_sys = GeneralSystem(self.sys.dim_state, m, model_rhs)
-        model = integrate(model_sys, xi, None, (0.0, eps), self.cfg)
+        # first_stage[k] = model_rhs(states[k]): the first stage of every
+        # playback substep from grid point k, recorded by the model run
+        first_stage = []
+        model = integrate(model_sys, xi, None, (0.0, eps), self.cfg, first_stage)
         if model.escaped:
             raise ControllerError(
                 "internal model escaped at t=%g for sample %s" % (model.escape_time, xi)
             )
 
-        times = model.times
+        grid = model.times.tolist()
         states = model.states
+        last = max(len(grid) - 2, 0)
+
+        def model_field(x):
+            return model_rhs(x, None)
 
         def model_state(t):
-            idx = int(np.searchsorted(times, t, side="right")) - 1
-            idx = min(max(idx, 0), len(times) - 2) if len(times) > 1 else 0
-            dt = t - times[idx]
+            idx = min(max(bisect_right(grid, t) - 1, 0), last)
+            dt = t - grid[idx]
             if dt <= 1e-12:
                 return states[idx]
-            return rk4_autonomous_step(lambda x: model_rhs(x, None), states[idx], dt)
+            return rk4_autonomous_step(model_field, states[idx], dt, first_stage[idx])
 
         bound = float(np.linalg.norm(F, 2) * np.max(np.linalg.norm(states, axis=1)))
         bound *= 1.0 + 1e-6

@@ -6,6 +6,7 @@ concurrent workers. Controls are closed-form time functions on [0, horizon]
 arrays, so controllers can produce them lazily.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,17 @@ def state_vector(coords):
     if not np.all(np.isfinite(x)):
         raise ValueError("state entries must be finite")
     return x
+
+
+def _vector(v):
+    """v as a float array of dimension >= 1 (np.atleast_1d, without its overhead)."""
+    v = np.asarray(v, dtype=float)
+    return v if v.ndim else v.reshape(1)
+
+
+def _all_finite(M):
+    """np.isfinite(M).all() for a float array; faster at the small sizes used here."""
+    return all(map(math.isfinite, M.ravel().tolist()))
 
 
 class ControlSignal:
@@ -48,13 +60,12 @@ class ControlSignal:
 
     def value(self, t):
         t = min(max(float(t), 0.0), self.horizon)
-        u = np.atleast_1d(np.asarray(self._func(t), dtype=float))
-        return u
+        return _vector(self._func(t))
 
     def check_bound(self, n=1000):
         """Max |u(t)| over an n-point grid; raises if it exceeds the bound."""
         grid = np.linspace(0.0, self.horizon, n)
-        worst = max(float(np.linalg.norm(self.value(t))) for t in grid)
+        worst = max(math.sqrt(u @ u) for u in map(self.value, grid))
         if worst > self.bound * (1.0 + 1e-9) + 1e-12:
             raise ValueError(
                 "signal exceeds its declared bound: %g > %g" % (worst, self.bound)
@@ -70,18 +81,16 @@ def zero_signal(horizon, dim_input):
 class GeneralSystem:
     """dx/dt = rhs(x, u) with rhs(0, 0) = 0."""
 
-    def __init__(self, dim_state, dim_input, rhs, lipschitz_hint=None):
+    def __init__(self, dim_state, dim_input, rhs):
         self.dim_state = int(dim_state)
         self.dim_input = int(dim_input)
         self._rhs = rhs
-        self.lipschitz_hint = lipschitz_hint
         r0 = self.rhs(np.zeros(self.dim_state), np.zeros(self.dim_input))
         if float(np.max(np.abs(r0))) > ORIGIN_TOL:
             raise ValueError("rhs(0, 0) must vanish (origin is the target equilibrium)")
 
     def rhs(self, x, u):
-        out = np.atleast_1d(np.asarray(self._rhs(x, u), dtype=float))
-        return out
+        return _vector(self._rhs(x, u))
 
 
 class AffineSystem:
@@ -133,24 +142,16 @@ class StateLinearSystem:
         xi = np.asarray(xi, dtype=float)
         A = np.asarray(self.A(xi), dtype=float)
         B = np.asarray(self.B(xi), dtype=float)
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+        if not (_all_finite(A) and _all_finite(B)):
             raise ValueError("system matrices must be finite at finite states")
         return A, B
 
     def as_general(self):
         def rhs(x, u):
             A, B = self.matrices_at(x)
-            return A @ x + B @ np.atleast_1d(np.asarray(u, dtype=float))
+            return A @ x + B @ _vector(u)
 
         return GeneralSystem(self.dim_state, self.dim_input, rhs)
-
-
-def state_linear_as_general(sys):
-    return sys.as_general()
-
-
-def affine_as_general(sys):
-    return sys.as_general()
 
 
 class SamplingPartition:

@@ -1,6 +1,12 @@
 """CLI commands: exit codes, report lines, CSV formats, determinism."""
 
+import hashlib
+import re
+from pathlib import Path
+
 from sdstab.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write(path, text):
@@ -44,6 +50,52 @@ def test_simulate_determinism(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "b"), "--quiet"]) == 0
     for name in ("traj_0.csv", "cert_0.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+SIM_STATEDEP = """
+[experiment]
+kind = simulate
+seed = 0
+[system]
+registry = statedep-2d
+[controller]
+type = frozen-gain
+[partition]
+h = 0.05
+count = 201
+[run]
+x0 = 2, -1
+horizon = 1
+final_norm = 10
+certificate = per-sample-quadratic
+"""
+
+# SHA-256 of the CSV text SIM_STATEDEP writes. Any change to the arithmetic
+# that reaches the CSVs (synthesis, model run, playback, plant run) changes
+# them; re-record them only with a change that says why its output moves.
+SIM_STATEDEP_SHA256 = {
+    "traj_0.csv": "10d16d8b1912d7077e79732e0d471e1a263f06fb137e2088b1fb3859bf502834",
+    "cert_0.csv": "48527426dff9b61570fa9e1863f35227374da43a047ca284ba51d78565373758",
+}
+
+
+def test_simulate_statedep_csvs_byte_identical_to_recorded(tmp_path):
+    cfg = write(tmp_path / "sd.ini", SIM_STATEDEP)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest() for name in SIM_STATEDEP_SHA256
+    }
+    assert digests == SIM_STATEDEP_SHA256
+
+
+def test_readme_ini_examples_run(tmp_path):
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) >= 2
+    for i, text in enumerate(blocks):
+        cfg = write(tmp_path / ("readme_%d.ini" % i), text)
+        command = re.search(r"^kind\s*=\s*(\S+)", text, re.M).group(1)
+        code = main([command, "--config", cfg, "--out", str(tmp_path / ("out_%d" % i)), "--quiet"])
+        assert code == 0, "README ini block %d (%s) exited %d" % (i, command, code)
 
 
 def test_simulate_zero_controller_fails_certificate(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Integrator accuracy, blow-up handling, and excursion measurement."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,38 @@ def test_blowup_detected_before_threshold_time():
     assert traj.escaped
     assert traj.escape_time < 1.5  # closed form blows up at t = 1
     assert np.all(np.isfinite(traj.states))
+
+
+class ConstantField:
+    """dx/dt = value everywhere (not an equilibrium system, so not a GeneralSystem)."""
+
+    dim_state = 1
+    dim_input = 1
+
+    def __init__(self, value):
+        self.value = value
+
+    def rhs(self, x, u):
+        return np.full(1, self.value)
+
+
+def test_nan_rhs_escapes():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(ConstantField(np.nan), [1.0], None, (0.0, 1.0), IntegrationConfig(step=0.25))
+    assert traj.escaped
+    assert traj.escape_time == 0.25
+    assert len(traj) == 1 and np.all(np.isfinite(traj.states))
+
+
+def test_state_past_overflow_range_escapes_without_warning():
+    # one step takes the state to 1e155, whose square overflows a double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(ConstantField(1e158), [0.0], None, (0.0, 1.0), IntegrationConfig(step=1e-3))
+    assert traj.escaped
+    assert traj.escape_time == 1e-3
+    np.testing.assert_array_equal(traj.states, [[0.0]])
 
 
 def test_order_four_convergence():
