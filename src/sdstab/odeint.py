@@ -29,6 +29,9 @@ class IntegrationConfig:
             raise ValueError("integration step must be positive")
         if self.blowup_norm <= 1:
             raise ValueError("blow-up threshold must exceed 1")
+        # every |x_i| <= 1e150 keeps x @ x finite for up to 1.7e8 coordinates
+        if self.blowup_norm > 1e150:
+            raise ValueError("blow-up threshold must not exceed 1e150")
 
 
 def integrate(sys, x0, u, window, cfg=IntegrationConfig(), first_stages=None):
@@ -49,7 +52,7 @@ def integrate(sys, x0, u, window, cfg=IntegrationConfig(), first_stages=None):
 
     h = cfg.step
     span = t1 - t0
-    n_steps = int(np.ceil(span / h - 1e-12))
+    n_steps = max(1, int(np.ceil(span / h - 1e-12)))
     record_u = u is not None
     rhs = sys.rhs
     blowup = cfg.blowup_norm

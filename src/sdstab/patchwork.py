@@ -10,6 +10,8 @@ stay separated on sampled boundary points; all set-level hypotheses
 (disjointness, coverage, boundary distinctness, semicontinuity, stability
 of the active index) are verified statistically on seeded quasi-random
 samples rather than proven symbolically.
+Every membership decision reads one number per region, its margin
+(see Region).
 """
 
 import logging
@@ -54,11 +56,12 @@ DOUBLING = ClassK.linear(2.0)
 class Region:
     """Bounded open set {x : all constraints > 0}, excluding the origin.
 
-    Boundary membership is numeric: within `boundary_tol` of the zero set
-    of some defining constraint while no constraint is clearly negative.
+    Membership reads the margin, the smallest constraint value: interior
+    is margin > BOUNDARY_TOL, the open set margin > 0, the closure margin >=
+    -BOUNDARY_TOL, the boundary |margin| <= BOUNDARY_TOL; NaN is in none.
     """
 
-    def __init__(self, constraints, box, boundary_tol=BOUNDARY_TOL):
+    def __init__(self, constraints, box):
         if not constraints:
             raise ValueError("a region needs at least one defining constraint")
         self.constraints = list(constraints)
@@ -69,35 +72,30 @@ class Region:
             raise ValueError("bounding box must have positive extent")
         self.box = (lo, hi)
         self.dim = lo.size
-        self.boundary_tol = float(boundary_tol)
         if self.interior(np.zeros(self.dim)):
             raise ValueError("regions must exclude the origin")
 
     @classmethod
-    def from_text(cls, text, dim, box, boundary_tol=BOUNDARY_TOL):
+    def from_text(cls, text, dim, box):
         from .exprs import coord_names, parse_constraints
         from .liecalc import ExprScalarField
 
         trees = parse_constraints(text, coord_names(dim))
-        return cls([ExprScalarField(t, dim) for t in trees], box, boundary_tol)
+        return cls([ExprScalarField(t, dim) for t in trees], box)
 
     def constraint_values(self, x):
         x = np.asarray(x, dtype=float)
         return np.array([float(c(x)) for c in self.constraints])
 
-    def interior(self, x):
-        return bool(np.all(self.constraint_values(x) > self.boundary_tol))
+    def margin(self, x):
+        """Smallest constraint value at x (NaN when any constraint is NaN)."""
+        return float(np.min(self.constraint_values(x)))
 
-    def strict_inside(self, x):
-        """Membership in the defining open set itself (no numeric margin)."""
-        return bool(np.all(self.constraint_values(x) > 0.0))
+    def interior(self, x):
+        return self.margin(x) > BOUNDARY_TOL
 
     def in_closure(self, x):
-        return bool(np.all(self.constraint_values(x) >= -self.boundary_tol))
-
-    def on_boundary(self, x):
-        vals = self.constraint_values(x)
-        return bool(np.all(vals >= -self.boundary_tol) and np.min(vals) <= self.boundary_tol)
+        return self.margin(x) >= -BOUNDARY_TOL
 
     def interior_samples(self, count, seed=0):
         """Quasi-random interior points (strictly inside by the numeric margin)."""
@@ -123,7 +121,7 @@ class LyapunovPiece:
     omega1(|x|) <= V(x) <= omega2(|x|) on sampled region points.
     """
 
-    def __init__(self, V, region, omega1, omega2, samples=256, seed=0, validate=True):
+    def __init__(self, V, region, omega1, omega2, samples=256, seed=0):
         self.V = V
         self.region = region
         self.omega1 = omega1
@@ -131,21 +129,20 @@ class LyapunovPiece:
         v0 = float(V(np.zeros(region.dim)))
         if abs(v0) > ORIGIN_TOL:
             raise ValueError("Lyapunov pieces must vanish at the origin (V(0)=%g)" % v0)
-        if validate:
-            for x in region.interior_samples(samples, seed=seed):
-                v = float(V(x))
-                r = float(np.linalg.norm(x))
-                if not (omega1(r) <= v + 1e-12 and v <= omega2(r) + 1e-12):
-                    raise ValueError(
-                        "piece violates its envelopes at %s: %g not in [%g, %g]"
-                        % (np.round(x, 6), v, omega1(r), omega2(r))
-                    )
+        for x in region.interior_samples(samples, seed=seed):
+            v = float(V(x))
+            r = float(np.linalg.norm(x))
+            if not (omega1(r) <= v + 1e-12 and v <= omega2(r) + 1e-12):
+                raise ValueError(
+                    "piece violates its envelopes at %s: %g not in [%g, %g]"
+                    % (np.round(x, 6), v, omega1(r), omega2(r))
+                )
 
 
 class PatchworkFamily:
-    """Pieces, offsets, and the comparison machinery of the glued function."""
+    """Pieces, offsets, and the monotone envelopes a1 <= W <= a2 of the glued function."""
 
-    def __init__(self, pieces, offsets, a1=None, a2=None, a=DOUBLING):
+    def __init__(self, pieces, offsets):
         if not pieces:
             raise ValueError("a patchwork family needs at least one piece")
         if len(offsets) != len(pieces):
@@ -155,11 +152,8 @@ class PatchworkFamily:
             raise ValueError("offsets must be positive")
         self.pieces = list(pieces)
         self.offsets = offsets
-        self.a1 = a1
-        self.a2 = a2
-        self.a = a
+        self.a1, self.a2 = _build_envelopes(self.pieces, offsets)
         self.dim = pieces[0].region.dim
-        self.boundary_tol = max(p.region.boundary_tol for p in pieces)
 
     def locate(self, x):
         """Classify x: ("origin" | "interior", i | "boundary", indices | "uncovered")."""
@@ -168,9 +162,10 @@ class PatchworkFamily:
             return ("origin", None)
         adjacent = []
         for i, p in enumerate(self.pieces):
-            if p.region.interior(x):
+            m = p.region.margin(x)
+            if m > BOUNDARY_TOL:
                 return ("interior", i)
-            if p.region.in_closure(x):
+            if m >= -BOUNDARY_TOL:
                 adjacent.append(i)
         if adjacent:
             return ("boundary", adjacent)
@@ -215,7 +210,7 @@ def active_index(W, x):
         raise ValueError("active index is defined on region boundaries, point is %s" % kind)
     vals = [(family.piece_value(i, x), i) for i in info]
     top = max(v for v, _ in vals)
-    ties = [i for v, i in vals if abs(v - top) <= 10 * family.boundary_tol]
+    ties = [i for v, i in vals if abs(v - top) <= 10 * BOUNDARY_TOL]
     if len(ties) > 1:
         logger.warning(
             "piece values nearly tie at %s (indices %s): boundary distinctness is violated",
@@ -237,13 +232,30 @@ class BoundaryPoint:
     anchor_j: np.ndarray
 
 
+def _crossing(ri, rj, p, q):
+    """Where segment p -> q leaves ri, if on ri's boundary and in rj's closure, else None.
+
+    Bisects on ri's open set; the boundary belt absorbs the remaining dust.
+    """
+    lo_t, hi_t = 0.0, 1.0
+    for _ in range(80):
+        mid = (lo_t + hi_t) / 2
+        if ri.margin(p + mid * (q - p)) > 0.0:
+            lo_t = mid
+        else:
+            hi_t = mid
+    x = p + hi_t * (q - p)
+    if abs(ri.margin(x)) <= BOUNDARY_TOL and rj.in_closure(x):
+        return x
+    return None
+
+
 def sample_shared_boundaries(pieces, per_pair=64, seed=0, anchors=64):
     """Boundary points shared by pairs of regions, found by segment bisection."""
     out = []
     interior = []
     for idx, p in enumerate(pieces):
         interior.append(p.region.interior_samples(anchors, seed=seed + 101 * idx))
-    tol = max(p.region.boundary_tol for p in pieces)
     for i in range(len(pieces)):
         for j in range(i + 1, len(pieces)):
             ri, rj = pieces[i].region, pieces[j].region
@@ -253,17 +265,8 @@ def sample_shared_boundaries(pieces, per_pair=64, seed=0, anchors=64):
                     break
                 p = interior[i][k % len(interior[i])]
                 q = interior[j][(k * 7 + 3) % len(interior[j])]
-                # bisect on the true open set; the numeric boundary belt is
-                # wide enough (boundary_tol) to absorb the remaining dust
-                lo_t, hi_t = 0.0, 1.0
-                for _ in range(80):
-                    mid = (lo_t + hi_t) / 2
-                    if ri.strict_inside(p + mid * (q - p)):
-                        lo_t = mid
-                    else:
-                        hi_t = mid
-                x = p + hi_t * (q - p)
-                if ri.on_boundary(x) and rj.in_closure(x) and float(np.max(np.abs(x))) > tol:
+                x = _crossing(ri, rj, p, q)
+                if x is not None and float(np.max(np.abs(x))) > BOUNDARY_TOL:
                     out.append(BoundaryPoint(x=x, i=i, j=j, anchor_i=p, anchor_j=q))
                     found += 1
     return out
@@ -298,8 +301,6 @@ def _build_envelopes(pieces, offsets):
 @dataclass
 class OffsetSelection:
     offsets: list
-    a1: ClassK
-    a2: ClassK
     boundary_points: list = field(default_factory=list)
     c0: float = 0.0
     delta: float = 0.0
@@ -309,18 +310,17 @@ OFFSET_BASE_GRID = (1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0)
 OFFSET_DELTA_GRID = tuple(0.1 * k for k in range(1, 11))
 
 
-def choose_offsets(pieces, boundary_samples=64, a=DOUBLING, seed=0):
+def choose_offsets(pieces, boundary_samples=64, seed=0):
     """Pick offsets c_i = c0 * (1 + i * delta) separating piece values on boundaries.
 
     Grid-searches (c0, delta); a schedule is accepted when, on every
     sampled shared-boundary point, adjacent offset piece values differ by
     more than 10x the boundary tolerance, and the doubling comparison
-    inequality a(V) + c < 2 a(V + c) holds at sampled region points.
-    Also constructs the monotone sandwich envelopes for the resulting family.
+    inequality a(V) + c < 2 a(V + c), with a = DOUBLING, holds at sampled
+    region points.
     """
     if not pieces:
         raise ValueError("need at least one piece")
-    tol = max(p.region.boundary_tol for p in pieces)
     bpoints = sample_shared_boundaries(pieces, per_pair=boundary_samples, seed=seed)
     region_samples = [p.region.interior_samples(64, seed=seed + 17 * i) for i, p in enumerate(pieces)]
 
@@ -332,7 +332,7 @@ def choose_offsets(pieces, boundary_samples=64, a=DOUBLING, seed=0):
             for bp in bpoints:
                 vi = float(pieces[bp.i].V(bp.x)) + offsets[bp.i]
                 vj = float(pieces[bp.j].V(bp.x)) + offsets[bp.j]
-                if abs(vi - vj) <= 10 * tol:
+                if abs(vi - vj) <= 10 * BOUNDARY_TOL:
                     ok = False
                     witness = bp.x
                     break
@@ -340,28 +340,24 @@ def choose_offsets(pieces, boundary_samples=64, a=DOUBLING, seed=0):
                 for i, pts in enumerate(region_samples):
                     for x in pts:
                         v = float(pieces[i].V(x))
-                        if not a(v) + offsets[i] < 2 * a(v + offsets[i]):
+                        if not DOUBLING(v) + offsets[i] < 2 * DOUBLING(v + offsets[i]):
                             ok = False
                             witness = x
                             break
                     if not ok:
                         break
             if ok:
-                a1, a2 = _build_envelopes(pieces, offsets)
-                return OffsetSelection(
-                    offsets=offsets, a1=a1, a2=a2, boundary_points=bpoints, c0=c0, delta=delta
-                )
+                return OffsetSelection(offsets=offsets, boundary_points=bpoints, c0=c0, delta=delta)
     raise OffsetSelectionError(
         "no offset schedule in the search grid separates the sampled boundary values",
         point=witness,
     )
 
 
-def build_family(pieces, boundary_samples=64, a=DOUBLING, seed=0):
+def build_family(pieces, boundary_samples=64, seed=0):
     """Convenience: choose offsets and assemble the family and glued function."""
-    sel = choose_offsets(pieces, boundary_samples=boundary_samples, a=a, seed=seed)
-    family = PatchworkFamily(pieces, sel.offsets, a1=sel.a1, a2=sel.a2, a=a)
-    return PatchworkW(family), sel
+    sel = choose_offsets(pieces, boundary_samples=boundary_samples, seed=seed)
+    return PatchworkW(PatchworkFamily(pieces, sel.offsets)), sel
 
 
 # -- verification ---------------------------------------------------------------
@@ -404,12 +400,12 @@ def verify_patchwork(W, radius, samples=10_000, seed=0):
     between the monotone envelopes; boundary distinctness of adjacent
     offset pieces; upper semicontinuity along sequences approaching each
     sampled boundary point from adjacent interiors; and local stability of
-    the active index along the boundary. Failures are reported with
-    witnesses, not raised.
+    the active index along the boundary. A sampled boundary point that lies
+    inside some region is a disjointness failure. Failures are reported
+    with witnesses, not raised.
     """
     family = W.family
     pieces = family.pieces
-    tol = family.boundary_tol
     pts = ball_points(family.dim, samples, radius, seed=seed)
 
     cover = CheckResult("coverage", True, 0)
@@ -417,27 +413,26 @@ def verify_patchwork(W, radius, samples=10_000, seed=0):
     sandwich = CheckResult("sandwich", True, 0)
     positive = CheckResult("positivity", True, 0)
     for x in pts:
-        kind, info = family.locate(x)
         cover.checked += 1
-        if kind == "uncovered":
+        try:
+            val, active = W.eval(x)
+        except UncoveredPointError:
             cover.passed = False
             cover.witness = x
             continue
-        inside = [i for i, p in enumerate(pieces) if p.region.interior(x)]
         disjoint.checked += 1
-        if len(inside) > 1:
+        # locate returns the first region x is interior to: only later ones can overlap it
+        if isinstance(active, int) and any(p.region.interior(x) for p in pieces[active + 1 :]):
             disjoint.passed = False
             disjoint.witness = x
-        if kind == "origin":
+        if active is None:  # the origin
             continue
-        val = W(x)
         r = float(np.linalg.norm(x))
         sandwich.checked += 1
-        if family.a1 is not None and family.a2 is not None:
-            if not (family.a1(r) <= val + 1e-12 and val <= family.a2(r) + 1e-12):
-                sandwich.passed = False
-                sandwich.witness = x
-                sandwich.detail = "W=%g not in [%g, %g]" % (val, family.a1(r), family.a2(r))
+        if not (family.a1(r) <= val + 1e-12 and val <= family.a2(r) + 1e-12):
+            sandwich.passed = False
+            sandwich.witness = x
+            sandwich.detail = "W=%g not in [%g, %g]" % (val, family.a1(r), family.a2(r))
         positive.checked += 1
         if not val > 0.0:
             positive.passed = False
@@ -451,12 +446,20 @@ def verify_patchwork(W, radius, samples=10_000, seed=0):
         detail = "no shared boundaries sampled (vacuous)"
         distinct.detail = usc.detail = stability.detail = detail
 
+    def overlaps(y, active, bp):
+        # a boundary point inside region `active` is where two regions overlap
+        if isinstance(active, int):
+            disjoint.passed = False
+            disjoint.witness = y
+            disjoint.detail = "boundary point of regions %d/%d inside region %d" % (bp.i, bp.j, active)
+        return isinstance(active, int)
+
     for bp in bpoints:
         x = bp.x
         vi = family.piece_value(bp.i, x)
         vj = family.piece_value(bp.j, x)
         distinct.checked += 1
-        if abs(vi - vj) <= 10 * tol:
+        if abs(vi - vj) <= 10 * BOUNDARY_TOL:
             distinct.passed = False
             distinct.witness = x
             distinct.detail = "indices %d/%d values %g/%g" % (bp.i, bp.j, vi, vj)
@@ -464,7 +467,7 @@ def verify_patchwork(W, radius, samples=10_000, seed=0):
         # limsup estimate: approach the boundary point from each adjacent
         # interior; linear extrapolation from distances d and 2d cancels the
         # first-order variation of the piece so the boundary limit itself is judged
-        wx = W(x)
+        wx, active = W.eval(x)
         usc.checked += 1
         scale = 1.0 + float(np.linalg.norm(x))
         for anchor, idx in ((bp.anchor_i, bp.i), (bp.anchor_j, bp.j)):
@@ -480,20 +483,25 @@ def verify_patchwork(W, radius, samples=10_000, seed=0):
                 if not (pieces[idx].region.interior(y1) and pieces[idx].region.interior(y2)):
                     continue
                 limit = 2.0 * W(y1) - W(y2)
-                if limit > wx + 10 * tol:
+                if limit > wx + 10 * BOUNDARY_TOL:
                     usc.passed = False
                     usc.witness = y1
                     usc.detail = "limit from region %d exceeds boundary value" % idx
                 break
 
+        if overlaps(x, active, bp):
+            continue
         ix = active_index(W, x)
         verdict = None
         for scale in (1e-4, 1e-5, 1e-6, 1e-7):
             y = _nearby_boundary_point(pieces, bp, scale=scale)
             if y is None or not float(np.linalg.norm(y - x)) > 0:
                 continue
+            wy, active = W.eval(y)
+            if overlaps(y, active, bp):
+                verdict = None
+                break
             iy = active_index(W, y)
-            wy, _ = W.eval(y)
             verdict = iy == ix and wy == family.piece_value(ix, y)
             if verdict:
                 break
@@ -520,14 +528,4 @@ def _nearby_boundary_point(pieces, bp, scale=1e-4):
     q = bp.anchor_j + shift
     if not ri.interior(p) or not rj.interior(q):
         return None
-    lo_t, hi_t = 0.0, 1.0
-    for _ in range(80):
-        mid = (lo_t + hi_t) / 2
-        if ri.strict_inside(p + mid * (q - p)):
-            lo_t = mid
-        else:
-            hi_t = mid
-    x = p + hi_t * (q - p)
-    if ri.on_boundary(x) and rj.in_closure(x):
-        return x
-    return None
+    return _crossing(ri, rj, p, q)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .liecalc import ExprScalarField, ExprVectorField, check_corollary1_point, check_prop1_point
-from .patchwork import ClassK, LyapunovPiece, PatchworkFamily, PatchworkW, Region, _build_envelopes, build_family
+from .patchwork import ClassK, LyapunovPiece, PatchworkFamily, PatchworkW, Region, build_family
 from .sysmodel import AffineSystem, StateLinearSystem
 
 
@@ -94,9 +94,7 @@ def patchwork_halfplanes(offsets=None, seed=0):
     pieces = [LyapunovPiece(V, r1, w1, w2), LyapunovPiece(V, r2, w1, w2)]
     if offsets is None:
         return build_family(pieces, seed=seed)
-    a1, a2 = _build_envelopes(pieces, list(offsets))
-    family = PatchworkFamily(pieces, list(offsets), a1=a1, a2=a2)
-    return PatchworkW(family), None
+    return PatchworkW(PatchworkFamily(pieces, list(offsets))), None
 
 
 SYSTEM_BUILDERS = {

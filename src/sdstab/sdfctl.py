@@ -26,15 +26,11 @@ MARGINAL_TOL = 1e-10
 class SampledController:
     """Plans one bounded open-loop signal per sampling interval."""
 
-    descriptor = "abstract"
-
     def plan(self, xi, eps):
         raise NotImplementedError
 
 
 class ZeroController(SampledController):
-    descriptor = "zero"
-
     def __init__(self, dim_input=1):
         self.dim_input = dim_input
 
@@ -58,7 +54,6 @@ class FrozenGainController(SampledController):
         self.sys = sys
         self.cfg = cfg
         self.zero_order_hold = zero_order_hold
-        self.descriptor = "frozen-gain" + ("-zoh" if zero_order_hold else "")
 
     def plan(self, xi, eps):
         xi = state_vector(xi)
@@ -122,8 +117,6 @@ class PatchworkController(SampledController):
     """Dispatches to region-local plans: interior region's plan inside, the
     active (boundary-maximizing) piece's plan on shared boundaries."""
 
-    descriptor = "patchwork"
-
     def __init__(self, W, piece_plans, dim_input=1):
         if len(piece_plans) != len(W.family.pieces):
             raise ValueError("one plan per piece")
@@ -160,7 +153,6 @@ class IntervalRecord:
     traj: object
     bound: float
     excursion: float
-    from_tail: bool
     info: dict = field(default_factory=dict)
 
     @property
@@ -211,7 +203,7 @@ def run_closed_loop(plant, ctrl, partition, x0, horizon, cfg=IntegrationConfig()
     run = ClosedLoopRun(partition=partition, records=records)
     for k in range(len(boundaries) - 1):
         t0, _ = boundaries[k]
-        t1, from_tail = boundaries[k + 1]
+        t1, _ = boundaries[k + 1]
         eps = t1 - t0
         try:
             sig = ctrl.plan(x, eps)
@@ -229,7 +221,6 @@ def run_closed_loop(plant, ctrl, partition, x0, horizon, cfg=IntegrationConfig()
                 traj=traj,
                 bound=sig.bound,
                 excursion=max_excursion(traj, x),
-                from_tail=from_tail,
                 info=dict(sig.info),
             )
         )

@@ -342,6 +342,10 @@ horizon = 1
         )
         assert main(["simulate", "--config", cfg]) == 2
 
+    def test_blowup_past_overflow_range(self, tmp_path):
+        cfg = write(tmp_path / "b.ini", SIM_SCALAR + "[integrator]\nblowup = 1e300\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
 
 def test_seed_override_changes_nothing_for_fixed_run(tmp_path):
     # the scalar simulate run draws no samples, so any seed gives identical bytes

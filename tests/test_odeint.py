@@ -80,6 +80,12 @@ def test_endpoint_exact_with_partial_last_step():
     assert traj.times[-1] == 0.0105
 
 
+def test_window_below_step_rounding_takes_one_step():
+    traj = integrate(decay(), [1.0], None, (0.0, 1e-16))
+    np.testing.assert_array_equal(traj.times, [0.0, 1e-16])
+    assert traj.states[-1, 0] < 1.0
+
+
 def test_window_offset_resets_controller_clock():
     seen = []
 
@@ -128,3 +134,5 @@ def test_config_validation():
         IntegrationConfig(step=0.0)
     with pytest.raises(ValueError):
         IntegrationConfig(blowup_norm=0.5)
+    with pytest.raises(ValueError):
+        IntegrationConfig(blowup_norm=1e300)

@@ -5,15 +5,17 @@ import logging
 import numpy as np
 import pytest
 
+from sdstab import registry
 from sdstab.errors import UncoveredPointError
 from sdstab.liecalc import ExprScalarField
 from sdstab.patchwork import (
+    BOUNDARY_TOL,
+    ORIGIN_TOL,
     ClassK,
     LyapunovPiece,
     PatchworkFamily,
     PatchworkW,
     Region,
-    _build_envelopes,
     active_index,
     build_family,
     choose_offsets,
@@ -26,11 +28,24 @@ W1 = ClassK.power(0.5, 2)
 W2 = ClassK.power(2.0, 2)
 
 
-def halfplane_pieces():
-    r1 = Region.from_text("x1 > 0 && x1^2 + x2^2 < 16", 2, BOX)
-    r2 = Region.from_text("0 - x1 > 0 && x1^2 + x2^2 < 16", 2, BOX)
+def two_region_pieces(text1, text2):
     V = ExprScalarField.from_text("x1^2 + x2^2", 2)
-    return [LyapunovPiece(V, r1, W1, W2), LyapunovPiece(V, r2, W1, W2)]
+    return [LyapunovPiece(V, Region.from_text(t, 2, BOX), W1, W2) for t in (text1, text2)]
+
+
+def halfplane_pieces():
+    return two_region_pieces("x1 > 0 && x1^2 + x2^2 < 16", "0 - x1 > 0 && x1^2 + x2^2 < 16")
+
+
+def gap_pieces():
+    """Half-planes pulled apart: the strip |x1| <= 0.1 is uncovered."""
+    return two_region_pieces("x1 - 0.1 > 0 && x1^2 + x2^2 < 16", "0 - x1 - 0.1 > 0 && x1^2 + x2^2 < 16")
+
+
+def overlap_pieces():
+    """Half-planes pushed together: the strip |x1| < 0.5 of the ring lies in both."""
+    ring = " && x1^2 + x2^2 > 0.01 && x1^2 + x2^2 < 16"
+    return two_region_pieces("x1 + 0.5 > 0" + ring, "0.5 - x1 > 0" + ring)
 
 
 class TestRegion:
@@ -43,7 +58,7 @@ class TestRegion:
         assert r.interior([1.0, 0.0])
         assert not r.interior([0.0, 1.0])
         assert r.in_closure([0.0, 1.0])
-        assert r.on_boundary([0.0, 1.0])
+        assert abs(r.margin([0.0, 1.0])) <= BOUNDARY_TOL
         assert not r.in_closure([-1.0, 0.0])
 
     def test_box_validation(self):
@@ -101,19 +116,16 @@ class TestChooseOffsets:
         pieces = [LyapunovPiece(V2x, disc, lo, hi), LyapunovPiece(V1x, ring, lo, hi)]
         sel = choose_offsets(pieces, boundary_samples=16)
         assert not (sel.c0 == pytest.approx(1e-3) and sel.delta == pytest.approx(0.1))
-        tol = max(p.region.boundary_tol for p in pieces)
         assert sel.boundary_points
         for bp in sel.boundary_points:
             vi = pieces[0].V(bp.x) + sel.offsets[0]
             vj = pieces[1].V(bp.x) + sel.offsets[1]
-            assert abs(vi - vj) > 10 * tol
+            assert abs(vi - vj) > 10 * BOUNDARY_TOL
 
 
 class TestGluedEvaluation:
     def setup_method(self):
-        pieces = halfplane_pieces()
-        a1, a2 = _build_envelopes(pieces, [0.1, 0.2])
-        self.W = PatchworkW(PatchworkFamily(pieces, [0.1, 0.2], a1=a1, a2=a2))
+        self.W = PatchworkW(PatchworkFamily(halfplane_pieces(), [0.1, 0.2]))
 
     def test_interior_rule(self):
         val, active = self.W.eval(np.array([1.0, 0.0]))
@@ -187,9 +199,7 @@ class TestVerification:
         assert report.passed, "\n".join(report.lines())
 
     def test_equal_offsets_fail_distinctness(self):
-        pieces = halfplane_pieces()
-        a1, a2 = _build_envelopes(pieces, [0.1, 0.1])
-        W = PatchworkW(PatchworkFamily(pieces, [0.1, 0.1], a1=a1, a2=a2))
+        W = PatchworkW(PatchworkFamily(halfplane_pieces(), [0.1, 0.1]))
         report = verify_patchwork(W, 2.0, samples=1000, seed=3)
         failed = {c.name for c in report.checks if not c.passed}
         assert failed == {"boundary-distinctness"}
@@ -213,6 +223,14 @@ class TestVerification:
         assert not report.passed
         assert any(c.name == "upper-semicontinuity" and not c.passed for c in report.checks)
 
+    def test_overlapping_regions_fail_disjointness_with_witness(self):
+        W, _ = build_family(overlap_pieces())
+        report = verify_patchwork(W, 2.0, samples=2000, seed=0)
+        check = next(c for c in report.checks if c.name == "disjointness")
+        assert not check.passed
+        assert any(p.region.interior(check.witness) for p in W.family.pieces)
+        assert abs(check.witness[0]) <= 0.5 + 1e-6
+
     def test_single_region_vacuous_boundaries(self):
         r = Region.from_text("x1^2 + x2^2 > 0 && x1^2 + x2^2 < 16", 2, BOX)
         V = ExprScalarField.from_text("x1^2 + x2^2", 2)
@@ -223,10 +241,10 @@ class TestVerification:
         assert boundary_checks[0].checked == 0
 
     def test_envelopes_monotone_and_ordered(self):
-        W, sel = build_family(halfplane_pieces())
+        W, _ = build_family(halfplane_pieces())
         grid = np.linspace(0.0, 2.0, 1000)
-        vals1 = np.array([sel.a1(s) for s in grid])
-        vals2 = np.array([sel.a2(s) for s in grid])
+        vals1 = np.array([W.family.a1(s) for s in grid])
+        vals2 = np.array([W.family.a2(s) for s in grid])
         assert np.all(np.diff(vals1) >= 0)
         assert np.all(np.diff(vals2) >= 0)
         assert np.all(vals1 <= vals2)
@@ -250,3 +268,67 @@ class TestFamilyValidation:
                 continue
             assert W(x) > 0.0
         assert W(np.zeros(2)) == 0.0
+
+
+class TestPinnedBehaviour:
+    """Report lines and locate results recorded before membership was rebuilt on the margin."""
+
+    def test_registry_family_lines(self):
+        W, _ = registry.patchwork_halfplanes(seed=0)
+        assert verify_patchwork(W, 2.0, samples=2000, seed=0).lines() == [
+            "coverage                 pass  n=2000",
+            "disjointness             pass  n=2000",
+            "sandwich                 pass  n=2000",
+            "positivity               pass  n=2000",
+            "boundary-distinctness    pass  n=64",
+            "upper-semicontinuity     pass  n=64",
+            "active-index-stability   pass  n=64",
+        ]
+
+    def test_equal_offsets_lines(self):
+        W, _ = registry.patchwork_halfplanes(offsets=[0.1, 0.1])
+        assert verify_patchwork(W, 2.0, samples=2000, seed=0).lines() == [
+            "coverage                 pass  n=2000",
+            "disjointness             pass  n=2000",
+            "sandwich                 pass  n=2000",
+            "positivity               pass  n=2000",
+            "boundary-distinctness    FAIL  n=64 witness=[0.0, 1.36557] (indices 0/1 values 1.96478/1.96478)",
+            "upper-semicontinuity     pass  n=64",
+            "active-index-stability   pass  n=64",
+        ]
+
+    def test_gap_family_lines(self):
+        W, _ = build_family(gap_pieces())
+        vacuous = " (no shared boundaries sampled (vacuous))"
+        assert verify_patchwork(W, 2.0, samples=2000, seed=0).lines() == [
+            "coverage                 FAIL  n=2000 witness=[-0.016599, 0.16231]",
+            "disjointness             pass  n=1872",
+            "sandwich                 pass  n=1872",
+            "positivity               pass  n=1872",
+            "boundary-distinctness    pass  n=0" + vacuous,
+            "upper-semicontinuity     pass  n=0" + vacuous,
+            "active-index-stability   pass  n=0" + vacuous,
+        ]
+
+    @pytest.mark.parametrize("make_pieces", [halfplane_pieces, gap_pieces, overlap_pieces])
+    def test_locate_matches_constraint_oracle(self, make_pieces):
+        family = PatchworkFamily(make_pieces(), [0.1, 0.2])
+
+        def oracle(x):
+            if np.max(np.abs(x)) <= ORIGIN_TOL:
+                return ("origin", None)
+            vals = [p.region.constraint_values(x) for p in family.pieces]
+            inside = [i for i, v in enumerate(vals) if np.all(v > BOUNDARY_TOL)]
+            if inside:
+                return ("interior", inside[0])
+            closure = [i for i, v in enumerate(vals) if np.all(v >= -BOUNDARY_TOL)]
+            if closure:
+                return ("boundary", closure)
+            return ("uncovered", None)
+
+        rng = np.random.default_rng(11)
+        pts = list(rng.uniform(-4.5, 4.5, (400, 2)))
+        pts += [np.array([0.0, t]) for t in rng.uniform(-4.5, 4.5, 100)]
+        pts += [np.zeros(2), np.array([np.nan, 1.0]), np.array([0.1, 1.0]), np.array([-0.5, 1.0])]
+        for x in pts:
+            assert family.locate(x) == oracle(x), x

@@ -211,7 +211,6 @@ def one_d_patchwork():
 class TaggedPlan:
     def __init__(self, tag):
         self.tag = tag
-        self.descriptor = "tagged-%d" % tag
 
     def plan(self, xi, eps):
         sig = zero_signal(eps, 1)
