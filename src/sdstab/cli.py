@@ -25,7 +25,7 @@ from .errors import (
     OffsetSelectionError,
     UncoveredPointError,
 )
-from .exprs import ExprSyntaxError, coord_names, parse_scalar
+from .exprs import Const, ExprSyntaxError, coord_names, parse_scalar
 from .liecalc import FAIL, ExprScalarField, ExprVectorField, check_prop1_point
 from .odeint import IntegrationConfig
 from .patchwork import verify_patchwork
@@ -110,8 +110,12 @@ def _parse_vectors(text):
     return [_parse_vector(chunk) for chunk in text.split(";") if chunk.strip()]
 
 
-def _expr_matrix(text, dim, rows, cols):
-    """Rows split on ';', entries on ',', each an expression in x1..xn."""
+def _expr_matrix(text, dim, rows, cols, constant_ok=False):
+    """Rows split on ';', entries on ',', each an expression in x1..xn.
+
+    Returns a function of the state; with ``constant_ok``, the matrix itself
+    when every entry is an unsigned number literal.
+    """
     names = coord_names(dim)
     try:
         row_texts = [r for r in text.split(";")]
@@ -125,6 +129,8 @@ def _expr_matrix(text, dim, rows, cols):
             entries.append(row)
     except ExprSyntaxError as exc:
         raise ConfigError("bad matrix expression: %s" % exc) from exc
+    if constant_ok and all(isinstance(e, Const) for row in entries for e in row):
+        return np.array([[e.value for e in row] for row in entries])
 
     def matrix(x):
         xs = list(np.asarray(x, dtype=float))
@@ -150,7 +156,7 @@ def _build_system(cfg):
     if kind == "state-linear":
         m = cfg.get_int("system", "inputs", default=1)
         A = _expr_matrix(cfg.get("system", "A", required=True), dim, dim, dim)
-        B = _expr_matrix(cfg.get("system", "B", required=True), dim, dim, m)
+        B = _expr_matrix(cfg.get("system", "B", required=True), dim, dim, m, constant_ok=True)
         return "state-linear", StateLinearSystem(A, B, dim, m)
     if kind == "affine":
         try:
@@ -327,15 +333,29 @@ def cmd_simulate(cfg, out_dir, seed, quiet):
     else:
         raise ConfigError("unknown certificate kind %r" % cert_kind)
 
+    def write_trajectory(run, i):
+        path = os.path.join(out_dir, "traj_%d.csv" % i)
+        rows = _trajectory_rows(run, V_provider, W=W)
+        _write_trajectory_csv(path, rows, plant.dim_state, plant.dim_input, with_w=W is not None)
+        return path
+
     n_checks = 0
     n_failures = 0
     for i, x0 in enumerate(x0s):
         try:
             run = run_closed_loop(plant, ctrl, partition, x0, horizon, icfg)
         except ControllerError as exc:
-            print("run %d: controller error: %s" % (i, exc))
             n_checks += 1
             n_failures += 1
+            if not exc.partial_run.records:
+                print("run %d: controller error: %s" % (i, exc))
+                continue
+            # keep the intervals completed before the failure
+            traj_path = write_trajectory(exc.partial_run, i)
+            print(
+                "run %d: controller error: %s; wrote %d completed interval(s) to %s"
+                % (i, exc, len(exc.partial_run.records), traj_path)
+            )
             continue
         cert = certify_decrease(run, V_provider)
         final = float(np.linalg.norm(run.final_state()))
@@ -343,10 +363,8 @@ def cmd_simulate(cfg, out_dir, seed, quiet):
         n_checks += len(cert.intervals) + 1
         n_failures += len(cert.failures) + (0 if ok_norm else 1)
 
-        rows = _trajectory_rows(run, V_provider, W=W)
-        traj_path = os.path.join(out_dir, "traj_%d.csv" % i)
+        traj_path = write_trajectory(run, i)
         cert_path = os.path.join(out_dir, "cert_%d.csv" % i)
-        _write_trajectory_csv(traj_path, rows, plant.dim_state, plant.dim_input, with_w=W is not None)
         _write_certificate_csv(cert_path, cert)
         if not quiet:
             print(

@@ -60,8 +60,10 @@ def integrate(sys, x0, u, window, cfg=IntegrationConfig(), first_stages=None):
     # next: value() clamps t to the horizon, and a clamped tau ends the loop.
     u_start = u.value(0.0) if record_u else np.zeros(sys.dim_input)
 
+    # x is never mutated (each step builds a new array), and np.array(states)
+    # copies, so the grid keeps references rather than copies
     times = [t0]
-    states = [x.copy()]
+    states = [x]
     inputs = [u_start] if record_u else None
     escaped = False
     escape_time = None
@@ -74,9 +76,10 @@ def integrate(sys, x0, u, window, cfg=IntegrationConfig(), first_stages=None):
         k1 = rhs(x, u_start)
         if first_stages is not None:
             first_stages.append(k1)
-        u_mid = u.value(tau + hk / 2) if record_u else u_start
-        k2 = rhs(x + (hk / 2) * k1, u_mid)
-        k3 = rhs(x + (hk / 2) * k2, u_mid)
+        half = hk / 2
+        u_mid = u.value(tau + half) if record_u else u_start
+        k2 = rhs(x + half * k1, u_mid)
+        k3 = rhs(x + half * k2, u_mid)
         u_end = u.value(tau + hk) if record_u else u_start
         k4 = rhs(x + hk * k3, u_end)
         x_new = x + (hk / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
@@ -93,7 +96,7 @@ def integrate(sys, x0, u, window, cfg=IntegrationConfig(), first_stages=None):
             break
         x = x_new
         times.append(t0 + tau)
-        states.append(x.copy())
+        states.append(x)
         if record_u:
             inputs.append(u_end)
         u_start = u_end

@@ -402,7 +402,8 @@ def verify_patchwork(W, radius, samples=10_000, seed=0):
     sampled boundary point from adjacent interiors; and local stability of
     the active index along the boundary. A sampled boundary point that lies
     inside some region is a disjointness failure. Failures are reported
-    with witnesses, not raised.
+    with witnesses, not raised; a boundary check that skipped every sampled
+    boundary point says so in its detail.
     """
     family = W.family
     pieces = family.pieces
@@ -512,6 +513,9 @@ def verify_patchwork(W, radius, samples=10_000, seed=0):
                 stability.witness = x
                 stability.detail = "active index flips under small boundary perturbations"
 
+    # distinct and usc count every boundary point; only stability can skip them all
+    if bpoints and stability.checked == 0:
+        stability.detail = "not exercised: all %d boundary points skipped" % len(bpoints)
     checks = [cover, disjoint, sandwich, positive, distinct, usc, stability]
     return PatchworkReport(checks=checks)
 

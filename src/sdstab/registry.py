@@ -10,6 +10,9 @@ Entries:
   the augmented piece elsewhere.
 * ``patchwork-halfplanes``  two half-plane regions sharing the x1 = 0
   boundary, equal quadratic pieces forced apart by distinct offsets.
+
+Both state-linear entries pass their input matrix as a constant, so it is
+never re-evaluated; their ``A`` stays a function of the state.
 """
 
 from dataclasses import dataclass
@@ -22,19 +25,14 @@ from .sysmodel import AffineSystem, StateLinearSystem
 
 
 def scalar_unstable():
-    return StateLinearSystem(
-        lambda x: np.array([[1.0]]), lambda x: np.array([[1.0]]), 1, 1
-    )
+    return StateLinearSystem(lambda x: np.array([[1.0]]), np.array([[1.0]]), 1, 1)
 
 
 def statedep_2d():
     def A(x):
         return np.array([[0.0, 1.0], [np.sin(x[0]), x[1] ** 2]])
 
-    def B(x):
-        return np.array([[0.0], [1.0]])
-
-    return StateLinearSystem(A, B, 2, 1)
+    return StateLinearSystem(A, np.array([[0.0], [1.0]]), 2, 1)
 
 
 @dataclass

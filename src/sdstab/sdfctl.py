@@ -43,7 +43,8 @@ class FrozenGainController(SampledController):
 
     plan(xi, eps): synthesize F, P, decay at the frozen sample xi, integrate
     the internal model dxh/dt = (A(xh) + B(xh) F) xh from xh(0) = xi, and
-    return u(t) = F xh(t) with bound |F| * max |xh|. The internal model uses
+    return u(t) = F xh(t) with bound |F| * max |xh|. With a constant B the
+    product B F is formed once per plan. The internal model uses
     the same integrator configuration as the plant. Between grid points,
     xh(t) is one RK4 substep from the grid point before t; its first stage
     is the one the model run computed at that point, so playback evaluates
@@ -77,10 +78,19 @@ class FrozenGainController(SampledController):
             return sig
 
         sys_ref = self.sys
+        if sys_ref.constant_B:
+            # Bx @ F is this same product at every x, so the model field keeps its bits
+            BF = sys_ref.B @ F
+            state_matrix = sys_ref.state_matrix
 
-        def model_rhs(x, _u):
-            Ax, Bx = sys_ref.matrices_at(x)
-            return (Ax + Bx @ F) @ x
+            def model_rhs(x, _u):
+                return (state_matrix(x) + BF) @ x
+
+        else:
+
+            def model_rhs(x, _u):
+                Ax, Bx = sys_ref.matrices_at(x)
+                return (Ax + Bx @ F) @ x
 
         model_sys = GeneralSystem(self.sys.dim_state, m, model_rhs)
         # first_stage[k] = model_rhs(states[k]): the first stage of every

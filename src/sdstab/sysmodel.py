@@ -3,7 +3,9 @@
 Everything here is immutable after construction and safe to share across
 concurrent workers. Controls are closed-form time functions on [0, horizon]
 (the controller clock restarts at every sampling instant), not sampled
-arrays, so controllers can produce them lazily.
+arrays, so controllers can produce them lazily. A state-linear system's
+input matrix is either a function of the state or a constant matrix; a
+constant one is checked and stored once and never evaluated again.
 """
 
 import math
@@ -124,25 +126,49 @@ class AffineSystem:
 
 
 class StateLinearSystem:
-    """State-dependent linear dynamics dx/dt = A(x) x + B(x) u."""
+    """State-dependent linear dynamics dx/dt = A(x) x + B(x) u.
+
+    ``A`` maps a state to an n x n matrix. ``B`` maps a state to an n x m
+    matrix, or is a constant n x m matrix: a constant ``B`` is checked here,
+    stored as a read-only float array (``constant_B`` is true) and returned
+    by :meth:`matrices_at` without any evaluation. ``A`` is looked up on
+    every call, so it may be replaced after construction.
+    """
 
     def __init__(self, A, B, dim_state, dim_input):
         self.A = A
-        self.B = B
         self.dim_state = int(dim_state)
         self.dim_input = int(dim_input)
+        self.constant_B = not callable(B)
+        if self.constant_B:
+            B = np.array(B, dtype=float)
+            B.flags.writeable = False
+            b0 = B
+        else:
+            b0 = np.asarray(B(np.zeros(dim_state)), dtype=float)
+        self.B = B
         a0 = np.asarray(A(np.zeros(dim_state)), dtype=float)
-        b0 = np.asarray(B(np.zeros(dim_state)), dtype=float)
         if a0.shape != (dim_state, dim_state):
             raise ValueError("A(x) must be %d x %d" % (dim_state, dim_state))
         if b0.shape != (dim_state, dim_input):
             raise ValueError("B(x) must be %d x %d" % (dim_state, dim_input))
+        if self.constant_B and not _all_finite(B):
+            raise ValueError("a constant B must be finite")
+
+    def state_matrix(self, x):
+        """A(x) as a float array; raises unless every entry is finite."""
+        A = np.asarray(self.A(x), dtype=float)
+        if not _all_finite(A):
+            raise ValueError("system matrices must be finite at finite states")
+        return A
 
     def matrices_at(self, xi):
         xi = np.asarray(xi, dtype=float)
-        A = np.asarray(self.A(xi), dtype=float)
+        A = self.state_matrix(xi)
+        if self.constant_B:
+            return A, self.B
         B = np.asarray(self.B(xi), dtype=float)
-        if not (_all_finite(A) and _all_finite(B)):
+        if not _all_finite(B):
             raise ValueError("system matrices must be finite at finite states")
         return A, B
 

@@ -4,7 +4,11 @@ import hashlib
 import re
 from pathlib import Path
 
-from sdstab.cli import main
+import numpy as np
+
+from sdstab import registry
+from sdstab.cli import Config, _build_system, main
+from sdstab.sysmodel import StateLinearSystem
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -96,6 +100,98 @@ def test_readme_ini_examples_run(tmp_path):
         command = re.search(r"^kind\s*=\s*(\S+)", text, re.M).group(1)
         code = main([command, "--config", cfg, "--out", str(tmp_path / ("out_%d" % i)), "--quiet"])
         assert code == 0, "README ini block %d (%s) exited %d" % (i, command, code)
+
+
+def readme_ini(kind):
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    return next(b for b in blocks if re.search(r"^kind\s*=\s*%s\s*$" % kind, b, re.M))
+
+
+# `sdstab synthesize` stdout on the README inline config, recorded while the
+# inline B was still evaluated as a function of the state at every point
+README_SYNTHESIZE_STDOUT = (
+    "point=[0.0, 0.0]  gain=[[-1.0, -1.732051]]  decay=0.5  abscissa=-0.8660254037844392"
+    "  eigP=[0.3489251433156973, 1.6718007988479924]\n"
+    "point=[1.0, -1.0]  gain=[[-2.148404, -3.509344]]  decay=0.4999999999999999"
+    "  abscissa=-0.7376912986612445  eigP=[0.2288106449579443, 1.5425859618759823]\n"
+    "uniform-bounds: 0.2288106449579443 <= P <= 1.6718007988479924 over 2 points\n"
+    "RESULT pass 2 0\n"
+)
+
+
+class TestInlineStateLinear:
+    def build(self, tmp_path, text):
+        return _build_system(Config.load(write(tmp_path / "s.ini", text)))
+
+    def test_readme_inline_B_is_constant(self, tmp_path):
+        kind, sys_obj = self.build(tmp_path, readme_ini("synthesize"))
+        assert kind == "state-linear"
+        assert sys_obj.constant_B
+        assert np.array_equal(sys_obj.B, [[0.0], [1.0]])
+        assert callable(sys_obj.A)
+
+    def test_readme_inline_synthesize_stdout_unchanged(self, tmp_path, capsys):
+        cfg = write(tmp_path / "s.ini", readme_ini("synthesize"))
+        assert main(["synthesize", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == README_SYNTHESIZE_STDOUT
+
+    def test_state_dependent_B_stays_a_function(self, tmp_path):
+        text = readme_ini("synthesize").replace("B = 0; 1", "B = 0; 1 + x1^2")
+        _, sys_obj = self.build(tmp_path, text)
+        assert not sys_obj.constant_B
+        assert np.array_equal(sys_obj.matrices_at([2.0, 0.0])[1], [[0.0], [5.0]])
+
+    def test_constant_A_stays_a_function(self, tmp_path):
+        text = readme_ini("synthesize").replace("sin(x1), x2^2", "0, 0")
+        _, sys_obj = self.build(tmp_path, text)
+        assert callable(sys_obj.A)
+        assert np.array_equal(sys_obj.matrices_at([2.0, 0.0])[0], [[0.0, 1.0], [0.0, 0.0]])
+
+
+def test_controller_error_keeps_partial_trajectory(tmp_path, capsys, monkeypatch):
+    # B vanishes near the origin: synthesis fails at the first sample with |x| < 0.5
+    def weak_input():
+        return StateLinearSystem(
+            lambda x: np.array([[1.0]]), lambda x: np.array([[1.0 if abs(x[0]) >= 0.5 else 0.0]]), 1, 1
+        )
+
+    monkeypatch.setitem(registry.SYSTEM_BUILDERS, "weak-input", weak_input)
+    cfg = write(tmp_path / "w.ini", SIM_SCALAR.replace("scalar-unstable", "weak-input"))
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "run 0: controller error: synthesis failed at sample [0.49986" in out
+    assert "wrote 5 completed interval(s)" in out
+    assert out.splitlines()[-1] == "RESULT fail 1 1"
+    lines = (tmp_path / "o" / "traj_0.csv").read_text().splitlines()
+    assert lines[0] == "t,x1,u1,V"
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert len(rows) == 501  # five intervals of 100 steps, junctions not repeated
+    assert rows[0, :2].tolist() == [0.0, 1.0]
+    assert rows[-1, 0] == 0.5 and rows[-1, 1] < 0.5  # the sample that failed
+    assert np.all(rows[:-1:100, 1] >= 0.5)  # the samples that were planned
+    assert np.all(np.diff(rows[:, 0]) > 0)
+    assert not (tmp_path / "o" / "cert_0.csv").exists()
+
+
+def test_controller_error_at_first_sample_writes_no_trajectory(tmp_path, capsys, monkeypatch):
+    def weak_input():
+        return StateLinearSystem(
+            lambda x: np.array([[1.0]]), lambda x: np.array([[1.0 if abs(x[0]) >= 0.5 else 0.0]]), 1, 1
+        )
+
+    monkeypatch.setitem(registry.SYSTEM_BUILDERS, "weak-input", weak_input)
+    cfg = write(
+        tmp_path / "w.ini", SIM_SCALAR.replace("scalar-unstable", "weak-input").replace("x0 = 1", "x0 = 0.2")
+    )
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "run 0: controller error: synthesis failed at sample [0.2]" in out
+    assert "wrote" not in out
+    assert out.splitlines()[-1] == "RESULT fail 1 1"
+    assert not (tmp_path / "o" / "traj_0.csv").exists()
+    assert not (tmp_path / "o" / "cert_0.csv").exists()
 
 
 def test_simulate_zero_controller_fails_certificate(tmp_path, capsys):

@@ -231,6 +231,16 @@ class TestVerification:
         assert any(p.region.interior(check.witness) for p in W.family.pieces)
         assert abs(check.witness[0]) <= 0.5 + 1e-6
 
+    def test_skipped_boundary_check_says_not_exercised(self):
+        # every sampled boundary point of the overlap family lies inside a region
+        W, _ = build_family(overlap_pieces())
+        lines = verify_patchwork(W, 2.0, samples=2000, seed=0).lines()
+        assert lines[4:] == [
+            "boundary-distinctness    pass  n=47",
+            "upper-semicontinuity     pass  n=47",
+            "active-index-stability   pass  n=0 (not exercised: all 47 boundary points skipped)",
+        ]
+
     def test_single_region_vacuous_boundaries(self):
         r = Region.from_text("x1^2 + x2^2 > 0 && x1^2 + x2^2 < 16", 2, BOX)
         V = ExprScalarField.from_text("x1^2 + x2^2", 2)

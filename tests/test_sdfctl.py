@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from sdstab import registry
 from sdstab.errors import ControllerError, NoCertifiedStepError
 from sdstab.liecalc import ExprScalarField
 from sdstab.odeint import IntegrationConfig, integrate
@@ -289,3 +290,62 @@ class TestAdaptEpsilon:
             adapt_epsilon(plant.as_general(), FrozenGainController(weak_model), np.array([1.0]),
                           PerSampleQuadratic(), DOUBLING, 1.0, max_halvings=6)
         assert len(err.value.trace) == 7
+
+
+class TestConstantInputMatrix:
+    """A constant B (evaluated once, B F formed once per plan) against the same B as a function."""
+
+    def run(self, system):
+        cfg = IntegrationConfig()
+        ctrl = FrozenGainController(system, cfg)
+        partition = make_uniform_partition(0.05, 201)
+        run = run_closed_loop(system.as_general(), ctrl, partition, [2.0, -1.0], 1.0, cfg)
+        return run, certify_decrease(run, PerSampleQuadratic())
+
+    def test_statedep_run_bitwise_equal(self):
+        const = registry.statedep_2d()
+        assert const.constant_B
+        B = np.array(const.B)
+        func = StateLinearSystem(const.A, lambda x: B, 2, 1)
+        run_c, cert_c = self.run(const)
+        run_f, cert_f = self.run(func)
+        assert len(run_c.records) == len(run_f.records) == 20
+        _, states_c, inputs_c = run_c.trajectory()
+        _, states_f, inputs_f = run_f.trajectory()
+        assert np.array_equal(states_c, states_f)
+        assert np.array_equal(inputs_c, inputs_f)
+        assert cert_c.passed and cert_f.passed
+        for ic, jf in zip(cert_c.intervals, cert_f.intervals):
+            assert (ic.v_start, ic.v_end, ic.margin, ic.v_max, ic.excursion_ratio) == (
+                jf.v_start,
+                jf.v_end,
+                jf.margin,
+                jf.v_max,
+                jf.excursion_ratio,
+            )
+
+    def test_replaced_A_is_evaluated(self):
+        # a counting wrapper installed after construction must see every A(x)
+        system = registry.statedep_2d()
+        plant = system.as_general()
+        calls = []
+        A = system.A
+
+        def counted(x):
+            calls.append(1)
+            return A(x)
+
+        system.A = counted
+        system.matrices_at([0.5, 0.5])
+        assert len(calls) == 1
+        plant.rhs(np.array([0.5, 0.5]), np.zeros(1))
+        assert len(calls) == 2
+        sig = FrozenGainController(system).plan([0.5, 0.5], 0.05)
+        model_steps = len(sig.info["model"].times) - 1
+        assert len(calls) >= 2 + 1 + 4 * model_steps
+
+        # equal to A at the sample (same synthesis, same gain), different along the model run
+        system.A = lambda x: A(x) + np.array([[0.0, 0.0], [0.0, x[0] - 0.5]])
+        sig2 = FrozenGainController(system).plan([0.5, 0.5], 0.05)
+        assert np.array_equal(sig2.info["synthesis"].gain, sig.info["synthesis"].gain)
+        assert not np.array_equal(sig2.info["model"].states, sig.info["model"].states)

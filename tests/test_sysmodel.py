@@ -125,3 +125,50 @@ class TestSystems:
     def test_matrix_shape_validation(self):
         with pytest.raises(ValueError):
             StateLinearSystem(lambda x: np.zeros((2, 3)), lambda x: np.zeros((2, 1)), 2, 1)
+
+
+class TestConstantInputMatrix:
+    def A(self, x):
+        return np.array([[0.0, 1.0], [np.sin(x[0]), x[1] ** 2]])
+
+    def test_wrong_shape_raises(self):
+        with pytest.raises(ValueError):
+            StateLinearSystem(self.A, np.zeros((2, 2)), 2, 1)
+        with pytest.raises(ValueError):
+            StateLinearSystem(self.A, np.zeros(2), 2, 1)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_entry_raises(self, bad):
+        with pytest.raises(ValueError):
+            StateLinearSystem(self.A, np.array([[0.0], [bad]]), 2, 1)
+
+    def test_stored_read_only_and_not_aliased(self):
+        B = np.array([[0.0], [1.0]])
+        sys = StateLinearSystem(self.A, B, 2, 1)
+        assert sys.constant_B
+        assert not sys.B.flags.writeable
+        with pytest.raises(ValueError):
+            sys.B[1, 0] = 2.0
+        B[1, 0] = 2.0
+        assert sys.matrices_at([0.3, -0.2])[1][1, 0] == 1.0
+
+    def test_matrices_and_rhs_match_callable(self):
+        B = np.array([[0.0], [1.0]])
+        const = StateLinearSystem(self.A, B, 2, 1)
+        func = StateLinearSystem(self.A, lambda x: B, 2, 1)
+        assert not func.constant_B
+        rng = np.random.default_rng(3)
+        for x in rng.uniform(-2.0, 2.0, (50, 2)):
+            Ac, Bc = const.matrices_at(x)
+            Af, Bf = func.matrices_at(x)
+            assert np.array_equal(Ac, Af) and np.array_equal(Bc, Bf)
+            u = rng.uniform(-1.0, 1.0, 1)
+            assert np.array_equal(const.as_general().rhs(x, u), func.as_general().rhs(x, u))
+
+    def test_state_matrix_checks_finiteness(self):
+        sys = StateLinearSystem(lambda x: np.eye(1), np.ones((1, 1)), 1, 1)
+        sys.A = lambda x: np.array([[np.inf]])
+        with pytest.raises(ValueError):
+            sys.state_matrix(np.ones(1))
+        with pytest.raises(ValueError):
+            sys.matrices_at(np.ones(1))
