@@ -2,8 +2,9 @@
 
 Layers:
 
-* :mod:`sdstab.sysmodel` / :mod:`sdstab.odeint` - systems, signals,
-  sampling partitions, fixed-step integration with blow-up detection.
+* :mod:`sdstab.sysmodel` / :mod:`sdstab.odeint` - systems (each with its
+  own ``rhs(x, u)``), signals, sampling partitions, fixed-step integration
+  with blow-up detection.
 * :mod:`sdstab.synth` - stabilizing-gain synthesis (Riccati via the
   Hamiltonian's stable subspace) with verified quadratic decrease.
 * :mod:`sdstab.liecalc` / :mod:`sdstab.exprs` / :mod:`sdstab.jets` -

@@ -25,7 +25,7 @@ from .errors import (
     OffsetSelectionError,
     UncoveredPointError,
 )
-from .exprs import Const, ExprSyntaxError, coord_names, parse_scalar
+from .exprs import Const, ExprSyntaxError, coord_names, is_constant, parse_scalar
 from .liecalc import FAIL, ExprScalarField, ExprVectorField, check_prop1_point
 from .odeint import IntegrationConfig
 from .patchwork import verify_patchwork
@@ -110,11 +110,22 @@ def _parse_vectors(text):
     return [_parse_vector(chunk) for chunk in text.split(";") if chunk.strip()]
 
 
+def _constant_entry(expr):
+    """expr, or a Const of its value when it names no coordinate."""
+    if not is_constant(expr):
+        return expr
+    try:
+        return Const(expr.eval([]))
+    except (ArithmeticError, ValueError) as exc:
+        raise ConfigError("cannot evaluate matrix entry %r: %s" % (expr, exc)) from exc
+
+
 def _expr_matrix(text, dim, rows, cols, constant_ok=False):
     """Rows split on ';', entries on ',', each an expression in x1..xn.
 
-    Returns a function of the state; with ``constant_ok``, the matrix itself
-    when every entry is an unsigned number literal.
+    An entry that names no coordinate is evaluated once, here. Returns a
+    function of the state; with ``constant_ok``, the matrix itself when no
+    entry names a coordinate.
     """
     names = coord_names(dim)
     try:
@@ -123,7 +134,7 @@ def _expr_matrix(text, dim, rows, cols, constant_ok=False):
             raise ConfigError("expected %d matrix rows, got %d" % (rows, len(row_texts)))
         entries = []
         for r in row_texts:
-            row = [parse_scalar(e, names) for e in r.split(",")]
+            row = [_constant_entry(parse_scalar(e, names)) for e in r.split(",")]
             if len(row) != cols:
                 raise ConfigError("expected %d entries per row, got %d" % (cols, len(row)))
             entries.append(row)
@@ -140,13 +151,13 @@ def _expr_matrix(text, dim, rows, cols, constant_ok=False):
 
 
 def _build_system(cfg):
-    """Returns (kind, system) with kind in {state-linear, affine}."""
+    """The configured StateLinearSystem or AffineSystem."""
     name = cfg.get("system", "registry")
     if name is not None:
         if name in registry.SYSTEM_BUILDERS:
-            return "state-linear", registry.SYSTEM_BUILDERS[name]()
+            return registry.SYSTEM_BUILDERS[name]()
         if name in registry.AFFINE_BUILDERS:
-            return "affine", registry.AFFINE_BUILDERS[name]().system
+            return registry.AFFINE_BUILDERS[name]().system
         raise ConfigError(
             "unknown registry system %r (known: %s)"
             % (name, ", ".join(sorted(list(registry.SYSTEM_BUILDERS) + list(registry.AFFINE_BUILDERS))))
@@ -157,14 +168,14 @@ def _build_system(cfg):
         m = cfg.get_int("system", "inputs", default=1)
         A = _expr_matrix(cfg.get("system", "A", required=True), dim, dim, dim)
         B = _expr_matrix(cfg.get("system", "B", required=True), dim, dim, m, constant_ok=True)
-        return "state-linear", StateLinearSystem(A, B, dim, m)
+        return StateLinearSystem(A, B, dim, m)
     if kind == "affine":
         try:
             f = ExprVectorField.from_text(cfg.get("system", "f", required=True), dim)
             g = ExprVectorField.from_text(cfg.get("system", "g", required=True), dim)
         except ExprSyntaxError as exc:
             raise ConfigError("bad vector field: %s" % exc) from exc
-        return "affine", AffineSystem(f, g)
+        return AffineSystem(f, g)
     raise ConfigError("unknown system type %r" % kind)
 
 
@@ -192,8 +203,8 @@ def _build_patchwork(cfg, seed):
 
 
 def cmd_synthesize(cfg, out_dir, seed, quiet):
-    kind, sys_obj = _build_system(cfg)
-    if kind != "state-linear":
+    sys_obj = _build_system(cfg)
+    if not isinstance(sys_obj, StateLinearSystem):
         raise ConfigError("gain synthesis needs a state-linear system")
     pts_raw = cfg.get("synthesize", "points")
     if pts_raw is not None:
@@ -267,17 +278,16 @@ def _write_certificate_csv(path, cert):
             )
 
 
-def _trajectory_rows(run, V_provider, W=None):
+def _trajectory_rows(run, cert, W=None):
+    """CSV rows of a run; the V column is read from the certificate's values."""
     rows = []
-    per_interval = hasattr(V_provider, "for_interval")
-    for k, rec in enumerate(run.records):
-        Vk = V_provider.for_interval(rec) if per_interval else V_provider
+    for k, (rec, ic) in enumerate(zip(run.records, cert.intervals)):
         sl = slice(1, None) if k > 0 else slice(None)
         times = rec.traj.times[sl]
         states = rec.traj.states[sl]
         inputs = rec.traj.inputs[sl]
-        for t, x, u in zip(times, states, inputs):
-            row = [t, *x, *u, float(Vk(x))]
+        for t, x, u, v in zip(times, states, inputs, ic.values[sl]):
+            row = [t, *x, *u, v]
             if W is not None:
                 try:
                     row.append(W(x))
@@ -288,23 +298,23 @@ def _trajectory_rows(run, V_provider, W=None):
 
 
 def cmd_simulate(cfg, out_dir, seed, quiet):
-    kind, sys_obj = _build_system(cfg)
-    plant = sys_obj.as_general()
+    plant = _build_system(cfg)
+    state_linear = isinstance(plant, StateLinearSystem)
     icfg = _integration_config(cfg)
 
     ctrl_type = cfg.get("controller", "type", default="frozen-gain")
     W = None
     if ctrl_type in ("frozen-gain", "frozen-gain-zoh"):
-        if kind != "state-linear":
+        if not state_linear:
             raise ConfigError("the frozen-gain controller needs a state-linear system")
-        ctrl = FrozenGainController(sys_obj, icfg, zero_order_hold=ctrl_type.endswith("zoh"))
+        ctrl = FrozenGainController(plant, icfg, zero_order_hold=ctrl_type.endswith("zoh"))
     elif ctrl_type == "zero":
         ctrl = ZeroController(dim_input=plant.dim_input)
     elif ctrl_type == "patchwork":
-        if kind != "state-linear":
+        if not state_linear:
             raise ConfigError("patchwork piece plans are frozen-gain and need a state-linear system")
         W, _ = _build_patchwork(cfg, seed)
-        plans = [FrozenGainController(sys_obj, icfg) for _ in W.family.pieces]
+        plans = [FrozenGainController(plant, icfg) for _ in W.family.pieces]
         ctrl = PatchworkController(W, plans, dim_input=plant.dim_input)
     else:
         raise ConfigError("unknown controller type %r" % ctrl_type)
@@ -333,9 +343,9 @@ def cmd_simulate(cfg, out_dir, seed, quiet):
     else:
         raise ConfigError("unknown certificate kind %r" % cert_kind)
 
-    def write_trajectory(run, i):
+    def write_trajectory(run, cert, i):
         path = os.path.join(out_dir, "traj_%d.csv" % i)
-        rows = _trajectory_rows(run, V_provider, W=W)
+        rows = _trajectory_rows(run, cert, W=W)
         _write_trajectory_csv(path, rows, plant.dim_state, plant.dim_input, with_w=W is not None)
         return path
 
@@ -350,11 +360,12 @@ def cmd_simulate(cfg, out_dir, seed, quiet):
             if not exc.partial_run.records:
                 print("run %d: controller error: %s" % (i, exc))
                 continue
-            # keep the intervals completed before the failure
-            traj_path = write_trajectory(exc.partial_run, i)
+            # keep the intervals completed before the failure, without a cert_i.csv
+            partial = exc.partial_run
+            traj_path = write_trajectory(partial, certify_decrease(partial, V_provider), i)
             print(
                 "run %d: controller error: %s; wrote %d completed interval(s) to %s"
-                % (i, exc, len(exc.partial_run.records), traj_path)
+                % (i, exc, len(partial.records), traj_path)
             )
             continue
         cert = certify_decrease(run, V_provider)
@@ -363,7 +374,7 @@ def cmd_simulate(cfg, out_dir, seed, quiet):
         n_checks += len(cert.intervals) + 1
         n_failures += len(cert.failures) + (0 if ok_norm else 1)
 
-        traj_path = write_trajectory(run, i)
+        traj_path = write_trajectory(run, cert, i)
         cert_path = os.path.join(out_dir, "cert_%d.csv" % i)
         _write_certificate_csv(cert_path, cert)
         if not quiet:
@@ -419,8 +430,8 @@ def cmd_check_lie(cfg, out_dir, seed, quiet):
                     % (_fmt(p[0]), _fmt(p[1]), rp.classification, rc.classification, wit)
                 )
     else:
-        kind, sys_obj = _build_system(cfg)
-        if kind != "affine":
+        sys_obj = _build_system(cfg)
+        if not isinstance(sys_obj, AffineSystem):
             raise ConfigError("pointwise checks need an affine system")
         v_text = cfg.get("lie", "V", required=True)
         try:

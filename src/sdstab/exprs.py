@@ -144,6 +144,13 @@ class Func(Expr):
         return "%s(%r)" % (self.name, self.a)
 
 
+def is_constant(expr):
+    """True when the tree names no coordinate."""
+    if isinstance(expr, Var):
+        return False
+    return all(is_constant(getattr(expr, s)) for s in ("a", "b") if hasattr(expr, s))
+
+
 # -- tokenizer / parser -------------------------------------------------------
 
 _TOKEN_RE = re.compile(

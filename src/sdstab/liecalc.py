@@ -277,19 +277,12 @@ class ConditionReport:
     n_used: int | None = None
     detail: str = ""
 
-    @property
-    def ok(self):
-        return self.classification != FAIL
 
-
-def _eval_scaled(sf, x):
-    """Evaluate a scalar field at x; tolerance scale from the defining jet."""
-    if isinstance(sf, LieDerivative):
-        v = sf.X.eval(x)
-        w = sf.V.eval(_pair_jets(x, v))
-        return float(coeff(w, 1)), ZERO_TOL * (1.0 + magnitude(w))
-    val = float(sf.eval(x))
-    return val, ZERO_TOL * (1.0 + abs(val))
+def _eval_scaled(ld, x):
+    """Evaluate a Lie derivative at x; tolerance scale from its defining jet."""
+    v = ld.X.eval(x)
+    w = ld.V.eval(_pair_jets(x, v))
+    return float(coeff(w, 1)), ZERO_TOL * (1.0 + magnitude(w))
 
 
 def check_prop1_point(sys, V, x, n_max=4):
@@ -313,8 +306,8 @@ def check_prop1_point(sys, V, x, n_max=4):
     witnesses = {}
     taus = {}
 
-    def record(name, sf):
-        val, tau = _eval_scaled(sf, xs)
+    def record(name, ld):
+        val, tau = _eval_scaled(ld, xs)
         witnesses[name] = val
         taus[name] = tau
         return val, tau

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ControllerError, NoCertifiedStepError, NotStabilizableError
 from .odeint import IntegrationConfig, integrate, max_excursion, rk4_autonomous_step
 from .patchwork import DOUBLING, active_index
-from .sysmodel import ControlSignal, GeneralSystem, state_vector, zero_signal
+from .sysmodel import ControlSignal, GeneralSystem, make_uniform_partition, state_vector, zero_signal
 from .synth import synthesize_gain
 
 MARGINAL_TOL = 1e-10
@@ -77,23 +77,9 @@ class FrozenGainController(SampledController):
             sig.info.update({"xi": xi, "synthesis": synth})
             return sig
 
-        sys_ref = self.sys
-        if sys_ref.constant_B:
-            # Bx @ F is this same product at every x, so the model field keeps its bits
-            BF = sys_ref.B @ F
-            state_matrix = sys_ref.state_matrix
-
-            def model_rhs(x, _u):
-                return (state_matrix(x) + BF) @ x
-
-        else:
-
-            def model_rhs(x, _u):
-                Ax, Bx = sys_ref.matrices_at(x)
-                return (Ax + Bx @ F) @ x
-
-        model_sys = GeneralSystem(self.sys.dim_state, m, model_rhs)
-        # first_stage[k] = model_rhs(states[k]): the first stage of every
+        model_field = self.sys.closed_loop_field(F)
+        model_sys = GeneralSystem(self.sys.dim_state, m, lambda x, _u: model_field(x))
+        # first_stage[k] = model_field(states[k]): the first stage of every
         # playback substep from grid point k, recorded by the model run
         first_stage = []
         model = integrate(model_sys, xi, None, (0.0, eps), self.cfg, first_stage)
@@ -105,9 +91,6 @@ class FrozenGainController(SampledController):
         grid = model.times.tolist()
         states = model.states
         last = max(len(grid) - 2, 0)
-
-        def model_field(x):
-            return model_rhs(x, None)
 
         def model_state(t):
             idx = min(max(bisect_right(grid, t) - 1, 0), last)
@@ -177,10 +160,6 @@ class ClosedLoopRun:
     escaped: bool = False
     escape_time: float | None = None
 
-    @property
-    def samples(self):
-        return [rec.xi for rec in self.records]
-
     def final_state(self):
         return self.records[-1].x_end
 
@@ -208,12 +187,10 @@ def run_closed_loop(plant, ctrl, partition, x0, horizon, cfg=IntegrationConfig()
     the run; a controller failure raises with the partial run attached.
     """
     x = state_vector(x0)
-    boundaries = partition.boundaries(horizon)
+    times = partition.boundaries(horizon)
     records = []
     run = ClosedLoopRun(partition=partition, records=records)
-    for k in range(len(boundaries) - 1):
-        t0, _ = boundaries[k]
-        t1, _ = boundaries[k + 1]
+    for k, (t0, t1) in enumerate(zip(times, times[1:])):
         eps = t1 - t0
         try:
             sig = ctrl.plan(x, eps)
@@ -268,6 +245,7 @@ class IntervalCertificate:
     v_max: float
     bound_ok: bool
     excursion_ratio: float
+    values: list  # V at each grid state of the interval, start to end
     waived: bool = False
     marginal: bool = False
 
@@ -298,7 +276,8 @@ def certify_decrease(run, V, a=DOUBLING):
 
     V is either a plain callable on states (a fixed Lyapunov function or a
     patchwork glued function) or a per-interval provider such as
-    :class:`PerSampleQuadratic`. For each completed interval the margin
+    :class:`PerSampleQuadratic`, evaluated once per grid state (each interval
+    certificate keeps the values). For each completed interval the margin
     V(start) - V(end) must be strictly positive (waived at the origin), the
     interval maximum of V must stay below a(V(start)), and the excursion per
     unit time is reported as the interval's excursion constant.
@@ -311,10 +290,11 @@ def certify_decrease(run, V, a=DOUBLING):
     margins = []
     for rec in run.records:
         Vk = V.for_interval(rec) if per_interval else V
-        v_start = float(Vk(rec.xi))
-        v_end = float(Vk(rec.x_end))
+        # states[0] is the sample xi and states[-1] the end state x_end
+        values = [float(Vk(s)) for s in rec.traj.states]
+        v_start, v_end = values[0], values[-1]
         margin = v_start - v_end
-        v_max = max(float(Vk(s)) for s in rec.traj.states)
+        v_max = max(values)
         cap = a(v_start)
         bound_ok = v_max <= cap + 1e-12 * (1.0 + abs(cap))
         waived = float(np.max(np.abs(rec.xi))) == 0.0
@@ -327,6 +307,7 @@ def certify_decrease(run, V, a=DOUBLING):
             v_max=v_max,
             bound_ok=bound_ok,
             excursion_ratio=rec.excursion / rec.eps,
+            values=values,
             waived=waived,
             marginal=0.0 < margin < MARGINAL_TOL,
         )
@@ -359,8 +340,6 @@ def adapt_epsilon(plant, ctrl, xi, V, a, eps0, cfg=IntegrationConfig(), max_halv
     Returns (accepted step, certificate). Exhausting the halvings raises
     with the (step, margin) trace attached.
     """
-    from .sysmodel import make_uniform_partition
-
     if eps0 <= 0:
         raise ValueError("initial step must be positive")
     xi = state_vector(xi)

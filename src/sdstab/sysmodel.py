@@ -1,11 +1,11 @@
 """Core representations: systems, control signals, sampling partitions, trajectories.
 
-Everything here is immutable after construction and safe to share across
-concurrent workers. Controls are closed-form time functions on [0, horizon]
-(the controller clock restarts at every sampling instant), not sampled
-arrays, so controllers can produce them lazily. A state-linear system's
-input matrix is either a function of the state or a constant matrix; a
-constant one is checked and stored once and never evaluated again.
+Every system has ``dim_state``, ``dim_input`` and ``rhs(x, u)``, so the
+integrator and the closed loop take any of them as the plant. Controls are
+closed-form time functions on [0, horizon] (the controller clock restarts
+at every sampling instant), so controllers can produce them lazily. Objects
+are not frozen: a state-linear system's ``A`` may be replaced after
+construction, and a controller may add to a signal's ``info``.
 """
 
 import math
@@ -81,7 +81,7 @@ def zero_signal(horizon, dim_input):
 
 
 class GeneralSystem:
-    """dx/dt = rhs(x, u) with rhs(0, 0) = 0."""
+    """A hand-written field dx/dt = rhs(x, u) with rhs(0, 0) = 0."""
 
     def __init__(self, dim_state, dim_input, rhs):
         self.dim_state = int(dim_state)
@@ -116,13 +116,8 @@ class AffineSystem:
         if float(np.max(np.abs(f0))) > ORIGIN_TOL:
             raise ValueError("drift(0) must vanish")
 
-    def as_general(self):
-        drift, gfield = self.drift, self.input_field
-
-        def rhs(x, u):
-            return drift(x) + float(np.atleast_1d(u)[0]) * gfield(x)
-
-        return GeneralSystem(self.dim_state, 1, rhs)
+    def rhs(self, x, u):
+        return self.drift(x) + float(np.atleast_1d(u)[0]) * self.input_field(x)
 
 
 class StateLinearSystem:
@@ -131,8 +126,8 @@ class StateLinearSystem:
     ``A`` maps a state to an n x n matrix. ``B`` maps a state to an n x m
     matrix, or is a constant n x m matrix: a constant ``B`` is checked here,
     stored as a read-only float array (``constant_B`` is true) and returned
-    by :meth:`matrices_at` without any evaluation. ``A`` is looked up on
-    every call, so it may be replaced after construction.
+    by :meth:`matrices_at` without any evaluation. Both are finite at the
+    origin. ``A`` is looked up on every call, so it may be replaced.
     """
 
     def __init__(self, A, B, dim_state, dim_input):
@@ -152,8 +147,8 @@ class StateLinearSystem:
             raise ValueError("A(x) must be %d x %d" % (dim_state, dim_state))
         if b0.shape != (dim_state, dim_input):
             raise ValueError("B(x) must be %d x %d" % (dim_state, dim_input))
-        if self.constant_B and not _all_finite(B):
-            raise ValueError("a constant B must be finite")
+        if not (_all_finite(a0) and _all_finite(b0)):
+            raise ValueError("system matrices must be finite at the origin")
 
     def state_matrix(self, x):
         """A(x) as a float array; raises unless every entry is finite."""
@@ -172,12 +167,27 @@ class StateLinearSystem:
             raise ValueError("system matrices must be finite at finite states")
         return A, B
 
-    def as_general(self):
-        def rhs(x, u):
-            A, B = self.matrices_at(x)
-            return A @ x + B @ _vector(u)
+    def rhs(self, x, u):
+        A, B = self.matrices_at(x)
+        return A @ x + B @ _vector(u)
 
-        return GeneralSystem(self.dim_state, self.dim_input, rhs)
+    def closed_loop_field(self, F):
+        """The frozen-gain field x -> (A(x) + B(x) F) x; a constant B F is formed once."""
+        if self.constant_B:
+            # Bx @ F is this same product at every x, so the field keeps its bits
+            BF = self.B @ F
+            state_matrix = self.state_matrix
+
+            def field(x):
+                return (state_matrix(x) + BF) @ x
+
+        else:
+
+            def field(x):
+                Ax, Bx = self.matrices_at(x)
+                return (Ax + Bx @ F) @ x
+
+        return field
 
 
 class SamplingPartition:
@@ -196,11 +206,10 @@ class SamplingPartition:
         self.tail_step = tail_step
 
     def boundaries(self, horizon):
-        """Interval boundaries covering [0, horizon], flagging tail-generated ones.
+        """Interval boundaries covering [0, horizon].
 
-        Returns a list of (t, from_tail) with t strictly increasing, first
-        entry (0, False), last entry (horizon, ...), using the explicit
-        prefix and then the uniform tail.
+        Returns the strictly increasing times from 0 to horizon: the
+        explicit prefix, then the uniform tail.
         """
         horizon = float(horizon)
         if horizon <= 0:
@@ -209,25 +218,19 @@ class SamplingPartition:
         for t in self.times:
             if t >= horizon - 1e-12:
                 break
-            out.append((t, False))
-        last = out[-1][0] if out else 0.0
+            out.append(t)
         if self.times[-1] < horizon - 1e-12:
             if self.tail_step is None:
                 raise ValueError(
                     "partition prefix ends at %g but horizon is %g and no tail step is set"
                     % (self.times[-1], horizon)
                 )
-            t = max(last, self.times[-1])
+            t = self.times[-1]
             while t + self.tail_step < horizon - 1e-12:
                 t += self.tail_step
-                out.append((t, True))
-            out.append((horizon, True))
-        else:
-            out.append((horizon, False))
+                out.append(t)
+        out.append(horizon)
         return out
-
-    def __len__(self):
-        return len(self.times)
 
 
 def make_uniform_partition(h, count):

@@ -162,7 +162,7 @@ def test_criterion_5_lti_consistency():
     Acl = A + B @ F
     x0 = np.array([1.0, -0.5])
     for h in (0.01, 0.1, 0.5):
-        run = run_closed_loop(sys.as_general(), ctrl, make_uniform_partition(h, 2), x0, 4 * h)
+        run = run_closed_loop(sys, ctrl, make_uniform_partition(h, 2), x0, 4 * h)
         for rec in run.records:
             exact = expm(Acl * rec.t_end) @ x0
             assert np.max(np.abs(rec.x_end - exact)) <= 1e-6
@@ -176,9 +176,8 @@ def _statedep_setup():
     if "ctrl" not in _RUN_CACHE:
         sys = registry.statedep_2d()
         _RUN_CACHE["sys"] = sys
-        _RUN_CACHE["plant"] = sys.as_general()
         _RUN_CACHE["ctrl"] = FrozenGainController(sys)
-    return _RUN_CACHE["plant"], _RUN_CACHE["ctrl"]
+    return _RUN_CACHE["sys"], _RUN_CACHE["ctrl"]
 
 
 @criterion(6, "state-dependent-end-to-end", 30)
@@ -235,8 +234,7 @@ def test_criterion_9_negative_controls():
 
     # zero controller on the feedback-integrator example: no decrease
     entry = registry.double_integrator()
-    plant = entry.system.as_general()
-    run = run_closed_loop(plant, ZeroController(), make_uniform_partition(0.1, 11), [1.0, 0.5], 1.0)
+    run = run_closed_loop(entry.system, ZeroController(), make_uniform_partition(0.1, 11), [1.0, 0.5], 1.0)
     cert = certify_decrease(run, entry.V2)
     assert not cert.passed
 

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sdstab import registry
 from sdstab.cli import Config, _build_system, main
@@ -124,8 +125,8 @@ class TestInlineStateLinear:
         return _build_system(Config.load(write(tmp_path / "s.ini", text)))
 
     def test_readme_inline_B_is_constant(self, tmp_path):
-        kind, sys_obj = self.build(tmp_path, readme_ini("synthesize"))
-        assert kind == "state-linear"
+        sys_obj = self.build(tmp_path, readme_ini("synthesize"))
+        assert isinstance(sys_obj, StateLinearSystem)
         assert sys_obj.constant_B
         assert np.array_equal(sys_obj.B, [[0.0], [1.0]])
         assert callable(sys_obj.A)
@@ -137,13 +138,73 @@ class TestInlineStateLinear:
 
     def test_state_dependent_B_stays_a_function(self, tmp_path):
         text = readme_ini("synthesize").replace("B = 0; 1", "B = 0; 1 + x1^2")
-        _, sys_obj = self.build(tmp_path, text)
+        sys_obj = self.build(tmp_path, text)
         assert not sys_obj.constant_B
         assert np.array_equal(sys_obj.matrices_at([2.0, 0.0])[1], [[0.0], [5.0]])
 
+    def test_negative_literal_B_is_constant(self, tmp_path, capsys, monkeypatch):
+        text = readme_ini("synthesize").replace("B = 0; 1", "B = 0; -1")
+        sys_obj = self.build(tmp_path, text)
+        assert sys_obj.constant_B
+        assert np.array_equal(sys_obj.B, [[0.0], [-1.0]])
+        # the same system with B as a function of the state reports the same bits
+        A = sys_obj.A
+        monkeypatch.setitem(
+            registry.SYSTEM_BUILDERS,
+            "negative-b",
+            lambda: StateLinearSystem(A, lambda x: np.array([[0.0], [-1.0]]), 2, 1),
+        )
+        as_function = "[experiment]\nkind = synthesize\n[system]\nregistry = negative-b\n"
+        as_function += "[synthesize]\npoints = 0,0 ; 1,-1\n"
+        outs = []
+        for name, cfg_text in (("constant", text), ("function", as_function)):
+            cfg = write(tmp_path / (name + ".ini"), cfg_text)
+            assert main(["synthesize", "--config", cfg, "--out", str(tmp_path)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert outs[0].count("point=") == 2
+
+    @pytest.mark.parametrize(
+        "old, new", [("B = 0; 1", "B = 0; 1/0"), ("A = 0, 1;", "A = 0, 2^-1/0;")]
+    )
+    def test_constant_division_by_zero_is_a_config_error(self, tmp_path, capsys, old, new):
+        text = readme_ini("synthesize").replace(old, new)
+        assert new in text
+        cfg = write(tmp_path / "z.ini", text)
+        assert main(["synthesize", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "cannot evaluate matrix entry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["synthesize", "simulate"])
+    def test_nonfinite_A_at_origin_is_a_config_error(self, tmp_path, capsys, command):
+        cfg = write(
+            tmp_path / "a.ini",
+            """
+[experiment]
+kind = %s
+[system]
+type = state-linear
+dim = 2
+A = 0, 1; 1/x1, 0
+B = 0; 1
+[synthesize]
+points = 1, -1
+[partition]
+h = 0.1
+[run]
+x0 = 1, -1
+horizon = 0.2
+"""
+            % command,
+        )
+        # outside the test suite this warning is printed and the run goes on
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            code = main([command, "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2
+        assert "finite at the origin" in capsys.readouterr().err
+
     def test_constant_A_stays_a_function(self, tmp_path):
         text = readme_ini("synthesize").replace("sin(x1), x2^2", "0, 0")
-        _, sys_obj = self.build(tmp_path, text)
+        sys_obj = self.build(tmp_path, text)
         assert callable(sys_obj.A)
         assert np.array_equal(sys_obj.matrices_at([2.0, 0.0])[0], [[0.0, 1.0], [0.0, 0.0]])
 

@@ -7,6 +7,7 @@ import pytest
 from sdstab.exprs import (
     ExprSyntaxError,
     coord_names,
+    is_constant,
     parse_components,
     parse_constraints,
     parse_scalar,
@@ -84,3 +85,12 @@ def test_unknown_function_rejected():
 def test_constraint_needs_comparison():
     with pytest.raises(ExprSyntaxError):
         parse_constraints("x1 + 1", NAMES2)
+
+
+def test_is_constant():
+    names = ["x1", "x2"]
+    assert is_constant(parse_scalar("-1", names))
+    assert is_constant(parse_scalar("sin(2)^2 / (1 + 3)", names))
+    assert not is_constant(parse_scalar("0 * x1", names))
+    assert not is_constant(parse_scalar("pow(1 + x2, 2)", names))
+    assert not is_constant(parse_scalar("-exp(x1)", names))

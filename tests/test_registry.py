@@ -18,7 +18,7 @@ def test_statedep_matrices():
     A, B = sys.matrices_at(np.array([np.pi / 2, 2.0]))
     np.testing.assert_allclose(A, [[0.0, 1.0], [1.0, 4.0]])
     np.testing.assert_allclose(B, [[0.0], [1.0]])
-    rhs = sys.as_general().rhs(np.array([np.pi / 2, 2.0]), np.array([0.5]))
+    rhs = sys.rhs(np.array([np.pi / 2, 2.0]), np.array([0.5]))
     np.testing.assert_allclose(rhs, [2.0, np.pi / 2 + 8.0 + 0.5])
 
 

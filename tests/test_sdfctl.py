@@ -36,7 +36,7 @@ class TestFrozenGainPlanning:
         F = sig.info["synthesis"].gain[0, 0]
         assert F == pytest.approx(-(1 + np.sqrt(2)), abs=1e-10)
         assert sig.value(0.0)[0] == pytest.approx(F)
-        traj = integrate(sys.as_general(), [1.0], sig, (0.0, 0.1))
+        traj = integrate(sys, [1.0], sig, (0.0, 0.1))
         assert traj.final_state()[0] == pytest.approx(np.exp(-0.1 * np.sqrt(2)), abs=1e-6)
 
     def test_zero_sample_zero_signal(self):
@@ -69,7 +69,7 @@ class TestFrozenGainPlanning:
         grid = np.linspace(0, 0.1, 21)
         before = [sig.value(t)[0] for t in grid]
         # integrate some other plant from a perturbed future state; the signal is unchanged
-        integrate(scalar_unstable().as_general(), [17.0], sig, (0.0, 0.1))
+        integrate(scalar_unstable(), [17.0], sig, (0.0, 0.1))
         after = [sig.value(t)[0] for t in grid]
         assert before == after
 
@@ -101,7 +101,7 @@ class TestClosedLoopRuns:
         Acl = A + B @ F
         x0 = np.array([1.0, -0.5])
         for h in (0.01, 0.1, 0.5):
-            run = run_closed_loop(sys.as_general(), ctrl, make_uniform_partition(h, 2), x0, 4 * h)
+            run = run_closed_loop(sys, ctrl, make_uniform_partition(h, 2), x0, 4 * h)
             for rec in run.records:
                 exact = expm(Acl * rec.t_end) @ x0
                 assert np.max(np.abs(rec.x_end - exact)) < 1e-6
@@ -130,7 +130,7 @@ class TestClosedLoopRuns:
 
     def test_continuity_across_samples(self):
         sys = scalar_unstable()
-        run = run_closed_loop(sys.as_general(), FrozenGainController(sys),
+        run = run_closed_loop(sys, FrozenGainController(sys),
                               make_uniform_partition(0.2, 6), [1.0], 1.0)
         for a, b in zip(run.records, run.records[1:]):
             np.testing.assert_array_equal(a.x_end, b.xi)
@@ -139,7 +139,7 @@ class TestClosedLoopRuns:
 class TestCertificates:
     def test_frozen_gain_run_passes(self):
         sys = scalar_unstable()
-        run = run_closed_loop(sys.as_general(), FrozenGainController(sys),
+        run = run_closed_loop(sys, FrozenGainController(sys),
                               make_uniform_partition(0.1, 51), [1.0], 5.0)
         cert = certify_decrease(run, PerSampleQuadratic())
         assert cert.passed
@@ -187,6 +187,19 @@ class TestCertificates:
         cert = certify_decrease(run, ExprScalarField.from_text("x1^2", 1))
         assert cert.passed
         assert cert.intervals[0].waived
+
+    def test_keeps_V_at_every_grid_state(self):
+        sys = registry.statedep_2d()
+        run = run_closed_loop(sys, FrozenGainController(sys), make_uniform_partition(0.05, 201),
+                              [2.0, -1.0], 0.2)
+        V = PerSampleQuadratic()
+        cert = certify_decrease(run, V)
+        assert len(cert.intervals) == 4
+        for rec, ic in zip(run.records, cert.intervals):
+            Vk = V.for_interval(rec)
+            assert ic.values == [float(Vk(s)) for s in rec.traj.states]
+            assert (ic.v_start, ic.v_end) == (float(Vk(rec.xi)), float(Vk(rec.x_end)))
+            assert ic.v_max == max(ic.values)
 
     def test_escape_fails_certificate(self):
         plant = GeneralSystem(1, 1, lambda x, u: x * x)
@@ -255,7 +268,7 @@ class TestPatchworkDispatch:
 class TestAdaptEpsilon:
     def test_lti_accepts_initial_step(self):
         sys = scalar_unstable()
-        eps, cert = adapt_epsilon(sys.as_general(), FrozenGainController(sys), np.array([1.0]),
+        eps, cert = adapt_epsilon(sys, FrozenGainController(sys), np.array([1.0]),
                                   PerSampleQuadratic(), DOUBLING, 0.1)
         assert eps == 0.1
         assert cert.passed
@@ -268,14 +281,14 @@ class TestAdaptEpsilon:
         )
         frozen_A = plant_sl.matrices_at(np.array([1.0]))[0]
         model = StateLinearSystem(lambda x, A=frozen_A: A, lambda x: np.array([[1.0]]), 1, 1)
-        eps, cert = adapt_epsilon(plant_sl.as_general(), FrozenGainController(model),
+        eps, cert = adapt_epsilon(plant_sl, FrozenGainController(model),
                                   np.array([1.0]), PerSampleQuadratic(), DOUBLING, 1.0)
         assert eps == 0.25  # regression value from the recorded bisection
         assert cert.passed
 
     def test_equilibrium_accepts_trivially(self):
         sys = scalar_unstable()
-        eps, cert = adapt_epsilon(sys.as_general(), FrozenGainController(sys), np.zeros(1),
+        eps, cert = adapt_epsilon(sys, FrozenGainController(sys), np.zeros(1),
                                   PerSampleQuadratic(), DOUBLING, 0.5)
         assert eps == 0.5
         assert cert.passed
@@ -287,7 +300,7 @@ class TestAdaptEpsilon:
         )
         weak_model = scalar_unstable()
         with pytest.raises(NoCertifiedStepError) as err:
-            adapt_epsilon(plant.as_general(), FrozenGainController(weak_model), np.array([1.0]),
+            adapt_epsilon(plant, FrozenGainController(weak_model), np.array([1.0]),
                           PerSampleQuadratic(), DOUBLING, 1.0, max_halvings=6)
         assert len(err.value.trace) == 7
 
@@ -299,7 +312,7 @@ class TestConstantInputMatrix:
         cfg = IntegrationConfig()
         ctrl = FrozenGainController(system, cfg)
         partition = make_uniform_partition(0.05, 201)
-        run = run_closed_loop(system.as_general(), ctrl, partition, [2.0, -1.0], 1.0, cfg)
+        run = run_closed_loop(system, ctrl, partition, [2.0, -1.0], 1.0, cfg)
         return run, certify_decrease(run, PerSampleQuadratic())
 
     def test_statedep_run_bitwise_equal(self):
@@ -327,7 +340,6 @@ class TestConstantInputMatrix:
     def test_replaced_A_is_evaluated(self):
         # a counting wrapper installed after construction must see every A(x)
         system = registry.statedep_2d()
-        plant = system.as_general()
         calls = []
         A = system.A
 
@@ -338,7 +350,7 @@ class TestConstantInputMatrix:
         system.A = counted
         system.matrices_at([0.5, 0.5])
         assert len(calls) == 1
-        plant.rhs(np.array([0.5, 0.5]), np.zeros(1))
+        system.rhs(np.array([0.5, 0.5]), np.zeros(1))
         assert len(calls) == 2
         sig = FrozenGainController(system).plan([0.5, 0.5], 0.05)
         model_steps = len(sig.info["model"].times) - 1

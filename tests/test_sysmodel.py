@@ -50,10 +50,7 @@ class TestPartitions:
 
     def test_tail_extension_flags(self):
         p = make_uniform_partition(0.5, 2)  # explicit prefix [0, 0.5]
-        bounds = p.boundaries(2.0)
-        times = [t for t, _ in bounds]
-        np.testing.assert_allclose(times, [0.0, 0.5, 1.0, 1.5, 2.0])
-        assert [tail for _, tail in bounds] == [False, False, True, True, True]
+        np.testing.assert_allclose(p.boundaries(2.0), [0.0, 0.5, 1.0, 1.5, 2.0])
 
     def test_no_tail_raises_when_needed(self):
         p = SamplingPartition([0.0, 0.5])
@@ -86,16 +83,15 @@ class TestSystems:
         with pytest.raises(ValueError):
             GeneralSystem(1, 1, lambda x, u: x + 1.0)
 
-    def test_state_linear_as_general(self):
+    def test_state_linear_rhs(self):
         sys = StateLinearSystem(
             lambda x: np.array([[0.0, 1.0], [0.0, 0.0]]),
             lambda x: np.array([[0.0], [1.0]]),
             2,
             1,
         )
-        g = sys.as_general()
-        np.testing.assert_allclose(g.rhs(np.array([1.0, 2.0]), np.array([3.0])), [2.0, 3.0])
-        np.testing.assert_allclose(g.rhs(np.zeros(2), np.zeros(1)), [0.0, 0.0])
+        np.testing.assert_allclose(sys.rhs(np.array([1.0, 2.0]), np.array([3.0])), [2.0, 3.0])
+        np.testing.assert_allclose(sys.rhs(np.zeros(2), np.zeros(1)), [0.0, 0.0])
 
     def test_state_dependent_entry(self):
         sys = StateLinearSystem(
@@ -104,23 +100,27 @@ class TestSystems:
             2,
             1,
         )
-        g = sys.as_general()
-        np.testing.assert_allclose(g.rhs(np.array([2.0, 0.0]), np.array([5.0])), [4.0, 0.0])
+        np.testing.assert_allclose(sys.rhs(np.array([2.0, 0.0]), np.array([5.0])), [4.0, 0.0])
 
-    def test_affine_as_general(self):
+    def test_affine_rhs(self):
         f = ExprVectorField.from_text("x2, 0", 2)
         gf = ExprVectorField.from_text("0, 1", 2)
         sys = AffineSystem(f, gf)
-        g = sys.as_general()
-        np.testing.assert_allclose(g.rhs(np.array([1.0, 2.0]), np.array([-1.0])), [2.0, -1.0])
-        np.testing.assert_allclose(g.rhs(np.array([1.0, 2.0]), np.array([0.0])), [2.0, 0.0])
-        np.testing.assert_allclose(g.rhs(np.zeros(2), np.zeros(1)), [0.0, 0.0])
+        np.testing.assert_allclose(sys.rhs(np.array([1.0, 2.0]), np.array([-1.0])), [2.0, -1.0])
+        np.testing.assert_allclose(sys.rhs(np.array([1.0, 2.0]), np.array([0.0])), [2.0, 0.0])
+        np.testing.assert_allclose(sys.rhs(np.zeros(2), np.zeros(1)), [0.0, 0.0])
 
     def test_affine_drift_must_vanish_at_origin(self):
         f = ExprVectorField.from_text("x2 + 1, 0", 2)
         gf = ExprVectorField.from_text("0, 1", 2)
         with pytest.raises(ValueError):
             AffineSystem(f, gf)
+
+    def test_nonfinite_matrices_at_origin_raise(self):
+        with pytest.raises(ValueError, match="finite at the origin"):
+            StateLinearSystem(lambda x: np.array([[np.inf]]), np.ones((1, 1)), 1, 1)
+        with pytest.raises(ValueError, match="finite at the origin"):
+            StateLinearSystem(lambda x: np.eye(1), lambda x: np.array([[np.nan]]), 1, 1)
 
     def test_matrix_shape_validation(self):
         with pytest.raises(ValueError):
@@ -163,7 +163,18 @@ class TestConstantInputMatrix:
             Af, Bf = func.matrices_at(x)
             assert np.array_equal(Ac, Af) and np.array_equal(Bc, Bf)
             u = rng.uniform(-1.0, 1.0, 1)
-            assert np.array_equal(const.as_general().rhs(x, u), func.as_general().rhs(x, u))
+            assert np.array_equal(const.rhs(x, u), func.rhs(x, u))
+
+    def test_closed_loop_field_matches_callable(self):
+        B = np.array([[0.0], [1.0]])
+        const = StateLinearSystem(self.A, B, 2, 1)
+        func = StateLinearSystem(self.A, lambda x: B, 2, 1)
+        F = np.array([[-2.0, -3.0]])
+        f_const, f_func = const.closed_loop_field(F), func.closed_loop_field(F)
+        for x in np.random.default_rng(4).uniform(-2.0, 2.0, (50, 2)):
+            expected = (self.A(x) + B @ F) @ x
+            assert np.array_equal(f_const(x), expected)
+            assert np.array_equal(f_func(x), expected)
 
     def test_state_matrix_checks_finiteness(self):
         sys = StateLinearSystem(lambda x: np.eye(1), np.ones((1, 1)), 1, 1)
