@@ -99,6 +99,13 @@ class Config:
             raise ConfigError("[%s] %s must be an integer, got %r" % (section, key, raw)) from None
 
 
+def _positive(cfg, section, key, default, kind=Config.get_float):
+    value = kind(cfg, section, key, default=default)
+    if not value > 0:
+        raise ConfigError("[%s] %s must be positive, got %r" % (section, key, value))
+    return value
+
+
 def _parse_vector(text):
     try:
         return np.array([float(tok) for tok in text.split(",")])
@@ -210,7 +217,7 @@ def cmd_synthesize(cfg, out_dir, seed, quiet):
     if pts_raw is not None:
         points = _parse_vectors(pts_raw)
     else:
-        radius = cfg.get_float("synthesize", "radius", default=1.0)
+        radius = _positive(cfg, "synthesize", "radius", default=1.0)
         samples = cfg.get_int("synthesize", "samples", default=32)
         points = [np.zeros(sys_obj.dim_state)] + list(
             ball_points(sys_obj.dim_state, samples, radius, seed=seed)
@@ -401,6 +408,8 @@ def cmd_simulate(cfg, out_dir, seed, quiet):
 
 def _grid_points(extent, count):
     axis = np.linspace(-extent, extent, count)
+    if count % 2:
+        axis[count // 2] = 0.0  # linspace can land a rounding error away from 0
     for a in axis:
         for b in axis:
             if a == 0.0 and b == 0.0:
@@ -411,13 +420,16 @@ def _grid_points(extent, count):
 def cmd_check_lie(cfg, out_dir, seed, quiet):
     extent = cfg.get_float("grid", "extent", default=2.0)
     count = cfg.get_int("grid", "points", default=41)
+    pts = list(_grid_points(extent, count))
+    if not pts:
+        raise ConfigError("the grid has no point away from the origin")
     name = cfg.get("system", "registry")
 
     n_points = 0
     n_fail = 0
     if name in registry.AFFINE_BUILDERS:
         entry = registry.AFFINE_BUILDERS[name]()
-        for p in _grid_points(extent, count):
+        for p in pts:
             rp = entry.classify(p)
             rc = entry.classify_integrator_form(p)
             n_points += 1
@@ -433,6 +445,8 @@ def cmd_check_lie(cfg, out_dir, seed, quiet):
         sys_obj = _build_system(cfg)
         if not isinstance(sys_obj, AffineSystem):
             raise ConfigError("pointwise checks need an affine system")
+        if sys_obj.dim_state != 2:
+            raise ConfigError("the check-lie grid is planar; the system has dim %d" % sys_obj.dim_state)
         v_text = cfg.get("lie", "V", required=True)
         try:
             V = ExprScalarField.from_text(v_text, sys_obj.dim_state)
@@ -440,8 +454,7 @@ def cmd_check_lie(cfg, out_dir, seed, quiet):
             raise ConfigError("bad V expression: %s" % exc) from exc
         if abs(V(np.zeros(sys_obj.dim_state))) > 1e-12:
             raise ConfigError("V must vanish at the origin")
-        pts = list(_grid_points(extent, count))
-        if min(V(p) for p in pts) <= 0:
+        if not np.all(V.eval(list(np.transpose(pts))) > 0):
             raise ConfigError("V is not positive away from the origin on the grid")
         for p in pts:
             rp = check_prop1_point(sys_obj, V, p, n_max=2)
@@ -458,8 +471,8 @@ def cmd_check_lie(cfg, out_dir, seed, quiet):
 
 
 def cmd_check_patchwork(cfg, out_dir, seed, quiet):
-    samples = cfg.get_int("patchwork", "samples", default=10_000)
-    radius = cfg.get_float("patchwork", "radius", default=2.0)
+    samples = _positive(cfg, "patchwork", "samples", default=10_000, kind=Config.get_int)
+    radius = _positive(cfg, "patchwork", "radius", default=2.0)
     try:
         W, sel = _build_patchwork(cfg, seed)
     except OffsetSelectionError as exc:

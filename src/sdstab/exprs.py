@@ -2,9 +2,11 @@
 
 The expression language covers constants, coordinates, ``+ - * /``, unary
 minus, ``sin``, ``cos``, ``exp`` and integer powers (``^`` or ``pow(e, k)``).
-Trees evaluate on any coordinate ring handled by :mod:`sdstab.jets`, so the
-same tree yields plain values, directional derivatives, or higher-order
-Taylor coefficients depending on what is fed in.
+Trees evaluate on the one scalar ring of :mod:`sdstab.jets`: fed floats
+they give values, fed float arrays they give the values at every point in
+one walk, and fed jets (of floats or of arrays) they give directional
+derivatives or higher-order Taylor coefficients. ``repr`` writes a tree in
+the grammar, and parsing it back gives a tree with the same ``repr``.
 
 Coordinates are named ``x1 .. xn`` plus an optional trailing ``y`` (used by
 feedback-integrator systems where the control enters through an added
@@ -15,6 +17,7 @@ Region constraints reuse the grammar with strict inequalities joined by
 positive exactly on the open set it defines.
 """
 
+import math
 import re
 
 from .jets import jcos, jexp, jpow, jsin
@@ -46,6 +49,8 @@ class Const(Expr):
         return self.value
 
     def __repr__(self):
+        if math.copysign(1.0, self.value) < 0:
+            return "(-%r)" % (-self.value,)  # the grammar has no signed literals
         return repr(self.value)
 
 

@@ -1,25 +1,23 @@
-"""Truncated Taylor-series (jet) arithmetic.
+"""Truncated Taylor-series (jet) arithmetic over one scalar ring.
 
-A :class:`Jet` represents sum_k c_k t^k truncated at a fixed order.
-Coefficients are floats or nested Jets; nesting is what makes iterated
-directional derivatives (and hence nested Lie brackets) work: to
+A :class:`Jet` represents sum_k c_k t^k truncated at a fixed order. Any
+value that is not a Jet is a scalar of the coefficient ring: a Python or
+NumPy float, or a float array (one jet per array element, evaluated in a
+single pass). Coefficients may themselves be Jets; nesting is what makes
+iterated directional derivatives (and hence nested Lie brackets) work: to
 differentiate a quantity that is itself a first-order jet, evaluate it with
 coefficients that are jets in a second, independent parameter.
 
 All binary operations between two jets require equal truncation order,
-which holds by construction everywhere in this package. Plain numbers are
-lifted to constant jets on demand.
+which holds by construction everywhere in this package. A scalar operand
+acts as a constant jet. Integer powers are repeated products on every ring,
+so a polynomial gives the same bits on an array as element by element;
+``sin``, ``cos`` and ``exp`` use :mod:`math` on scalars and NumPy on arrays.
 """
 
 import math
 
-
-def _is_number(v):
-    return isinstance(v, (int, float))
-
-
-def _zero_like(exemplar):
-    return lift(0.0, exemplar)
+import numpy as np
 
 
 def lift(value, exemplar):
@@ -27,12 +25,14 @@ def lift(value, exemplar):
     if isinstance(exemplar, Jet):
         c0 = exemplar.coeffs[0]
         rest = len(exemplar.coeffs) - 1
-        return Jet([lift(value, c0)] + [_zero_like(c0)] * rest)
-    return float(value)
+        return Jet([lift(value, c0)] + [lift(0.0, c0)] * rest)
+    return value
 
 
 class Jet:
     __slots__ = ("coeffs",)
+    # a NumPy operand on the left defers to the Jet operation
+    __array_ufunc__ = None
 
     def __init__(self, coeffs):
         self.coeffs = tuple(coeffs)
@@ -51,11 +51,7 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             return Jet([a + b for a, b in zip(self.coeffs, other.coeffs)])
-        if _is_number(other):
-            cs = list(self.coeffs)
-            cs[0] = cs[0] + float(other)
-            return Jet(cs)
-        return NotImplemented
+        return Jet((self.coeffs[0] + other,) + self.coeffs[1:])
 
     __radd__ = __add__
 
@@ -65,60 +61,47 @@ class Jet:
     def __sub__(self, other):
         if isinstance(other, Jet):
             return Jet([a - b for a, b in zip(self.coeffs, other.coeffs)])
-        if _is_number(other):
-            cs = list(self.coeffs)
-            cs[0] = cs[0] - float(other)
-            return Jet(cs)
-        return NotImplemented
+        return Jet((self.coeffs[0] - other,) + self.coeffs[1:])
 
     def __rsub__(self, other):
-        if _is_number(other):
-            return (-self) + float(other)
-        return NotImplemented
+        return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Jet):
-            a, b = self.coeffs, other.coeffs
-            out = []
-            for k in range(len(a)):
-                s = a[0] * b[k]
-                for j in range(1, k + 1):
-                    s = s + a[j] * b[k - j]
-                out.append(s)
-            return Jet(out)
-        if _is_number(other):
-            f = float(other)
-            return Jet([c * f for c in self.coeffs])
-        return NotImplemented
+        if not isinstance(other, Jet):
+            return Jet([c * other for c in self.coeffs])
+        a, b = self.coeffs, other.coeffs
+        out = []
+        for k in range(len(a)):
+            s = a[0] * b[k]
+            for j in range(1, k + 1):
+                s = s + a[j] * b[k - j]
+            out.append(s)
+        return Jet(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if _is_number(other):
-            return self * (1.0 / float(other))
-        if isinstance(other, Jet):
-            p, q = self.coeffs, other.coeffs
-            d = [p[0] / q[0]]
-            for k in range(1, len(p)):
-                acc = p[k]
-                for j in range(k):
-                    acc = acc - d[j] * q[k - j]
-                d.append(acc / q[0])
-            return Jet(d)
-        return NotImplemented
+        if not isinstance(other, Jet):
+            return self * (1.0 / other)
+        p, q = self.coeffs, other.coeffs
+        d = [p[0] / q[0]]
+        for k in range(1, len(p)):
+            acc = p[k]
+            for j in range(k):
+                acc = acc - d[j] * q[k - j]
+            d.append(acc / q[0])
+        return Jet(d)
 
     def __rtruediv__(self, other):
-        if _is_number(other):
-            return lift(other, self) / self
-        return NotImplemented
+        return lift(other, self) / self
 
 
-# -- elementary functions (work on numbers and jets alike) ------------------
+# -- elementary functions (work on every scalar of the ring and on jets) -------
 
 
 def jexp(u):
-    if _is_number(u):
-        return math.exp(u)
+    if not isinstance(u, Jet):
+        return np.exp(u) if isinstance(u, np.ndarray) else math.exp(u)
     cs = u.coeffs
     e = [jexp(cs[0])]
     for k in range(1, len(cs)):
@@ -145,14 +128,14 @@ def _sincos(u):
 
 
 def jsin(u):
-    if _is_number(u):
-        return math.sin(u)
+    if not isinstance(u, Jet):
+        return np.sin(u) if isinstance(u, np.ndarray) else math.sin(u)
     return _sincos(u)[0]
 
 
 def jcos(u):
-    if _is_number(u):
-        return math.cos(u)
+    if not isinstance(u, Jet):
+        return np.cos(u) if isinstance(u, np.ndarray) else math.cos(u)
     return _sincos(u)[1]
 
 
@@ -160,8 +143,6 @@ def jpow(u, p):
     """Integer power by repeated squaring; negative powers via reciprocal."""
     if not isinstance(p, int):
         raise ValueError("jet powers must have integer exponents")
-    if _is_number(u):
-        return float(u) ** p
     if p == 0:
         return lift(1.0, u)
     if p < 0:
@@ -182,10 +163,10 @@ def jpow(u, p):
 
 
 def coeff(w, k):
-    """k-th Taylor coefficient of `w`; plain numbers are constant jets."""
+    """k-th Taylor coefficient of `w`; a scalar is a constant jet."""
     if isinstance(w, Jet):
         return w.coeffs[k]
-    return float(w) if k == 0 else 0.0
+    return w if k == 0 else 0.0
 
 
 def magnitude(w):

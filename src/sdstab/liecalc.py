@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import Jet, coeff, lift, magnitude
+from .jets import Jet, coeff, magnitude
 
 ZERO_TOL = 1e-9
 
@@ -32,16 +32,14 @@ WY_NONZERO = "dWdy-nonzero"
 FAIL = "FAIL"
 
 
-def _pair_jets(coords, direction):
-    """First-order jets along coords + t*direction, normalizing mixed rings."""
-    out = []
-    for c, d in zip(coords, direction):
-        if isinstance(c, Jet) and not isinstance(d, Jet):
-            d = lift(d, c)
-        elif isinstance(d, Jet) and not isinstance(c, Jet):
-            c = lift(c, d)
-        out.append(Jet([c, d]))
-    return out
+def _along(F, coords, direction):
+    """F evaluated on the first-order jets coords + t*direction.
+
+    The t-coefficient of the result is the directional derivative
+    DF(coords)·direction. Coordinates and directions may be scalars, arrays
+    or jets of any nesting depth.
+    """
+    return F.eval([Jet([c, d]) for c, d in zip(coords, direction)])
 
 
 # -- fields -------------------------------------------------------------------
@@ -94,20 +92,12 @@ class BracketField(VectorField):
         self.odim = X.odim
 
     def eval(self, coords):
-        vx = self.X.eval(coords)
-        vy = self.Y.eval(coords)
-        dy_x = _jvp(self.Y, coords, vx)
-        dx_y = _jvp(self.X, coords, vy)
-        return [a - b for a, b in zip(dy_x, dx_y)]
+        dy_x = _along(self.Y, coords, self.X.eval(coords))
+        dx_y = _along(self.X, coords, self.Y.eval(coords))
+        return [coeff(a, 1) - coeff(b, 1) for a, b in zip(dy_x, dx_y)]
 
     def __repr__(self):
         return "[%r, %r]" % (self.X, self.Y)
-
-
-def _jvp(F, coords, v):
-    """Jacobian-vector product DF(coords)·v via first-order jets."""
-    jets = _pair_jets(coords, v)
-    return [coeff(w, 1) for w in F.eval(jets)]
 
 
 class ScalarField:
@@ -151,35 +141,15 @@ class LieDerivative(ScalarField):
         self.dim = V.dim
 
     def eval(self, coords):
-        v = self.X.eval(coords)
-        w = self.V.eval(_pair_jets(coords, v))
-        return coeff(w, 1)
-
-
-def lie_bracket(X, Y):
-    return BracketField(X, Y)
-
-
-def lie_derivative(X, V):
-    return LieDerivative(X, V)
+        return coeff(_along(self.V, coords, self.X.eval(coords)), 1)
 
 
 def gradient(V, x):
-    """DV(x) as a plain vector (one unit-direction jet per coordinate)."""
-    x = list(np.asarray(x, dtype=float))
-    n = len(x)
-    out = np.zeros(n)
-    for i in range(n):
-        e = [0.0] * n
-        e[i] = 1.0
-        out[i] = float(coeff(V.eval(_pair_jets(x, e)), 1))
+    """DV(x) as a plain vector, from one walk whose directions are the unit rows."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.size)
+    out[:] = coeff(_along(V, list(x), np.eye(x.size)), 1)
     return out
-
-
-def directional_scalar(V, x, direction):
-    """DV(x)·direction."""
-    x = list(np.asarray(x, dtype=float))
-    return float(coeff(V.eval(_pair_jets(x, list(direction))), 1))
 
 
 def linear_vector_field(A):
@@ -280,8 +250,7 @@ class ConditionReport:
 
 def _eval_scaled(ld, x):
     """Evaluate a Lie derivative at x; tolerance scale from its defining jet."""
-    v = ld.X.eval(x)
-    w = ld.V.eval(_pair_jets(x, v))
+    w = _along(ld.V, x, ld.X.eval(x))
     return float(coeff(w, 1)), ZERO_TOL * (1.0 + magnitude(w))
 
 
@@ -406,7 +375,7 @@ def check_corollary1_point(F, V, W, region, p):
         if dvf < -tau:
             return ConditionReport(p, VDOT_NEGATIVE, witnesses, taus)
         if abs(dvf) <= tau:
-            dfdy = _jvp(F, list(p), y_dir)
+            dfdy = [coeff(w, 1) for w in _along(F, list(p), y_dir)]
             dvdfdy = float(dv @ np.array([float(v) for v in dfdy]))
             tau2 = ZERO_TOL * (1.0 + float(np.max(np.abs(dv))) + max(abs(float(v)) for v in dfdy))
             witnesses["DV·dF/dy"] = dvdfdy
@@ -416,7 +385,7 @@ def check_corollary1_point(F, V, W, region, p):
         return ConditionReport(p, FAIL, witnesses, taus, detail="no decrease clause holds")
 
     if region == "D2":
-        wy = directional_scalar(W, p, y_dir)
+        wy = float(coeff(_along(W, list(p), y_dir), 1))
         tau = ZERO_TOL * (1.0 + abs(wy) + abs(float(W.eval(list(p)))))
         witnesses["dW/dy"] = wy
         taus["dW/dy"] = tau

@@ -23,6 +23,8 @@ def box_points(lo, hi, count, seed=0):
 
 def ball_points(dim, count, radius, seed=0):
     """`count` quasi-random points in the closed ball of given radius."""
+    if not radius > 0:
+        raise ValueError("ball radius must be positive, got %r" % (radius,))
     count = int(count)
     out = []
     sampler = qmc.Halton(d=dim, scramble=True, seed=seed)

@@ -22,8 +22,8 @@ from sdstab.liecalc import (
     VDOT_NEGATIVE,
     VDOT_ZERO_YDIR_NONZERO,
     WY_NONZERO,
+    BracketField,
     ExprVectorField,
-    lie_bracket,
 )
 from sdstab.patchwork import sample_shared_boundaries, verify_patchwork
 from sdstab.sdfctl import (
@@ -102,10 +102,10 @@ def test_criterion_3_lie_calculus():
     while checked < 100:
         dim = int(rng.integers(2, 5))
         X, Y, Z = (rand_poly_field(rng, dim) for _ in range(3))
-        anti_fwd, anti_bwd = lie_bracket(X, Y), lie_bracket(Y, X)
-        j1 = lie_bracket(X, lie_bracket(Y, Z))
-        j2 = lie_bracket(Y, lie_bracket(Z, X))
-        j3 = lie_bracket(Z, lie_bracket(X, Y))
+        anti_fwd, anti_bwd = BracketField(X, Y), BracketField(Y, X)
+        j1 = BracketField(X, BracketField(Y, Z))
+        j2 = BracketField(Y, BracketField(Z, X))
+        j3 = BracketField(Z, BracketField(X, Y))
         for _ in range(10):
             x = rng.uniform(-0.9, 0.9, dim)
             assert np.max(np.abs(anti_fwd(x) + anti_bwd(x))) <= 1e-8
@@ -120,7 +120,7 @@ def test_criterion_3_lie_calculus():
         ("1, 2", "-3, 5", [0.3, -0.7], [0.0, 0.0]),
     ]
     for fx, gx, x, expect in fixtures:
-        br = lie_bracket(ExprVectorField.from_text(fx, 2), ExprVectorField.from_text(gx, 2))
+        br = BracketField(ExprVectorField.from_text(fx, 2), ExprVectorField.from_text(gx, 2))
         np.testing.assert_allclose(br(np.array(x)), expect, atol=1e-9)
 
 

@@ -174,8 +174,15 @@ class TestInlineStateLinear:
         assert main(["synthesize", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "cannot evaluate matrix entry" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["synthesize", "simulate"])
-    def test_nonfinite_A_at_origin_is_a_config_error(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "command, entry",
+        [
+            pytest.param(command, entry, id=command + suffix)
+            for entry, suffix in (("1/x1", ""), ("x1^-1", "-pow"))
+            for command in ("synthesize", "simulate")
+        ],
+    )
+    def test_nonfinite_A_at_origin_is_a_config_error(self, tmp_path, capsys, command, entry):
         cfg = write(
             tmp_path / "a.ini",
             """
@@ -184,7 +191,7 @@ kind = %s
 [system]
 type = state-linear
 dim = 2
-A = 0, 1; 1/x1, 0
+A = 0, 1; %s, 0
 B = 0; 1
 [synthesize]
 points = 1, -1
@@ -194,7 +201,7 @@ h = 0.1
 x0 = 1, -1
 horizon = 0.2
 """
-            % command,
+            % (command, entry),
         )
         # outside the test suite this warning is printed and the run goes on
         with pytest.warns(RuntimeWarning, match="divide by zero"):
@@ -364,6 +371,36 @@ points = 9
     assert "RESULT pass 80 0" in out
 
 
+def test_check_lie_grid_centre_is_the_origin(tmp_path, capsys):
+    # np.linspace(-1, 1, 99) puts its centre entry at -1.1e-16, not at 0
+    cfg = write(
+        tmp_path / "lie.ini",
+        """
+[experiment]
+kind = check-lie
+[system]
+registry = double-integrator
+[grid]
+extent = 1
+points = 99
+""",
+    )
+    code = main(["check-lie", "--config", cfg, "--out", str(tmp_path), "--quiet"])
+    assert "RESULT pass 9800 0" in capsys.readouterr().out
+    assert code == 0
+
+
+@pytest.mark.parametrize("extent, points", [("0", "5"), ("2", "1")])
+def test_check_lie_rejects_a_grid_without_points(tmp_path, capsys, extent, points):
+    cfg = write(
+        tmp_path / "lie.ini",
+        "[experiment]\nkind = check-lie\n[system]\nregistry = double-integrator\n"
+        "[grid]\nextent = %s\npoints = %s\n" % (extent, points),
+    )
+    assert main(["check-lie", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "no point away from the origin" in capsys.readouterr().err
+
+
 def test_check_lie_rejects_sign_indefinite_candidate(tmp_path, capsys):
     cfg = write(
         tmp_path / "lie.ini",
@@ -385,6 +422,25 @@ points = 5
     code = main(["check-lie", "--config", cfg, "--out", str(tmp_path)])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_check_lie_rejects_a_non_planar_system(tmp_path, capsys):
+    cfg = write(
+        tmp_path / "lie.ini",
+        """
+[experiment]
+kind = check-lie
+[system]
+type = affine
+dim = 3
+f = x2, x3, 0
+g = 0, 0, 1
+[lie]
+V = x1^2 + x2^2 + x3^2
+""",
+    )
+    assert main(["check-lie", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "grid is planar" in capsys.readouterr().err
 
 
 def test_check_patchwork_passes(tmp_path, capsys):
@@ -502,6 +558,25 @@ horizon = 1
     def test_blowup_past_overflow_range(self, tmp_path):
         cfg = write(tmp_path / "b.ini", SIM_SCALAR + "[integrator]\nblowup = 1e300\n")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    @pytest.mark.parametrize("key", ["radius", "samples"])
+    def test_non_positive_patchwork_sampling(self, tmp_path, capsys, key, value):
+        cfg = write(
+            tmp_path / "pw.ini",
+            "[experiment]\nkind = check-patchwork\n[patchwork]\n"
+            "registry = patchwork-halfplanes\n%s = %s\n" % (key, value),
+        )
+        assert main(["check-patchwork", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "[patchwork] %s must be positive" % key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_non_positive_synthesis_radius(self, tmp_path, capsys, value):
+        text = readme_ini("synthesize").replace("points = 0,0 ; 1,-1", "radius = %s" % value)
+        assert "radius = %s " % value in text
+        cfg = write(tmp_path / "s.ini", text)
+        assert main(["synthesize", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "[synthesize] radius must be positive" in capsys.readouterr().err
 
 
 def test_seed_override_changes_nothing_for_fixed_run(tmp_path):

@@ -22,6 +22,16 @@ def test_exp_series_matches_taylor():
         assert c == pytest.approx(math.exp(0.3) / math.factorial(k), rel=1e-14)
 
 
+def test_series_of_a_curved_argument():
+    # u = 0.3 + t + t^2: exp(u) = e^0.3 (1 + t + 3/2 t^2 + 7/6 t^3 + ...),
+    # sin(t + t^2) = t + t^2 - t^3/6 + ..., cos(t + t^2) = 1 - t^2/2 - t^3 + ...
+    u = Jet([0.3, 1.0, 1.0, 0.0])
+    np.testing.assert_allclose(jexp(u).coeffs, np.exp(0.3) * np.array([1, 1, 1.5, 7 / 6]), rtol=1e-15)
+    v = Jet([0.0, 1.0, 1.0, 0.0])
+    np.testing.assert_allclose(jsin(v).coeffs, [0, 1, 1, -1 / 6], atol=1e-15)
+    np.testing.assert_allclose(jcos(v).coeffs, [1, 0, -0.5, -1], atol=1e-15)
+
+
 def test_sin_cos_derivative_chain():
     u = Jet([0.7, 1.0, 0.0, 0.0])
     s, c = jsin(u), jcos(u)

@@ -14,15 +14,15 @@ from sdstab.liecalc import (
     VDOT_NEGATIVE,
     VDOT_ZERO_YDIR_NONZERO,
     WY_NONZERO,
+    BracketField,
     ExprScalarField,
     ExprVectorField,
+    LieDerivative,
     bracket_monomials,
     bracket_order,
     check_corollary1_point,
     check_prop1_point,
     gradient,
-    lie_bracket,
-    lie_derivative,
     linear_vector_field,
     tree_field,
     tree_label,
@@ -50,7 +50,7 @@ class TestBrackets:
         rng = np.random.default_rng(0)
         A = rng.standard_normal((3, 3))
         B = rng.standard_normal((3, 3))
-        br = lie_bracket(linear_vector_field(A), linear_vector_field(B))
+        br = BracketField(linear_vector_field(A), linear_vector_field(B))
         for _ in range(5):
             x = rng.standard_normal(3)
             np.testing.assert_allclose(br(x), (B @ A - A @ B) @ x, atol=1e-12)
@@ -58,42 +58,42 @@ class TestBrackets:
     def test_constant_fields_commute(self):
         X = ExprVectorField.from_text("1, 2", 2)
         Y = ExprVectorField.from_text("-3, 5", 2)
-        np.testing.assert_allclose(lie_bracket(X, Y)([0.3, -0.7]), [0.0, 0.0])
+        np.testing.assert_allclose(BracketField(X, Y)([0.3, -0.7]), [0.0, 0.0])
 
     def test_integrator_pair(self):
         f = ExprVectorField.from_text("x2, 0", 2)
         g = ExprVectorField.from_text("0, 1", 2)
-        np.testing.assert_allclose(lie_bracket(f, g)([1.3, -2.2]), [-1.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(BracketField(f, g)([1.3, -2.2]), [-1.0, 0.0], atol=1e-14)
 
     def test_shear_pair(self):
         X = ExprVectorField.from_text("x1^2, 0", 2)
         Y = ExprVectorField.from_text("0, x1", 2)
         x = [0.7, -0.3]
-        np.testing.assert_allclose(lie_bracket(X, Y)(x), [0.0, 0.49], atol=1e-14)
+        np.testing.assert_allclose(BracketField(X, Y)(x), [0.0, 0.49], atol=1e-14)
 
     def test_rotation_dilation(self):
         X = ExprVectorField.from_text("x2, -x1", 2)
         Y = ExprVectorField.from_text("x1, x2", 2)
-        np.testing.assert_allclose(lie_bracket(X, Y)([1.1, 0.4]), [0.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(BracketField(X, Y)([1.1, 0.4]), [0.0, 0.0], atol=1e-14)
 
     def test_trig_pair(self):
         X = ExprVectorField.from_text("sin(x2), 0", 2)
         Y = ExprVectorField.from_text("0, x1", 2)
         x = [0.8, 0.25]
         expect = [-0.8 * np.cos(0.25), np.sin(0.25)]
-        np.testing.assert_allclose(lie_bracket(X, Y)(x), expect, atol=1e-12)
+        np.testing.assert_allclose(BracketField(X, Y)(x), expect, atol=1e-12)
 
     def test_three_dimensional_chain(self):
         X = ExprVectorField.from_text("x2, x3, 0", 3)
         Y = ExprVectorField.from_text("0, 0, x1", 3)
         x = [0.5, -1.5, 2.5]
-        np.testing.assert_allclose(lie_bracket(X, Y)(x), [0.0, -0.5, -1.5], atol=1e-14)
+        np.testing.assert_allclose(BracketField(X, Y)(x), [0.0, -0.5, -1.5], atol=1e-14)
 
     def test_dimension_mismatch(self):
         X = ExprVectorField.from_text("x1", 1)
         Y = ExprVectorField.from_text("x1, x2", 2)
         with pytest.raises(ValueError):
-            lie_bracket(X, Y)
+            BracketField(X, Y)
 
 
 class TestBracketProperties:
@@ -103,8 +103,8 @@ class TestBracketProperties:
             dim = int(rng.integers(2, 5))
             X = rand_poly_field(rng, dim)
             Y = rand_poly_field(rng, dim)
-            fwd = lie_bracket(X, Y)
-            bwd = lie_bracket(Y, X)
+            fwd = BracketField(X, Y)
+            bwd = BracketField(Y, X)
             for _ in range(10):
                 x = rng.uniform(-0.9, 0.9, dim)
                 np.testing.assert_allclose(fwd(x) + bwd(x), np.zeros(dim), atol=1e-10)
@@ -114,9 +114,9 @@ class TestBracketProperties:
         for trial in range(5):
             dim = int(rng.integers(2, 5))
             X, Y, Z = (rand_poly_field(rng, dim) for _ in range(3))
-            t1 = lie_bracket(X, lie_bracket(Y, Z))
-            t2 = lie_bracket(Y, lie_bracket(Z, X))
-            t3 = lie_bracket(Z, lie_bracket(X, Y))
+            t1 = BracketField(X, BracketField(Y, Z))
+            t2 = BracketField(Y, BracketField(Z, X))
+            t3 = BracketField(Z, BracketField(X, Y))
             for _ in range(5):
                 x = rng.uniform(-0.9, 0.9, dim)
                 total = t1(x) + t2(x) + t3(x)
@@ -131,8 +131,8 @@ class TestBracketProperties:
         X = rand_poly_field(rng, 2)
         for _ in range(10):
             x = rng.uniform(-0.9, 0.9, 2)
-            lhs = lie_derivative(X, VW)(x)
-            rhs = lie_derivative(X, V)(x) * W(x) + V(x) * lie_derivative(X, W)(x)
+            lhs = LieDerivative(X, VW)(x)
+            rhs = LieDerivative(X, V)(x) * W(x) + V(x) * LieDerivative(X, W)(x)
             assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
 
@@ -141,13 +141,13 @@ class TestLieDerivatives:
         V = ExprScalarField.from_text("0.5*x1^2 + 0.5*x2^2", 2)
         X = ExprVectorField.from_text("-x1, -x2", 2)
         x = np.array([0.6, -0.8])
-        assert lie_derivative(X, V)(x) == pytest.approx(-1.0, abs=1e-14)
+        assert LieDerivative(X, V)(x) == pytest.approx(-1.0, abs=1e-14)
 
     def test_iterated_integrator(self):
         f = ExprVectorField.from_text("x2, 0", 2)
         V = ExprScalarField.from_text("0.5*x1^2", 2)
-        fV = lie_derivative(f, V)
-        f2V = lie_derivative(f, fV)
+        fV = LieDerivative(f, V)
+        f2V = LieDerivative(f, fV)
         assert fV([2.0, 3.0]) == pytest.approx(6.0)
         assert f2V([2.0, 3.0]) == pytest.approx(9.0)
 
@@ -184,7 +184,7 @@ class TestBracketTrees:
         f = ExprVectorField.from_text("x2, 0", 2)
         g = ExprVectorField.from_text("0, 1", 2)
         built = tree_field((("f", "g"), "g"), f, g)
-        direct = lie_bracket(lie_bracket(f, g), g)
+        direct = BracketField(BracketField(f, g), g)
         for x in ([0.5, 1.0], [-1.0, 2.0]):
             np.testing.assert_allclose(built(x), direct(x), atol=1e-14)
 
