@@ -4,8 +4,11 @@ One INI config describes one deterministic experiment; all sampling is
 seeded, integration is fixed-step, and CSV output is byte-identical across
 repeated runs with the same config and seed.
 
-Exit codes: 0 all checks passed; 1 certificate or verification failure;
-2 configuration error; 3 numerical failure.
+Each command returns its check and failure counts; :func:`main` prints
+the ``RESULT`` line. Exit codes: 0 all checks passed; 1 certificate or
+verification failure; 2 configuration error, including a config that
+leaves nothing to check; 3 numerical failure, including arithmetic
+overflow.
 """
 
 import argparse
@@ -67,11 +70,6 @@ class Config:
         if not read:
             raise ConfigError("config file %s not found" % path)
         return cls(parser)
-
-    def has(self, section, key=None):
-        if key is None:
-            return self.cp.has_section(section)
-        return self.cp.has_option(section, key)
 
     def get(self, section, key, default=None, required=False):
         if self.cp.has_option(section, key):
@@ -218,7 +216,7 @@ def cmd_synthesize(cfg, out_dir, seed, quiet):
         points = _parse_vectors(pts_raw)
     else:
         radius = _positive(cfg, "synthesize", "radius", default=1.0)
-        samples = cfg.get_int("synthesize", "samples", default=32)
+        samples = _positive(cfg, "synthesize", "samples", default=32, kind=Config.get_int)
         points = [np.zeros(sys_obj.dim_state)] + list(
             ball_points(sys_obj.dim_state, samples, radius, seed=seed)
         )
@@ -250,8 +248,7 @@ def cmd_synthesize(cfg, out_dir, seed, quiet):
             )
     if failures == 0 and np.isfinite(eig_lo):
         print("uniform-bounds: %s <= P <= %s over %d points" % (_fmt(eig_lo), _fmt(eig_hi), len(points)))
-    print("RESULT %s %d %d" % ("pass" if failures == 0 else "fail", len(points), failures))
-    return EXIT_OK if failures == 0 else EXIT_FAILED
+    return len(points), failures
 
 
 # -- simulate -------------------------------------------------------------------
@@ -288,19 +285,14 @@ def _write_certificate_csv(path, cert):
 def _trajectory_rows(run, cert, W=None):
     """CSV rows of a run; the V column is read from the certificate's values."""
     rows = []
-    for k, (rec, ic) in enumerate(zip(run.records, cert.intervals)):
-        sl = slice(1, None) if k > 0 else slice(None)
-        times = rec.traj.times[sl]
-        states = rec.traj.states[sl]
-        inputs = rec.traj.inputs[sl]
-        for t, x, u, v in zip(times, states, inputs, ic.values[sl]):
-            row = [t, *x, *u, v]
-            if W is not None:
-                try:
-                    row.append(W(x))
-                except UncoveredPointError:
-                    row.append(float("nan"))
-            rows.append(row)
+    for t, x, u, v in zip(*run.trajectory(), cert.values()):
+        row = [t, *x, *u, v]
+        if W is not None:
+            try:
+                row.append(W(x))
+            except UncoveredPointError:
+                row.append(float("nan"))
+        rows.append(row)
     return rows
 
 
@@ -399,40 +391,33 @@ def cmd_simulate(cfg, out_dir, seed, quiet):
             )
             for line in cert.failures[:10]:
                 print("   ", line)
-    print("RESULT %s %d %d" % ("pass" if n_failures == 0 else "fail", n_checks, n_failures))
-    return EXIT_OK if n_failures == 0 else EXIT_FAILED
+    return n_checks, n_failures
 
 
 # -- check-lie ------------------------------------------------------------------
 
 
 def _grid_points(extent, count):
+    """The count x count grid on [-extent, extent]^2 without the origin, one point per row."""
     axis = np.linspace(-extent, extent, count)
     if count % 2:
         axis[count // 2] = 0.0  # linspace can land a rounding error away from 0
-    for a in axis:
-        for b in axis:
-            if a == 0.0 and b == 0.0:
-                continue
-            yield np.array([a, b])
+    pts = [(a, b) for a in axis for b in axis if a != 0.0 or b != 0.0]
+    return np.array(pts, dtype=float).reshape(-1, 2)
 
 
 def cmd_check_lie(cfg, out_dir, seed, quiet):
     extent = cfg.get_float("grid", "extent", default=2.0)
     count = cfg.get_int("grid", "points", default=41)
-    pts = list(_grid_points(extent, count))
-    if not pts:
-        raise ConfigError("the grid has no point away from the origin")
+    pts = _grid_points(extent, count)
     name = cfg.get("system", "registry")
 
-    n_points = 0
     n_fail = 0
     if name in registry.AFFINE_BUILDERS:
         entry = registry.AFFINE_BUILDERS[name]()
         for p in pts:
             rp = entry.classify(p)
             rc = entry.classify_integrator_form(p)
-            n_points += 1
             bad = rp.classification == FAIL or rc.classification == FAIL
             n_fail += 1 if bad else 0
             if not quiet or bad:
@@ -454,17 +439,14 @@ def cmd_check_lie(cfg, out_dir, seed, quiet):
             raise ConfigError("bad V expression: %s" % exc) from exc
         if abs(V(np.zeros(sys_obj.dim_state))) > 1e-12:
             raise ConfigError("V must vanish at the origin")
-        if not np.all(V.eval(list(np.transpose(pts))) > 0):
+        if not np.all(V.eval(list(pts.T)) > 0):
             raise ConfigError("V is not positive away from the origin on the grid")
         for p in pts:
             rp = check_prop1_point(sys_obj, V, p, n_max=2)
-            n_points += 1
             n_fail += 1 if rp.classification == FAIL else 0
             if not quiet or rp.classification == FAIL:
                 print("p=(%s, %s)  pointwise=%s" % (_fmt(p[0]), _fmt(p[1]), rp.classification))
-
-    print("RESULT %s %d %d" % ("pass" if n_fail == 0 else "fail", n_points, n_fail))
-    return EXIT_OK if n_fail == 0 else EXIT_FAILED
+    return len(pts), n_fail
 
 
 # -- check-patchwork -------------------------------------------------------------
@@ -477,18 +459,14 @@ def cmd_check_patchwork(cfg, out_dir, seed, quiet):
         W, sel = _build_patchwork(cfg, seed)
     except OffsetSelectionError as exc:
         print("offset selection failed at %s: %s" % (exc.point, exc))
-        print("RESULT fail 1 1")
-        return EXIT_FAILED
+        return 1, 1
     if sel is not None and not quiet:
         print("offsets: %s (base %s, spread %s)" % (
             [_fmt(c) for c in sel.offsets], _fmt(sel.c0), _fmt(sel.delta)))
     report = verify_patchwork(W, radius, samples=samples, seed=seed)
     for line in report.lines():
         print(line)
-    n_checks = len(report.checks)
-    n_fail = sum(0 if c.passed else 1 for c in report.checks)
-    print("RESULT %s %d %d" % ("pass" if n_fail == 0 else "fail", n_checks, n_fail))
-    return EXIT_OK if n_fail == 0 else EXIT_FAILED
+    return len(report.checks), sum(0 if c.passed else 1 for c in report.checks)
 
 
 # -- entry point ------------------------------------------------------------------
@@ -525,16 +503,20 @@ def main(argv=None):
             raise ConfigError(
                 "config is for %r but the %r command was invoked" % (kind, args.command)
             )
-        return COMMANDS[args.command](cfg, args.out, seed, args.quiet)
+        n_checks, n_failures = COMMANDS[args.command](cfg, args.out, seed, args.quiet)
+        if n_checks == 0:
+            raise ConfigError("%s: the config leaves nothing to check" % args.command)
     except (ConfigError, ExprSyntaxError, ValueError) as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalFailure,) as exc:
+    except (NumericalFailure, ArithmeticError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL
     except (NotStabilizableError, NoCertifiedStepError) as exc:
         print("verification failure: %s" % exc, file=sys.stderr)
         return EXIT_FAILED
+    print("RESULT %s %d %d" % ("pass" if n_failures == 0 else "fail", n_checks, n_failures))
+    return EXIT_OK if n_failures == 0 else EXIT_FAILED
 
 
 if __name__ == "__main__":

@@ -254,7 +254,10 @@ class _Parser:
     def atom(self):
         kind, val, pos = self.advance()
         if kind == "num":
-            return Const(float(val))
+            value = float(val)
+            if not math.isfinite(value):
+                raise ExprSyntaxError("number out of range", pos)
+            return Const(value)
         if kind == "ident":
             if self.peek()[1] == "(":
                 return self.call(val, pos)

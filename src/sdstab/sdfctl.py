@@ -1,8 +1,8 @@
 """Sampled-data closed loops with numerically checked decrease certificates.
 
-At every sampling instant the controller sees only the sampled state and the
-length of the upcoming interval, and returns an open-loop signal for that
-interval. The frozen-gain controller synthesizes a stabilizing gain at the
+At every sampling instant the controller (any object with ``plan(xi, eps)``)
+sees only the sampled state and the length of the upcoming interval, and
+returns an open-loop signal for that interval. The frozen-gain controller synthesizes a stabilizing gain at the
 sample, simulates its own internal model of the frozen-gain closed loop, and
 plays back the gain applied to the *model* state (not a zero-order hold;
 a hold variant is available behind a flag for comparison runs). The plant
@@ -23,14 +23,7 @@ from .synth import synthesize_gain
 MARGINAL_TOL = 1e-10
 
 
-class SampledController:
-    """Plans one bounded open-loop signal per sampling interval."""
-
-    def plan(self, xi, eps):
-        raise NotImplementedError
-
-
-class ZeroController(SampledController):
+class ZeroController:
     def __init__(self, dim_input=1):
         self.dim_input = dim_input
 
@@ -38,7 +31,7 @@ class ZeroController(SampledController):
         return zero_signal(eps, self.dim_input)
 
 
-class FrozenGainController(SampledController):
+class FrozenGainController:
     """Gain-scheduled sampled control for state-dependent linear dynamics.
 
     plan(xi, eps): synthesize F, P, decay at the frozen sample xi, integrate
@@ -73,7 +66,7 @@ class FrozenGainController(SampledController):
         if self.zero_order_hold:
             u_const = F @ xi
             bound = float(np.linalg.norm(u_const))
-            sig = ControlSignal(eps, bound, m, lambda t: u_const, spot_check=False)
+            sig = ControlSignal(eps, bound, m, lambda t: u_const)
             sig.info.update({"xi": xi, "synthesis": synth})
             return sig
 
@@ -106,7 +99,7 @@ class FrozenGainController(SampledController):
         return sig
 
 
-class PatchworkController(SampledController):
+class PatchworkController:
     """Dispatches to region-local plans: interior region's plan inside, the
     active (boundary-maximizing) piece's plan on shared boundaries."""
 
@@ -136,17 +129,33 @@ class PatchworkController(SampledController):
 # -- closed-loop runs -----------------------------------------------------------
 
 
+def _join_intervals(parts):
+    """Concatenate per-interval sequences, dropping each later interval's first
+    point: it repeats the previous interval's last point (the junction)."""
+    return np.concatenate([part[1:] if k else part for k, part in enumerate(parts)])
+
+
 @dataclass
 class IntervalRecord:
-    index: int
+    """One sampling interval: the partition's times and the plant trajectory.
+
+    ``t_end`` is the partition's time, not ``traj.times[-1]``, which is
+    ``t_start + (t_end - t_start)`` and can differ from it in the last bit.
+    """
+
     t_start: float
     t_end: float
-    xi: np.ndarray
-    x_end: np.ndarray
     traj: object
-    bound: float
-    excursion: float
     info: dict = field(default_factory=dict)
+
+    @property
+    def xi(self):
+        """The sample the interval's signal was planned at."""
+        return self.traj.states[0]
+
+    @property
+    def x_end(self):
+        return self.traj.states[-1]
 
     @property
     def eps(self):
@@ -155,27 +164,28 @@ class IntervalRecord:
 
 @dataclass
 class ClosedLoopRun:
-    partition: object
+    """The intervals of a run; an escape ends the run on its last interval."""
+
     records: list
-    escaped: bool = False
-    escape_time: float | None = None
+
+    @property
+    def escaped(self):
+        return bool(self.records) and self.records[-1].traj.escaped
+
+    @property
+    def escape_time(self):
+        return self.records[-1].traj.escape_time if self.escaped else None
 
     def final_state(self):
         return self.records[-1].x_end
 
     def trajectory(self):
         """Concatenated (times, states, inputs) without duplicated junctions."""
-        times, states, inputs = [], [], []
-        for k, rec in enumerate(self.records):
-            sl = slice(1, None) if k > 0 else slice(None)
-            times.append(rec.traj.times[sl])
-            states.append(rec.traj.states[sl])
-            if rec.traj.inputs is not None:
-                inputs.append(rec.traj.inputs[sl])
+        trajs = [rec.traj for rec in self.records]
         return (
-            np.concatenate(times),
-            np.concatenate(states),
-            np.concatenate(inputs) if inputs else None,
+            _join_intervals([t.times for t in trajs]),
+            _join_intervals([t.states for t in trajs]),
+            _join_intervals([t.inputs for t in trajs]),
         )
 
 
@@ -183,37 +193,23 @@ def run_closed_loop(plant, ctrl, partition, x0, horizon, cfg=IntegrationConfig()
     """Sample-and-hold the controller over the partition, integrating the plant.
 
     The plant trajectory is continuous across sampling instants (each
-    interval starts from the previous final state). Escape is recorded in
-    the run; a controller failure raises with the partial run attached.
+    interval starts from the previous final state). Each record keeps the
+    plant trajectory of its interval, so its sample and end state, and the
+    run's escape flag and time, are read from the trajectories. An escape
+    ends the run; a controller failure raises with the partial run attached.
     """
     x = state_vector(x0)
     times = partition.boundaries(horizon)
-    records = []
-    run = ClosedLoopRun(partition=partition, records=records)
-    for k, (t0, t1) in enumerate(zip(times, times[1:])):
-        eps = t1 - t0
+    run = ClosedLoopRun(records=[])
+    for t0, t1 in zip(times, times[1:]):
         try:
-            sig = ctrl.plan(x, eps)
+            sig = ctrl.plan(x, t1 - t0)
         except ControllerError as exc:
             exc.partial_run = run
             raise
         traj = integrate(plant, x, sig, (t0, t1), cfg)
-        records.append(
-            IntervalRecord(
-                index=k,
-                t_start=t0,
-                t_end=t1,
-                xi=x,
-                x_end=traj.final_state(),
-                traj=traj,
-                bound=sig.bound,
-                excursion=max_excursion(traj, x),
-                info=dict(sig.info),
-            )
-        )
+        run.records.append(IntervalRecord(t_start=t0, t_end=t1, traj=traj, info=dict(sig.info)))
         if traj.escaped:
-            run.escaped = True
-            run.escape_time = traj.escape_time
             break
         x = traj.final_state()
     return run
@@ -239,15 +235,30 @@ class PerSampleQuadratic:
 class IntervalCertificate:
     index: int
     t_start: float
-    v_start: float
-    v_end: float
-    margin: float
-    v_max: float
+    values: list  # V at each grid state of the interval, start to end
     bound_ok: bool
     excursion_ratio: float
-    values: list  # V at each grid state of the interval, start to end
     waived: bool = False
-    marginal: bool = False
+
+    @property
+    def v_start(self):
+        return self.values[0]
+
+    @property
+    def v_end(self):
+        return self.values[-1]
+
+    @property
+    def v_max(self):
+        return max(self.values)
+
+    @property
+    def margin(self):
+        return self.v_start - self.v_end
+
+    @property
+    def marginal(self):
+        return 0.0 < self.margin < MARGINAL_TOL
 
     @property
     def ok(self):
@@ -257,10 +268,20 @@ class IntervalCertificate:
 @dataclass
 class DecreaseCertificate:
     intervals: list
-    escaped: bool
-    passed: bool
-    uniform_margin: float
     failures: list
+
+    @property
+    def passed(self):
+        return not self.failures
+
+    @property
+    def uniform_margin(self):
+        """The smallest margin over the intervals whose decrease is not waived."""
+        return min((ic.margin for ic in self.intervals if not ic.waived), default=0.0)
+
+    def values(self):
+        """V at every point of the run's ``trajectory()``."""
+        return _join_intervals([ic.values for ic in self.intervals])
 
     def summary(self):
         return "certificate %s: %d intervals, uniform margin %.3e, %d failure(s)" % (
@@ -276,62 +297,44 @@ def certify_decrease(run, V, a=DOUBLING):
 
     V is either a plain callable on states (a fixed Lyapunov function or a
     patchwork glued function) or a per-interval provider such as
-    :class:`PerSampleQuadratic`, evaluated once per grid state (each interval
-    certificate keeps the values). For each completed interval the margin
+    :class:`PerSampleQuadratic`, evaluated once per grid state. Each interval
+    certificate keeps the values and reads V(start), V(end), the margin and
+    the interval maximum from them. For each completed interval the margin
     V(start) - V(end) must be strictly positive (waived at the origin), the
-    interval maximum of V must stay below a(V(start)), and the excursion per
-    unit time is reported as the interval's excursion constant.
+    interval maximum of V must stay below a(V(start)), and the excursion
+    from the sample per unit time is reported as the interval's excursion
+    constant. An escaped run fails; the certificate passes when nothing
+    failed.
     """
     if not run.records:
         raise ValueError("run has no completed intervals")
     per_interval = hasattr(V, "for_interval")
     intervals = []
     failures = []
-    margins = []
-    for rec in run.records:
+    for k, rec in enumerate(run.records):
         Vk = V.for_interval(rec) if per_interval else V
-        # states[0] is the sample xi and states[-1] the end state x_end
         values = [float(Vk(s)) for s in rec.traj.states]
-        v_start, v_end = values[0], values[-1]
-        margin = v_start - v_end
+        cap = a(values[0])
         v_max = max(values)
-        cap = a(v_start)
-        bound_ok = v_max <= cap + 1e-12 * (1.0 + abs(cap))
-        waived = float(np.max(np.abs(rec.xi))) == 0.0
         cert = IntervalCertificate(
-            index=rec.index,
+            index=k,
             t_start=rec.t_start,
-            v_start=v_start,
-            v_end=v_end,
-            margin=margin,
-            v_max=v_max,
-            bound_ok=bound_ok,
-            excursion_ratio=rec.excursion / rec.eps,
             values=values,
-            waived=waived,
-            marginal=0.0 < margin < MARGINAL_TOL,
+            bound_ok=v_max <= cap + 1e-12 * (1.0 + abs(cap)),
+            excursion_ratio=max_excursion(rec.traj, rec.xi) / rec.eps,
+            waived=float(np.max(np.abs(rec.xi))) == 0.0,
         )
         intervals.append(cert)
         if not cert.ok:
             reasons = []
-            if not bound_ok:
+            if not cert.bound_ok:
                 reasons.append("growth bound exceeded (%g > %g)" % (v_max, cap))
-            if not waived and margin <= 0.0:
-                reasons.append("no strict decrease (margin %g)" % margin)
-            failures.append("interval %d: %s" % (rec.index, "; ".join(reasons)))
-        if not waived:
-            margins.append(margin)
+            if not cert.waived and cert.margin <= 0.0:
+                reasons.append("no strict decrease (margin %g)" % cert.margin)
+            failures.append("interval %d: %s" % (k, "; ".join(reasons)))
     if run.escaped:
         failures.append("trajectory escaped at t=%g" % run.escape_time)
-    passed = not failures
-    uniform = min(margins) if margins else 0.0
-    return DecreaseCertificate(
-        intervals=intervals,
-        escaped=run.escaped,
-        passed=passed,
-        uniform_margin=uniform,
-        failures=failures,
-    )
+    return DecreaseCertificate(intervals=intervals, failures=failures)
 
 
 def adapt_epsilon(plant, ctrl, xi, V, a, eps0, cfg=IntegrationConfig(), max_halvings=20):

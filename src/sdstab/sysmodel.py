@@ -42,12 +42,12 @@ class ControlSignal:
 
     ``func`` maps a local time in [0, horizon] to an input vector of
     dimension ``dim_input``; ``bound`` is the declared sup-norm bound,
-    spot-checked on a coarse grid at construction and checkable on a fine
+    spot-checked on a 33-point grid at construction and checkable on a finer
     grid via :meth:`check_bound`. ``info`` carries controller metadata
     (synthesis results, internal-model trajectories) for certificates.
     """
 
-    def __init__(self, horizon, bound, dim_input, func, info=None, spot_check=True):
+    def __init__(self, horizon, bound, dim_input, func, info=None):
         if horizon <= 0:
             raise ValueError("signal horizon must be positive")
         if bound < 0 or not np.isfinite(bound):
@@ -57,8 +57,7 @@ class ControlSignal:
         self.dim_input = int(dim_input)
         self._func = func
         self.info = info or {}
-        if spot_check:
-            self.check_bound(33)
+        self.check_bound(33)
 
     def value(self, t):
         t = min(max(float(t), 0.0), self.horizon)
@@ -77,7 +76,7 @@ class ControlSignal:
 
 def zero_signal(horizon, dim_input):
     u0 = np.zeros(dim_input)
-    return ControlSignal(horizon, 0.0, dim_input, lambda t: u0, spot_check=False)
+    return ControlSignal(horizon, 0.0, dim_input, lambda t: u0)
 
 
 class GeneralSystem:

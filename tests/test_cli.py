@@ -398,7 +398,7 @@ def test_check_lie_rejects_a_grid_without_points(tmp_path, capsys, extent, point
         "[grid]\nextent = %s\npoints = %s\n" % (extent, points),
     )
     assert main(["check-lie", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "no point away from the origin" in capsys.readouterr().err
+    assert "nothing to check" in capsys.readouterr().err
 
 
 def test_check_lie_rejects_sign_indefinite_candidate(tmp_path, capsys):
@@ -577,6 +577,81 @@ horizon = 1
         cfg = write(tmp_path / "s.ini", text)
         assert main(["synthesize", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "[synthesize] radius must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_non_positive_synthesis_samples(self, tmp_path, capsys, value):
+        text = readme_ini("synthesize").replace("points = 0,0 ; 1,-1", "samples = %s" % value)
+        assert "samples = %s " % value in text
+        cfg = write(tmp_path / "s.ini", text)
+        assert main(["synthesize", "--config", cfg, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "[synthesize] samples must be positive" in captured.err
+        assert "RESULT" not in captured.out
+
+    @pytest.mark.parametrize(
+        "command, old, new",
+        [("simulate", "x0 = 1\n", "x0 = ;\n"), ("synthesize", "points = 0,0 ; 1,-1", "points = ;")],
+        ids=["simulate", "synthesize"],
+    )
+    def test_config_that_checks_nothing(self, tmp_path, capsys, command, old, new):
+        text = (SIM_SCALAR if command == "simulate" else readme_ini(command)).replace(old, new)
+        assert new in text
+        cfg = write(tmp_path / "n.ini", text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "%s: the config leaves nothing to check" % command in captured.err
+        assert "RESULT" not in captured.out
+
+    def test_non_finite_literal(self, tmp_path, capsys):
+        text = readme_ini("synthesize").replace("sin(x1), x2^2", "sin(x1), 1e999*x2")
+        assert "1e999" in text
+        cfg = write(tmp_path / "s.ini", text)
+        assert main(["synthesize", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "number out of range" in capsys.readouterr().err
+
+
+class TestNumericalFailures:
+    def test_overflow_in_a_state_matrix(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path / "o.ini",
+            """
+[experiment]
+kind = simulate
+[system]
+type = state-linear
+dim = 2
+A = 0, 1; exp(1000*x1), 0
+B = 0; 1
+[partition]
+h = 0.1
+[run]
+x0 = 1, 0
+horizon = 1
+""",
+        )
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "numerical failure: math range error" in capsys.readouterr().err
+
+    def test_overflow_in_a_lie_check(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path / "o.ini",
+            """
+[experiment]
+kind = check-lie
+[system]
+type = affine
+dim = 2
+f = x2, exp(1000*x1) - 1
+g = 0, 1
+[lie]
+V = x1^2 + x2^2
+[grid]
+extent = 1
+points = 3
+""",
+        )
+        assert main(["check-lie", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "numerical failure: math range error" in capsys.readouterr().err
 
 
 def test_seed_override_changes_nothing_for_fixed_run(tmp_path):

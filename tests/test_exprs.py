@@ -77,6 +77,19 @@ def test_non_integer_exponent_rejected():
         parse_scalar("x1^1.5", NAMES2)
 
 
+@pytest.mark.parametrize("text, pos", [("1e999", 0), ("x1 + 2e400", 5), ("-1e309*x2", 1)])
+def test_non_finite_literal_rejected(text, pos):
+    with pytest.raises(ExprSyntaxError, match="number out of range") as err:
+        parse_scalar(text, NAMES2)
+    assert err.value.pos == pos
+
+
+def test_largest_finite_literal_parses():
+    node = parse_scalar("1.7976931348623157e308", NAMES2)
+    assert node.eval([0.0, 0.0]) == 1.7976931348623157e308
+    assert parse_scalar(repr(node), NAMES2).eval([0.0, 0.0]) == 1.7976931348623157e308
+
+
 def test_unknown_function_rejected():
     with pytest.raises(ExprSyntaxError):
         parse_scalar("tanh(x1)", NAMES2)

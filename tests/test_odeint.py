@@ -93,7 +93,7 @@ def test_window_offset_resets_controller_clock():
         seen.append(t)
         return np.array([0.0])
 
-    sig = ControlSignal(1.0, 0.0, 1, func, spot_check=False)
+    sig = ControlSignal(1.0, 0.0, 1, func)
     integrate(decay(), [1.0], sig, (5.0, 6.0), IntegrationConfig(step=0.25))
     assert min(seen) >= 0.0 and max(seen) <= 1.0
 

@@ -207,7 +207,7 @@ class TestCertificates:
         V = ExprScalarField.from_text("x1^2", 1)
         cert = certify_decrease(run, V)
         assert not cert.passed
-        assert cert.escaped
+        assert run.escaped
 
 
 def one_d_patchwork():
