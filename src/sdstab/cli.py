@@ -26,7 +26,6 @@ from .errors import (
     NotStabilizableError,
     NumericalFailure,
     OffsetSelectionError,
-    UncoveredPointError,
 )
 from .exprs import Const, ExprSyntaxError, coord_names, is_constant, parse_scalar
 from .liecalc import FAIL, ExprScalarField, ExprVectorField, check_prop1_point
@@ -254,12 +253,16 @@ def cmd_synthesize(cfg, out_dir, seed, quiet):
 # -- simulate -------------------------------------------------------------------
 
 
-def _write_trajectory_csv(path, rows, n, m, with_w):
+def _write_trajectory_csv(path, run, cert, n, m, W=None):
+    """One row per point of the run; the V column is read from the certificate's
+    values, the W column from one glue pass over the states (NaN where uncovered)."""
+    times, states, inputs = run.trajectory()
+    columns = [times, states, inputs, cert.values()] + ([] if W is None else [W.glue(states)[0]])
     header = ["t"] + ["x%d" % (i + 1) for i in range(n)] + ["u%d" % (j + 1) for j in range(m)]
-    header += ["V"] + (["W"] if with_w else [])
+    header += ["V"] + ([] if W is None else ["W"])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
+        for row in np.column_stack(columns):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
@@ -280,20 +283,6 @@ def _write_certificate_csv(path, cert):
                     _fmt(ic.excursion_ratio),
                 )
             )
-
-
-def _trajectory_rows(run, cert, W=None):
-    """CSV rows of a run; the V column is read from the certificate's values."""
-    rows = []
-    for t, x, u, v in zip(*run.trajectory(), cert.values()):
-        row = [t, *x, *u, v]
-        if W is not None:
-            try:
-                row.append(W(x))
-            except UncoveredPointError:
-                row.append(float("nan"))
-        rows.append(row)
-    return rows
 
 
 def cmd_simulate(cfg, out_dir, seed, quiet):
@@ -344,8 +333,7 @@ def cmd_simulate(cfg, out_dir, seed, quiet):
 
     def write_trajectory(run, cert, i):
         path = os.path.join(out_dir, "traj_%d.csv" % i)
-        rows = _trajectory_rows(run, cert, W=W)
-        _write_trajectory_csv(path, rows, plant.dim_state, plant.dim_input, with_w=W is not None)
+        _write_trajectory_csv(path, run, cert, plant.dim_state, plant.dim_input, W)
         return path
 
     n_checks = 0

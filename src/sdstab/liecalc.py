@@ -276,10 +276,10 @@ def check_prop1_point(sys, V, x, n_max=4):
     taus = {}
 
     def record(name, ld):
-        val, tau = _eval_scaled(ld, xs)
-        witnesses[name] = val
-        taus[name] = tau
-        return val, tau
+        # a name spells its tree (labels f, g, [a,b] read one way): same name, same value
+        if name not in witnesses:
+            witnesses[name], taus[name] = _eval_scaled(ld, xs)
+        return witnesses[name], taus[name]
 
     gv, tau_gv = record("gV", LieDerivative(g, V))
     if abs(gv) > tau_gv:

@@ -11,9 +11,11 @@ stay separated on sampled boundary points; all set-level hypotheses
 of the active index) are verified statistically on seeded quasi-random
 samples rather than proven symbolically.
 Every membership decision reads one number per region, its margin
-(see Region).
+(see Region). A batch of points, the rows of a (k, n) array, costs one
+tree walk per constraint or piece; a single point is the one-row case.
 """
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -29,14 +31,15 @@ ORIGIN_TOL = 1e-12
 
 
 class ClassK:
-    """Named monotone comparison function."""
+    """Named monotone comparison function, elementwise: a float or an array, as given."""
 
     def __init__(self, func, name):
         self._func = func
         self.name = name
 
     def __call__(self, s):
-        return float(self._func(float(s)))
+        out = self._func(np.asarray(s, dtype=float))
+        return float(out) if np.ndim(out) == 0 else out
 
     @classmethod
     def linear(cls, slope):
@@ -44,7 +47,8 @@ class ClassK:
 
     @classmethod
     def power(cls, coef, exponent):
-        return cls(lambda s: coef * s**exponent, "%g*s^%g" % (coef, exponent))
+        # float_power is the C library's pow on every element, as ** is on a float
+        return cls(lambda s: coef * np.float_power(s, exponent), "%g*s^%g" % (coef, exponent))
 
     def __repr__(self):
         return "ClassK(%s)" % self.name
@@ -53,12 +57,25 @@ class ClassK:
 DOUBLING = ClassK.linear(2.0)
 
 
+def _on_rows(field, X):
+    """A scalar field at a point, or at each row of a (k, n) array in one tree walk."""
+    X = np.asarray(X, dtype=float)
+    values = field.eval(list(X.T))
+    return values if np.shape(values) == X.shape[:-1] else np.full(X.shape[:-1], values)
+
+
+def _norms(X):
+    """Euclidean norm of each row, one dot product per row as np.linalg.norm takes it."""
+    return np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0])
+
+
 class Region:
     """Bounded open set {x : all constraints > 0}, excluding the origin.
 
     Membership reads the margin, the smallest constraint value: interior
     is margin > BOUNDARY_TOL, the open set margin > 0, the closure margin >=
     -BOUNDARY_TOL, the boundary |margin| <= BOUNDARY_TOL; NaN is in none.
+    Each test takes a point, or a (k, n) array and answers for every row.
     """
 
     def __init__(self, constraints, box):
@@ -84,12 +101,13 @@ class Region:
         return cls([ExprScalarField(t, dim) for t in trees], box)
 
     def constraint_values(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.array([float(c(x)) for c in self.constraints])
+        """Constraint values at a point, or the constraints × rows table of a (k, n) array."""
+        return np.array([_on_rows(c, x) for c in self.constraints])
 
     def margin(self, x):
-        """Smallest constraint value at x (NaN when any constraint is NaN)."""
-        return float(np.min(self.constraint_values(x)))
+        """Smallest constraint value at x, or at each row (NaN when any constraint is NaN)."""
+        m = np.min(self.constraint_values(x), axis=0)
+        return float(m) if np.ndim(m) == 0 else m
 
     def interior(self, x):
         return self.margin(x) > BOUNDARY_TOL
@@ -99,19 +117,16 @@ class Region:
 
     def interior_samples(self, count, seed=0):
         """Quasi-random interior points (strictly inside by the numeric margin)."""
-        out = []
         lo, hi = self.box
-        offset = 0
-        while len(out) < count and offset < 64:
-            for x in box_points(lo, hi, 4 * count, seed=seed + offset):
-                if self.interior(x):
-                    out.append(x)
-                    if len(out) == count:
-                        break
-            offset += 1
-        if not out:
+        out = np.empty((0, self.dim))
+        for offset in range(64):
+            if len(out) >= count:
+                break
+            block = box_points(lo, hi, 4 * count, seed=seed + offset)
+            out = np.concatenate([out, block[self.interior(block)]])[:count]
+        if not len(out):
             raise ValueError("could not sample any interior point of the region")
-        return np.array(out)
+        return out
 
 
 class LyapunovPiece:
@@ -129,14 +144,15 @@ class LyapunovPiece:
         v0 = float(V(np.zeros(region.dim)))
         if abs(v0) > ORIGIN_TOL:
             raise ValueError("Lyapunov pieces must vanish at the origin (V(0)=%g)" % v0)
-        for x in region.interior_samples(samples, seed=seed):
-            v = float(V(x))
-            r = float(np.linalg.norm(x))
-            if not (omega1(r) <= v + 1e-12 and v <= omega2(r) + 1e-12):
-                raise ValueError(
-                    "piece violates its envelopes at %s: %g not in [%g, %g]"
-                    % (np.round(x, 6), v, omega1(r), omega2(r))
-                )
+        X = region.interior_samples(samples, seed=seed)
+        v, r = _on_rows(V, X), _norms(X)
+        bad = np.flatnonzero(~((omega1(r) <= v + 1e-12) & (v <= omega2(r) + 1e-12)))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(
+                "piece violates its envelopes at %s: %g not in [%g, %g]"
+                % (np.round(X[k], 6), v[k], omega1(r[k]), omega2(r[k]))
+            )
 
 
 class PatchworkFamily:
@@ -155,21 +171,27 @@ class PatchworkFamily:
         self.a1, self.a2 = _build_envelopes(self.pieces, offsets)
         self.dim = pieces[0].region.dim
 
+    def members(self, X):
+        """The membership rule on each row of a (k, n) array.
+
+        Returns the kinds and the regions × rows member table. A row is the
+        "origin"; "interior" to its member regions, the first of which owns
+        it; on the "boundary" of the regions whose closures hold it; or
+        "uncovered" (as a NaN row is). Origin and uncovered rows have no member.
+        """
+        X = np.asarray(X, dtype=float)
+        margins = np.array([p.region.margin(X) for p in self.pieces])
+        inside, closure = margins > BOUNDARY_TOL, margins >= -BOUNDARY_TOL
+        origin, interior = np.max(np.abs(X), axis=1) <= ORIGIN_TOL, inside.any(axis=0)
+        kind = np.where(closure.any(axis=0), "boundary", "uncovered")
+        kind = np.where(origin, "origin", np.where(interior, "interior", kind))
+        return kind, np.where(interior, inside, closure) & ~origin
+
     def locate(self, x):
         """Classify x: ("origin" | "interior", i | "boundary", indices | "uncovered")."""
-        x = np.asarray(x, dtype=float)
-        if float(np.max(np.abs(x))) <= ORIGIN_TOL:
-            return ("origin", None)
-        adjacent = []
-        for i, p in enumerate(self.pieces):
-            m = p.region.margin(x)
-            if m > BOUNDARY_TOL:
-                return ("interior", i)
-            if m >= -BOUNDARY_TOL:
-                adjacent.append(i)
-        if adjacent:
-            return ("boundary", adjacent)
-        return ("uncovered", None)
+        kind, member = self.members(np.asarray(x, dtype=float)[None])
+        regions = [int(i) for i in np.flatnonzero(member[:, 0])]
+        return str(kind[0]), regions[0] if kind[0] == "interior" else regions or None
 
     def piece_value(self, i, x):
         return float(self.pieces[i].V(np.asarray(x, dtype=float))) + self.offsets[i]
@@ -181,22 +203,33 @@ class PatchworkW:
     def __init__(self, family):
         self.family = family
 
+    def glue(self, X):
+        """The glue rule on each row of a (k, n) array, one walk per piece.
+
+        Returns the values (0 at the origin, NaN where uncovered), the kinds
+        and member table of PatchworkFamily.members, and the regions × rows
+        table of the offset piece values that count: the owner's inside a
+        region, every member's on a boundary, -inf elsewhere.
+        """
+        X = np.asarray(X, dtype=float)
+        kind, member = self.family.members(X)
+        counted = np.where(kind == "interior", member & (np.cumsum(member, axis=0) == 1), member)
+        table = np.full(counted.shape, -np.inf)
+        for i, (p, c) in enumerate(zip(self.family.pieces, self.family.offsets)):
+            table[i, counted[i]] = _on_rows(p.V, X[counted[i]]) + c
+        top = np.max(table, axis=0)
+        values = np.where(kind == "origin", 0.0, np.where(kind == "uncovered", np.nan, top))
+        return values, kind, member, table
+
     def eval(self, x):
-        """Value and active index (or index set on boundaries)."""
-        kind, info = self.family.locate(x)
-        if kind == "origin":
-            return 0.0, None
-        if kind == "interior":
-            return self.family.piece_value(info, x), info
-        if kind == "boundary":
-            vals = [(self.family.piece_value(i, x), i) for i in info]
-            top = max(v for v, _ in vals)
-            active = [i for v, i in vals if v == top]
-            return top, active
-        raise UncoveredPointError(
-            "point %s lies outside every region closure" % np.round(np.asarray(x, float), 6),
-            point=np.asarray(x, dtype=float),
-        )
+        """Value and active index (or index set on boundaries): glue on one row."""
+        x = np.asarray(x, dtype=float)
+        values, kind, member, table = self.glue(x[None])
+        if kind[0] == "uncovered":
+            raise UncoveredPointError("point %s lies outside every region closure" % np.round(x, 6), x)
+        if kind[0] == "interior":
+            return float(values[0]), int(np.argmax(member[:, 0]))
+        return float(values[0]), [int(i) for i in np.flatnonzero(table[:, 0] == values[0])] or None
 
     def __call__(self, x):
         return self.eval(x)[0]
@@ -204,20 +237,18 @@ class PatchworkW:
 
 def active_index(W, x):
     """Largest index attaining the boundary maximum (ties warn and take the largest)."""
-    family = W.family
-    kind, info = family.locate(x)
-    if kind != "boundary":
-        raise ValueError("active index is defined on region boundaries, point is %s" % kind)
-    vals = [(family.piece_value(i, x), i) for i in info]
-    top = max(v for v, _ in vals)
-    ties = [i for v, i in vals if abs(v - top) <= 10 * BOUNDARY_TOL]
+    x = np.asarray(x, dtype=float)
+    values, kind, _, table = W.glue(x[None])
+    if kind[0] != "boundary":
+        raise ValueError("active index is defined on region boundaries, point is %s" % kind[0])
+    ties = np.flatnonzero(np.abs(table[:, 0] - values[0]) <= 10 * BOUNDARY_TOL).tolist()
     if len(ties) > 1:
         logger.warning(
             "piece values nearly tie at %s (indices %s): boundary distinctness is violated",
-            np.round(np.asarray(x, float), 8),
+            np.round(x, 8),
             ties,
         )
-    return max(ties)
+    return ties[-1]
 
 
 # -- boundary sampling ---------------------------------------------------------
@@ -232,44 +263,44 @@ class BoundaryPoint:
     anchor_j: np.ndarray
 
 
-def _crossing(ri, rj, p, q):
-    """Where segment p -> q leaves ri, if on ri's boundary and in rj's closure, else None.
-
-    Bisects on ri's open set; the boundary belt absorbs the remaining dust.
-    """
-    lo_t, hi_t = 0.0, 1.0
+def _crossings(ri, rj, P, Q):
+    """Where each segment P[k] -> Q[k] leaves ri, and whether that point is on
+    ri's boundary and in rj's closure. Bisects all segments at once on ri's
+    open set; the boundary belt absorbs the remaining dust."""
+    lo, hi = np.zeros(len(P)), np.ones(len(P))
     for _ in range(80):
-        mid = (lo_t + hi_t) / 2
-        if ri.margin(p + mid * (q - p)) > 0.0:
-            lo_t = mid
-        else:
-            hi_t = mid
-    x = p + hi_t * (q - p)
-    if abs(ri.margin(x)) <= BOUNDARY_TOL and rj.in_closure(x):
-        return x
-    return None
+        mid = (lo + hi) / 2
+        inside = ri.margin(P + mid[:, None] * (Q - P)) > 0.0
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    X = P + hi[:, None] * (Q - P)
+    return X, (np.abs(ri.margin(X)) <= BOUNDARY_TOL) & rj.in_closure(X)
 
 
 def sample_shared_boundaries(pieces, per_pair=64, seed=0, anchors=64):
-    """Boundary points shared by pairs of regions, found by segment bisection."""
+    """Boundary points shared by pairs of regions, found by segment bisection
+    from anchor k of region i to anchor 7k + 3 (cyclically) of region j."""
+    interior = [p.region.interior_samples(anchors, seed=seed + 101 * idx) for idx, p in enumerate(pieces)]
     out = []
-    interior = []
-    for idx, p in enumerate(pieces):
-        interior.append(p.region.interior_samples(anchors, seed=seed + 101 * idx))
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            ri, rj = pieces[i].region, pieces[j].region
-            found = 0
-            for k in range(len(interior[i])):
-                if found >= per_pair:
-                    break
-                p = interior[i][k % len(interior[i])]
-                q = interior[j][(k * 7 + 3) % len(interior[j])]
-                x = _crossing(ri, rj, p, q)
-                if x is not None and float(np.max(np.abs(x))) > BOUNDARY_TOL:
-                    out.append(BoundaryPoint(x=x, i=i, j=j, anchor_i=p, anchor_j=q))
-                    found += 1
+    for i, j in itertools.combinations(range(len(pieces)), 2):
+        P = interior[i]
+        Q = interior[j][(np.arange(len(P)) * 7 + 3) % len(interior[j])]
+        X, ok = _crossings(pieces[i].region, pieces[j].region, P, Q)
+        ok &= np.max(np.abs(X), axis=1) > BOUNDARY_TOL
+        out += [BoundaryPoint(X[k], i, j, P[k], Q[k]) for k in np.flatnonzero(ok)[:per_pair]]
     return out
+
+
+def _adjacent_values(pieces, bpoints):
+    """Boundary points as rows, their pair indices I and J, and V_I, V_J there
+    (one walk per piece over the rows it is adjacent at)."""
+    X = np.reshape([bp.x for bp in bpoints], (-1, pieces[0].region.dim))
+    I, J = np.reshape([(bp.i, bp.j) for bp in bpoints], (-1, 2)).astype(int).T  # noqa: E741
+    vi, vj = np.empty(len(X)), np.empty(len(X))
+    for i, p in enumerate(pieces):
+        vi[I == i] = _on_rows(p.V, X[I == i])
+        vj[J == i] = _on_rows(p.V, X[J == i])
+    return X, I, J, vi, vj
 
 
 # -- offset selection and envelopes --------------------------------------------
@@ -282,18 +313,17 @@ def _build_envelopes(pieces, offsets):
     glued value sits between its piece envelopes plus its offset; taking
     the min lower envelope plus the smallest offset (resp. max upper plus
     largest) bounds the glued function everywhere it is defined, and both
-    bounds are nondecreasing because the piece envelopes are.
+    bounds are nondecreasing because the piece envelopes are (read at s >= 0).
     """
     cmin = min(offsets)
     cmax = max(offsets)
 
     def lower(s):
-        if s <= 0.0:
-            return 0.0
-        return min(p.omega1(s) for p in pieces) + cmin
+        low = np.min([p.omega1(np.maximum(s, 0.0)) for p in pieces], axis=0)
+        return np.where(s <= 0.0, 0.0, low + cmin)
 
     def upper(s):
-        return max(p.omega2(max(s, 0.0)) for p in pieces) + cmax
+        return np.max([p.omega2(np.maximum(s, 0.0)) for p in pieces], axis=0) + cmax
 
     return ClassK(lower, "lower-envelope"), ClassK(upper, "upper-envelope")
 
@@ -317,37 +347,28 @@ def choose_offsets(pieces, boundary_samples=64, seed=0):
     sampled shared-boundary point, adjacent offset piece values differ by
     more than 10x the boundary tolerance, and the doubling comparison
     inequality a(V) + c < 2 a(V + c), with a = DOUBLING, holds at sampled
-    region points.
+    region points. The piece values are evaluated once, for every schedule.
     """
     if not pieces:
         raise ValueError("need at least one piece")
     bpoints = sample_shared_boundaries(pieces, per_pair=boundary_samples, seed=seed)
+    X, I, J, vi, vj = _adjacent_values(pieces, bpoints)  # noqa: E741
     region_samples = [p.region.interior_samples(64, seed=seed + 17 * i) for i, p in enumerate(pieces)]
+    sample_values = [_on_rows(p.V, pts) for p, pts in zip(pieces, region_samples)]
+    points = np.concatenate([X, *region_samples])  # in the order the witness is searched
 
     witness = None
     for c0 in OFFSET_BASE_GRID:
         for delta in OFFSET_DELTA_GRID:
             offsets = [c0 * (1.0 + (i + 1) * delta) for i in range(len(pieces))]
-            ok = True
-            for bp in bpoints:
-                vi = float(pieces[bp.i].V(bp.x)) + offsets[bp.i]
-                vj = float(pieces[bp.j].V(bp.x)) + offsets[bp.j]
-                if abs(vi - vj) <= 10 * BOUNDARY_TOL:
-                    ok = False
-                    witness = bp.x
-                    break
-            if ok:
-                for i, pts in enumerate(region_samples):
-                    for x in pts:
-                        v = float(pieces[i].V(x))
-                        if not DOUBLING(v) + offsets[i] < 2 * DOUBLING(v + offsets[i]):
-                            ok = False
-                            witness = x
-                            break
-                    if not ok:
-                        break
-            if ok:
+            c = np.array(offsets)
+            bad = np.concatenate(
+                [np.abs((vi + c[I]) - (vj + c[J])) <= 10 * BOUNDARY_TOL]
+                + [~(DOUBLING(v) + ci < 2 * DOUBLING(v + ci)) for v, ci in zip(sample_values, offsets)]
+            )
+            if not bad.any():
                 return OffsetSelection(offsets=offsets, boundary_points=bpoints, c0=c0, delta=delta)
+            witness = points[np.argmax(bad)]
     raise OffsetSelectionError(
         "no offset schedule in the search grid separates the sampled boundary values",
         point=witness,
@@ -393,6 +414,14 @@ class PatchworkReport:
         return [c.line() for c in self.checks]
 
 
+def _batch_check(name, pts, counted, failing, detail=lambda k: ""):
+    """A check over the counted rows of pts; the last failing row is its witness."""
+    bad = np.flatnonzero(counted & failing)
+    if not bad.size:
+        return CheckResult(name, True, int(np.count_nonzero(counted)))
+    return CheckResult(name, False, int(np.count_nonzero(counted)), pts[bad[-1]], detail(bad[-1]))
+
+
 def verify_patchwork(W, radius, samples=10_000, seed=0):
     """Statistical verification of the glued function over the ball of given radius.
 
@@ -403,49 +432,56 @@ def verify_patchwork(W, radius, samples=10_000, seed=0):
     the active index along the boundary. A sampled boundary point that lies
     inside some region is a disjointness failure. Failures are reported
     with witnesses, not raised; a boundary check that skipped every sampled
-    boundary point says so in its detail.
+    boundary point says so in its detail. Sample checks and distinctness
+    are masks over one batch; limits and active indices go through W.eval
+    point by point, so a subclass that overrides eval is checked as it evaluates.
     """
     family = W.family
     pieces = family.pieces
     pts = ball_points(family.dim, samples, radius, seed=seed)
 
-    cover = CheckResult("coverage", True, 0)
-    disjoint = CheckResult("disjointness", True, 0)
-    sandwich = CheckResult("sandwich", True, 0)
-    positive = CheckResult("positivity", True, 0)
-    for x in pts:
-        cover.checked += 1
-        try:
-            val, active = W.eval(x)
-        except UncoveredPointError:
-            cover.passed = False
-            cover.witness = x
-            continue
-        disjoint.checked += 1
-        # locate returns the first region x is interior to: only later ones can overlap it
-        if isinstance(active, int) and any(p.region.interior(x) for p in pieces[active + 1 :]):
-            disjoint.passed = False
-            disjoint.witness = x
-        if active is None:  # the origin
-            continue
-        r = float(np.linalg.norm(x))
-        sandwich.checked += 1
-        if not (family.a1(r) <= val + 1e-12 and val <= family.a2(r) + 1e-12):
-            sandwich.passed = False
-            sandwich.witness = x
-            sandwich.detail = "W=%g not in [%g, %g]" % (val, family.a1(r), family.a2(r))
-        positive.checked += 1
-        if not val > 0.0:
-            positive.passed = False
-            positive.witness = x
+    vals, kind, member, _ = W.glue(pts)
+    covered = kind != "uncovered"
+    nonzero = covered & (kind != "origin")
+    r = _norms(pts)
+    lo, hi = family.a1(r), family.a2(r)
+    cover = _batch_check("coverage", pts, np.ones(len(pts), dtype=bool), ~covered)
+    # a sample interior to two regions is where they overlap
+    disjoint = _batch_check("disjointness", pts, covered, (kind == "interior") & (member.sum(axis=0) > 1))
+    sandwich = _batch_check(
+        "sandwich", pts, nonzero, ~((lo <= vals + 1e-12) & (vals <= hi + 1e-12)),
+        lambda k: "W=%g not in [%g, %g]" % (vals[k], lo[k], hi[k]),
+    )
+    positive = _batch_check("positivity", pts, nonzero, ~(vals > 0.0))
 
     bpoints = sample_shared_boundaries(pieces, per_pair=64, seed=seed + 1)
-    distinct = CheckResult("boundary-distinctness", True, 0)
-    usc = CheckResult("upper-semicontinuity", True, 0)
+    X, I, J, vi, vj = _adjacent_values(pieces, bpoints)  # noqa: E741
+    vi, vj = vi + np.array(family.offsets)[I], vj + np.array(family.offsets)[J]
+    distinct = _batch_check(
+        "boundary-distinctness", X, np.ones(len(X), dtype=bool), np.abs(vi - vj) <= 10 * BOUNDARY_TOL,
+        lambda k: "indices %d/%d values %g/%g" % (I[k], J[k], vi[k], vj[k]),
+    )
+    usc = CheckResult("upper-semicontinuity", True, len(bpoints))
     stability = CheckResult("active-index-stability", True, 0)
     if not bpoints:
         detail = "no shared boundaries sampled (vacuous)"
         distinct.detail = usc.detail = stability.detail = detail
+
+    # nearby boundary points for the stability check: each pair's points are
+    # re-bisected at once between anchors shifted transverse to the crossing
+    # segment, so the new crossing moves along the boundary; NaN marks none
+    A, B = (np.reshape([getattr(bp, a) for bp in bpoints], X.shape) for a in ("anchor_i", "anchor_j"))
+    scales = (1e-4, 1e-5, 1e-6, 1e-7)
+    nearby = np.full((len(X), len(scales), family.dim), np.nan)
+    for i, j in set(zip(I.tolist(), J.tolist())):
+        rows = np.flatnonzero((I == i) & (J == j))
+        shift = np.zeros((len(rows), family.dim))
+        shift[np.arange(len(rows)), np.argmin(np.abs(B[rows] - A[rows]), axis=1)] = 1.0 + _norms(X[rows])
+        for s, scale in enumerate(scales):
+            P, Q = A[rows] + scale * shift, B[rows] + scale * shift
+            Y, ok = _crossings(pieces[i].region, pieces[j].region, P, Q)
+            ok &= pieces[i].region.interior(P) & pieces[j].region.interior(Q)
+            nearby[rows, s] = np.where(ok[:, None], Y, np.nan)
 
     def overlaps(y, active, bp):
         # a boundary point inside region `active` is where two regions overlap
@@ -455,21 +491,12 @@ def verify_patchwork(W, radius, samples=10_000, seed=0):
             disjoint.detail = "boundary point of regions %d/%d inside region %d" % (bp.i, bp.j, active)
         return isinstance(active, int)
 
-    for bp in bpoints:
+    for bp, near in zip(bpoints, nearby):
         x = bp.x
-        vi = family.piece_value(bp.i, x)
-        vj = family.piece_value(bp.j, x)
-        distinct.checked += 1
-        if abs(vi - vj) <= 10 * BOUNDARY_TOL:
-            distinct.passed = False
-            distinct.witness = x
-            distinct.detail = "indices %d/%d values %g/%g" % (bp.i, bp.j, vi, vj)
-
         # limsup estimate: approach the boundary point from each adjacent
         # interior; linear extrapolation from distances d and 2d cancels the
         # first-order variation of the piece so the boundary limit itself is judged
         wx, active = W.eval(x)
-        usc.checked += 1
         scale = 1.0 + float(np.linalg.norm(x))
         for anchor, idx in ((bp.anchor_i, bp.i), (bp.anchor_j, bp.j)):
             gap = float(np.linalg.norm(anchor - x))
@@ -494,9 +521,8 @@ def verify_patchwork(W, radius, samples=10_000, seed=0):
             continue
         ix = active_index(W, x)
         verdict = None
-        for scale in (1e-4, 1e-5, 1e-6, 1e-7):
-            y = _nearby_boundary_point(pieces, bp, scale=scale)
-            if y is None or not float(np.linalg.norm(y - x)) > 0:
+        for y in near:
+            if np.isnan(y).any() or not float(np.linalg.norm(y - x)) > 0:
                 continue
             wy, active = W.eval(y)
             if overlaps(y, active, bp):
@@ -518,18 +544,3 @@ def verify_patchwork(W, radius, samples=10_000, seed=0):
         stability.detail = "not exercised: all %d boundary points skipped" % len(bpoints)
     checks = [cover, disjoint, sandwich, positive, distinct, usc, stability]
     return PatchworkReport(checks=checks)
-
-
-def _nearby_boundary_point(pieces, bp, scale=1e-4):
-    """Re-bisect between slightly shifted anchors: a boundary point near bp.x."""
-    ri, rj = pieces[bp.i].region, pieces[bp.j].region
-    d = bp.anchor_j - bp.anchor_i
-    shift = np.zeros_like(d)
-    # shift transverse to the crossing segment so the new crossing moves along the boundary
-    k = int(np.argmin(np.abs(d)))
-    shift[k] = scale * (1.0 + float(np.linalg.norm(bp.x)))
-    p = bp.anchor_i + shift
-    q = bp.anchor_j + shift
-    if not ri.interior(p) or not rj.interior(q):
-        return None
-    return _crossing(ri, rj, p, q)

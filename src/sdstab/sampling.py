@@ -26,14 +26,9 @@ def ball_points(dim, count, radius, seed=0):
     if not radius > 0:
         raise ValueError("ball radius must be positive, got %r" % (radius,))
     count = int(count)
-    out = []
+    out = np.empty((0, dim))
     sampler = qmc.Halton(d=dim, scramble=True, seed=seed)
     while len(out) < count:
-        block = sampler.random(max(count, 128))
-        x = radius * (2.0 * block - 1.0)
-        keep = np.linalg.norm(x, axis=1) <= radius
-        for row in x[keep]:
-            out.append(row)
-            if len(out) == count:
-                break
-    return np.array(out)
+        x = radius * (2.0 * sampler.random(max(count, 128)) - 1.0)
+        out = np.concatenate([out, x[np.linalg.norm(x, axis=1) <= radius]])
+    return out[:count]

@@ -207,14 +207,15 @@ class SamplingPartition:
     def boundaries(self, horizon):
         """Interval boundaries covering [0, horizon].
 
-        Returns the strictly increasing times from 0 to horizon: the
-        explicit prefix, then the uniform tail.
+        Returns the strictly increasing times from 0 to horizon: time 0
+        (whatever the horizon), the explicit prefix times more than 1e-12
+        before the horizon, then the uniform tail.
         """
         horizon = float(horizon)
         if horizon <= 0:
             raise ValueError("horizon must be positive")
-        out = []
-        for t in self.times:
+        out = [0.0]
+        for t in self.times[1:]:
             if t >= horizon - 1e-12:
                 break
             out.append(t)

@@ -93,6 +93,17 @@ def test_simulate_statedep_csvs_byte_identical_to_recorded(tmp_path):
     assert digests == SIM_STATEDEP_SHA256
 
 
+def test_simulate_horizon_below_the_partition_gap_runs_one_interval(tmp_path, capsys):
+    # horizons at or below the 1e-12 prefix gap keep time 0: one interval, not none
+    text = SIM_STATEDEP.replace("horizon = 1", "horizon = 1e-13").replace("final_norm = 10", "final_norm = 0.01")
+    cfg = write(tmp_path / "tiny.ini", text)
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+    out = capsys.readouterr().out
+    assert "certificate pass: 1 intervals" in out
+    assert "RESULT fail 2 1" in out  # the final norm stays above the threshold
+    assert code == 1
+
+
 def test_readme_ini_examples_run(tmp_path):
     blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
     assert len(blocks) >= 2

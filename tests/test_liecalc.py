@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sdstab import liecalc, registry
 from sdstab.exprs import Add, Const, Mul, Var, parse_scalar, coord_names
 from sdstab.liecalc import (
     EVEN_BRACKET_NEGATIVE,
@@ -249,6 +250,14 @@ class TestPointwiseChecker:
         V = ExprScalarField.from_text("0.5*x1^2", 2)
         with pytest.raises(ValueError):
             check_prop1_point(integrator_system(), V, [0.0, 0.0])
+
+    def test_each_named_derivative_evaluated_once(self, monkeypatch):
+        calls = []
+        evaluate = liecalc._eval_scaled
+        monkeypatch.setattr(liecalc, "_eval_scaled", lambda ld, x: calls.append(ld) or evaluate(ld, x))
+        rep = registry.double_integrator().classify([1.0, 0.0], n_max=4)
+        assert rep.classification == ODD_BRACKET_NONZERO
+        assert len(calls) == len(rep.witnesses)
 
     def test_n_max_validated(self):
         V = ExprScalarField.from_text("0.5*x1^2", 2)

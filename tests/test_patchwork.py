@@ -1,5 +1,6 @@
 """Patchwork construction, offset selection, glued evaluation, verification."""
 
+import hashlib
 import logging
 
 import numpy as np
@@ -144,6 +145,17 @@ class TestGluedEvaluation:
         with pytest.raises(UncoveredPointError):
             self.W.eval(np.array([5.0, 0.0]))
 
+    def test_boundary_points_keep_their_bits(self):
+        # coordinates recorded from the one-point-at-a-time bisection
+        bps = sample_shared_boundaries(halfplane_pieces(), per_pair=64, seed=1)
+        text = "\n".join(repr(bp.x.tolist()) for bp in bps)
+        assert len(bps) == 64
+        assert bps[0].x.tolist() == [0.0, -1.4854600600447865]
+        assert bps[-1].x.tolist() == [0.0, 1.3655699245122128]
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "1ea397d917f2430ef10bbdbdac1d8ee0012dbbf4472d36388a517bb98385979a"
+        )
+
     def test_boundary_matches_bruteforce_oracle_exactly(self):
         pieces = self.W.family.pieces
         bps = sample_shared_boundaries(pieces, per_pair=50, seed=4)
@@ -258,6 +270,9 @@ class TestVerification:
         assert np.all(np.diff(vals1) >= 0)
         assert np.all(np.diff(vals2) >= 0)
         assert np.all(vals1 <= vals2)
+        # on the whole grid at once, every element keeps the bits of its scalar call
+        assert np.array_equal(W.family.a1(grid), vals1)
+        assert np.array_equal(W.family.a2(grid), vals2)
 
 
 class TestFamilyValidation:
@@ -342,3 +357,18 @@ class TestPinnedBehaviour:
         pts += [np.zeros(2), np.array([np.nan, 1.0]), np.array([0.1, 1.0]), np.array([-0.5, 1.0])]
         for x in pts:
             assert family.locate(x) == oracle(x), x
+
+        # the batch forms answer every row with the bits of the per-point calls
+        X = np.array(pts)
+        table = np.array([p.region.margin(X) for p in family.pieces])
+        per_point = np.array([[p.region.margin(x) for x in pts] for p in family.pieces])
+        assert np.array_equal(table, per_point, equal_nan=True)
+        W = PatchworkW(family)
+
+        def w_or_nan(x):
+            try:
+                return W(x)
+            except UncoveredPointError:
+                return np.nan
+
+        assert np.array_equal(W.glue(X)[0], [w_or_nan(x) for x in pts], equal_nan=True)

@@ -268,7 +268,7 @@ def test_repr_parses_back_to_the_same_tree(t, p):
 
 # -- sampling partitions ------------------------------------------------------------
 
-GAP = 1e-12  # prefix times this close to the horizon, or closer, are dropped
+GAP = 1e-12  # prefix times after 0 this close to the horizon, or closer, are dropped
 
 
 @st.composite
@@ -280,7 +280,7 @@ def partitions(draw):
     grid = times[1:] + [times[-1] + k * tail for k in range(1, 21) if tail is not None]
     near = st.sampled_from([-2e-12, -5e-13, 0.0, 5e-13, 2e-12])
     near_grid = st.builds(lambda t, d: t + d, st.sampled_from(grid or [1.0]), near)
-    horizon = draw(st.one_of(st.floats(1e-3, 20.0), near_grid))
+    horizon = draw(st.one_of(st.floats(1e-15, 20.0), near_grid))
     return times, tail, horizon
 
 
@@ -296,7 +296,7 @@ def test_partition_boundaries(case):
     b = partition.boundaries(horizon)
     assert b[0] == 0.0 and b[-1] == horizon
     assert all(s < t for s, t in zip(b, b[1:]))
-    prefix = [t for t in times if t < horizon - GAP]
+    prefix = [0.0] + [t for t in times[1:] if t < horizon - GAP]
     assert b[: len(prefix)] == prefix
     if times[-1] >= horizon - GAP:
         assert b == prefix + [horizon]
