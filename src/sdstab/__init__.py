@@ -12,6 +12,8 @@ Layers:
   and the pointwise stabilizability condition checkers.
 * :mod:`sdstab.patchwork` - discontinuous glued Lyapunov functions built
   from region-local pieces, with statistical verification.
+* :mod:`sdstab.sampling` - seeded scrambled Halton points over boxes and
+  balls; ``scipy.stats`` is imported at the first draw.
 * :mod:`sdstab.sdfctl` - sampled-data closed loops (frozen-gain and
   patchwork-dispatch controllers) and decrease certificates.
 * :mod:`sdstab.cli` - the ``sdstab`` command-line front end.

@@ -427,7 +427,10 @@ def cmd_check_lie(cfg, out_dir, seed, quiet):
             raise ConfigError("bad V expression: %s" % exc) from exc
         if abs(V(np.zeros(sys_obj.dim_state))) > 1e-12:
             raise ConfigError("V must vanish at the origin")
-        if not np.all(V.eval(list(pts.T)) > 0):
+        # overflow and division by zero raise (exit 3, as on the per-point path); NaN is not positive
+        with np.errstate(over="raise", divide="raise", invalid="ignore"):
+            positive = np.all(V.eval(list(pts.T)) > 0)
+        if not positive:
             raise ConfigError("V is not positive away from the origin on the grid")
         for p in pts:
             rp = check_prop1_point(sys_obj, V, p, n_max=2)

@@ -664,6 +664,35 @@ points = 3
         assert main(["check-lie", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "numerical failure: math range error" in capsys.readouterr().err
 
+    LIE_GRID_V = """
+[experiment]
+kind = check-lie
+[system]
+type = affine
+dim = 2
+f = x2, -x1
+g = 0, 1
+[lie]
+V = %s
+[grid]
+extent = 2
+points = 5
+"""
+
+    def test_overflow_in_the_grid_positivity_pass(self, tmp_path, capsys):
+        # the whole grid is one array evaluation: its overflow raises, not warns
+        cfg = write(tmp_path / "o.ini", self.LIE_GRID_V % "exp(1000*(x1^2 + x2^2)) - 1")
+        assert main(["check-lie", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: overflow encountered in exp" in err
+        assert "RuntimeWarning" not in err
+
+    def test_nan_in_the_grid_positivity_pass_is_not_positive(self, tmp_path, capsys):
+        # 0/0 on the grid line x1 = 2: an invalid value, not an overflow
+        cfg = write(tmp_path / "n.ini", self.LIE_GRID_V % "x1^2 + x2^2 + (x1 - 2)/(x1 - 2) - 1")
+        assert main(["check-lie", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "V is not positive away from the origin" in capsys.readouterr().err
+
 
 def test_seed_override_changes_nothing_for_fixed_run(tmp_path):
     # the scalar simulate run draws no samples, so any seed gives identical bytes

@@ -1,8 +1,18 @@
 """Seeded quasi-random sampling."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from sdstab.sampling import ball_points
+from sdstab.sampling import ball_points, box_points, unit_points
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
@@ -10,3 +20,102 @@ def test_ball_points_rejects_a_non_positive_radius(radius):
     # with a negative or NaN radius the rejection loop never collects a point
     with pytest.raises(ValueError, match="radius must be positive"):
         ball_points(2, 10, radius)
+
+
+# SHA-256 of the C-order float64 bytes of each draw. Every statistical check
+# and every ball-sampled synthesis reads these sequences, so a change of
+# sampler, scrambling or seeding moves a digest.
+PINNED_SHA256 = {
+    "unit": "9bb66474b171f90670bc000230897cc3dc555a5ed8f6961ca9c1577b234b7960",
+    "box": "1a4a79a99b38cc18173ceef988ee02f604bb600d00f21ec632f38afc646a8cc4",
+    "ball": "74a5c6c309088c00ca661b8d2f12689b5927939a10a5f7d250c21c741a4ed1ae",
+}
+
+
+@pytest.mark.parametrize(
+    "name, draw",
+    [
+        ("unit", lambda: unit_points(3, 100, seed=5)),
+        ("box", lambda: box_points([-4, -4], [4, 4], 512, seed=3)),
+        ("ball", lambda: ball_points(2, 1000, 2.0, seed=0)),
+    ],
+)
+def test_halton_points_are_pinned(name, draw):
+    pts = np.ascontiguousarray(draw(), dtype=np.float64)
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == PINNED_SHA256[name]
+
+
+COLD_START_CONFIGS = {
+    "simulate": """
+[experiment]
+kind = simulate
+[system]
+registry = statedep-2d
+[controller]
+type = frozen-gain
+[partition]
+h = 0.05
+[run]
+x0 = 2, -1
+horizon = 0.2
+final_norm = 10
+""",
+    "check-lie": """
+[experiment]
+kind = check-lie
+[system]
+registry = double-integrator
+[grid]
+extent = 2
+points = 5
+""",
+    "synthesize": """
+[experiment]
+kind = synthesize
+[system]
+registry = statedep-2d
+[synthesize]
+points = 0,0 ; 1,-1
+""",
+    "check-patchwork": """
+[experiment]
+kind = check-patchwork
+[patchwork]
+registry = patchwork-halfplanes
+samples = 200
+radius = 2
+""",
+}
+
+# Runs each command in turn and records, after each, its exit code and
+# whether scipy.stats has been imported so far.
+COLD_START_SCRIPT = """
+import json, sys
+import sdstab, sdstab.cli
+seen = [("import", 0, "scipy.stats" in sys.modules)]
+for command, cfg, out in json.loads(sys.argv[1]):
+    code = sdstab.cli.main([command, "--config", cfg, "--out", out, "--quiet"])
+    seen.append((command, code, "scipy.stats" in sys.modules))
+print(json.dumps(seen))
+"""
+
+
+def test_cold_start_loads_scipy_stats_only_at_the_first_draw(tmp_path):
+    runs = []
+    for command, text in COLD_START_CONFIGS.items():
+        cfg = tmp_path / (command + ".ini")
+        cfg.write_text(text)
+        runs.append((command, str(cfg), str(tmp_path / command)))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START_SCRIPT, json.dumps(runs)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == [
+        ["import", 0, False],
+        ["simulate", 0, False],
+        ["check-lie", 0, False],
+        ["synthesize", 0, False],
+        ["check-patchwork", 0, True],  # the verification samples are Halton draws
+    ]
