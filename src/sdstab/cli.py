@@ -425,10 +425,11 @@ def cmd_check_lie(cfg, out_dir, seed, quiet):
             V = ExprScalarField.from_text(v_text, sys_obj.dim_state)
         except ExprSyntaxError as exc:
             raise ConfigError("bad V expression: %s" % exc) from exc
-        if abs(V(np.zeros(sys_obj.dim_state))) > 1e-12:
-            raise ConfigError("V must vanish at the origin")
-        # overflow and division by zero raise (exit 3, as on the per-point path); NaN is not positive
+        # overflow and division by zero raise (exit 3, as on the per-point path);
+        # NaN is neither zero at the origin nor positive on the grid
         with np.errstate(over="raise", divide="raise", invalid="ignore"):
+            if not abs(V(np.zeros(sys_obj.dim_state))) <= 1e-12:
+                raise ConfigError("V must vanish at the origin")
             positive = np.all(V.eval(list(pts.T)) > 0)
         if not positive:
             raise ConfigError("V is not positive away from the origin on the grid")

@@ -13,6 +13,8 @@ samples rather than proven symbolically.
 Every membership decision reads one number per region, its margin
 (see Region). A batch of points, the rows of a (k, n) array, costs one
 tree walk per constraint or piece; a single point is the one-row case.
+Checks and dispatch read W only through its glue rule (PatchworkW.glue)
+and the active-index rule over its rows (active_indices).
 """
 
 import itertools
@@ -235,20 +237,29 @@ class PatchworkW:
         return self.eval(x)[0]
 
 
-def active_index(W, x):
-    """Largest index attaining the boundary maximum (ties warn and take the largest)."""
-    x = np.asarray(x, dtype=float)
-    values, kind, _, table = W.glue(x[None])
-    if kind[0] != "boundary":
-        raise ValueError("active index is defined on region boundaries, point is %s" % kind[0])
-    ties = np.flatnonzero(np.abs(table[:, 0] - values[0]) <= 10 * BOUNDARY_TOL).tolist()
-    if len(ties) > 1:
+def active_indices(X, values, table):
+    """The active piece of each row of X, read off its glue (values, table):
+    the largest index whose piece value is within 10x the boundary tolerance
+    of the glued value, the owner inside a region. Ties warn."""
+    ties = np.abs(table - values) <= 10 * BOUNDARY_TOL
+    if not ties.any(axis=0).all():
+        raise ValueError("no piece value attains the glued value at %s" % X[~ties.any(axis=0)][0])
+    for k in np.flatnonzero(ties.sum(axis=0) > 1):
         logger.warning(
             "piece values nearly tie at %s (indices %s): boundary distinctness is violated",
-            np.round(x, 8),
-            ties,
+            np.round(X[k], 8),
+            np.flatnonzero(ties[:, k]).tolist(),
         )
-    return ties[-1]
+    return len(table) - 1 - np.argmax(ties[::-1], axis=0)
+
+
+def active_index(W, x):
+    """Largest index attaining the boundary maximum (ties warn and take the largest)."""
+    X = np.asarray(x, dtype=float)[None]
+    values, kind, _, table = W.glue(X)
+    if kind[0] != "boundary":
+        raise ValueError("active index is defined on region boundaries, point is %s" % kind[0])
+    return int(active_indices(X, values, table)[0])
 
 
 # -- boundary sampling ---------------------------------------------------------
@@ -432,9 +443,8 @@ def verify_patchwork(W, radius, samples=10_000, seed=0):
     the active index along the boundary. A sampled boundary point that lies
     inside some region is a disjointness failure. Failures are reported
     with witnesses, not raised; a boundary check that skipped every sampled
-    boundary point says so in its detail. Sample checks and distinctness
-    are masks over one batch; limits and active indices go through W.eval
-    point by point, so a subclass that overrides eval is checked as it evaluates.
+    boundary point says so in its detail. Every check is a mask over W.glue
+    on a batch: samples, boundary points, approach points, nearby points.
     """
     family = W.family
     pieces = family.pieces
@@ -461,86 +471,77 @@ def verify_patchwork(W, radius, samples=10_000, seed=0):
         "boundary-distinctness", X, np.ones(len(X), dtype=bool), np.abs(vi - vj) <= 10 * BOUNDARY_TOL,
         lambda k: "indices %d/%d values %g/%g" % (I[k], J[k], vi[k], vj[k]),
     )
-    usc = CheckResult("upper-semicontinuity", True, len(bpoints))
-    stability = CheckResult("active-index-stability", True, 0)
-    if not bpoints:
-        detail = "no shared boundaries sampled (vacuous)"
-        distinct.detail = usc.detail = stability.detail = detail
+    A, B = (np.reshape([getattr(bp, a) for bp in bpoints], X.shape) for a in ("anchor_i", "anchor_j"))
+    wx, kx, mx, tx = W.glue(X)
+
+    # limsup estimate: approach each boundary point from both adjacent
+    # interiors, at the first distance d whose points at d and 2d are both
+    # interior; linear extrapolation from d and 2d cancels the first-order
+    # variation of the piece so the boundary limit itself is judged
+    side = np.stack([A, B], axis=1) - X[:, None]
+    gap = _norms(side.reshape(-1, family.dim)).reshape(-1, 2, 1)
+    dist = np.multiply.outer(1.0 + _norms(X), (1e-6, 1e-5, 1e-4))[:, None]
+    step = dist[..., None] * (side / np.where(gap > 0.0, gap, 1.0))[:, :, None]
+    Y1, Y2 = X[:, None, None] + step, X[:, None, None] + 2 * step
+    region = np.broadcast_to(np.stack([I, J], axis=1)[..., None], step.shape[:-1])
+    near = 2 * dist < gap
+    for i, p in enumerate(pieces):
+        near[region == i] &= p.region.interior(Y1[region == i]) & p.region.interior(Y2[region == i])
+    rows, sides = np.nonzero(near.any(axis=2))
+    first = np.argmax(near, axis=2)[rows, sides]
+    y1, y2 = Y1[rows, sides, first], Y2[rows, sides, first]
+    w1, w2 = np.split(W.glue(np.concatenate([y1, y2]))[0], 2)
+    limit = 2.0 * w1 - w2
+    usc = _batch_check(
+        "upper-semicontinuity", y1, np.ones(len(y1), dtype=bool), limit > wx[rows] + 10 * BOUNDARY_TOL,
+        lambda k: "limit from region %d exceeds boundary value" % region[rows[k], sides[k], 0],
+    )
+    usc.checked = len(X)
 
     # nearby boundary points for the stability check: each pair's points are
     # re-bisected at once between anchors shifted transverse to the crossing
-    # segment, so the new crossing moves along the boundary; NaN marks none
-    A, B = (np.reshape([getattr(bp, a) for bp in bpoints], X.shape) for a in ("anchor_i", "anchor_j"))
-    scales = (1e-4, 1e-5, 1e-6, 1e-7)
+    # segment by each scale, so the new crossing moves along the boundary; NaN marks none
+    scales = np.array([1e-4, 1e-5, 1e-6, 1e-7])[:, None]
     nearby = np.full((len(X), len(scales), family.dim), np.nan)
     for i, j in set(zip(I.tolist(), J.tolist())):
-        rows = np.flatnonzero((I == i) & (J == j))
-        shift = np.zeros((len(rows), family.dim))
-        shift[np.arange(len(rows)), np.argmin(np.abs(B[rows] - A[rows]), axis=1)] = 1.0 + _norms(X[rows])
-        for s, scale in enumerate(scales):
-            P, Q = A[rows] + scale * shift, B[rows] + scale * shift
-            Y, ok = _crossings(pieces[i].region, pieces[j].region, P, Q)
-            ok &= pieces[i].region.interior(P) & pieces[j].region.interior(Q)
-            nearby[rows, s] = np.where(ok[:, None], Y, np.nan)
+        pair = np.flatnonzero((I == i) & (J == j))
+        shift = np.zeros((len(pair), 1, family.dim))
+        shift[np.arange(len(pair)), 0, np.argmin(np.abs(B[pair] - A[pair]), axis=1)] = 1.0 + _norms(X[pair])
+        P, Q = ((E[pair, None] + scales * shift).reshape(-1, family.dim) for E in (A, B))
+        Y, ok = _crossings(pieces[i].region, pieces[j].region, P, Q)
+        ok &= pieces[i].region.interior(P) & pieces[j].region.interior(Q)
+        nearby[pair] = np.where(ok[:, None], Y, np.nan).reshape(len(pair), len(scales), family.dim)
 
-    def overlaps(y, active, bp):
-        # a boundary point inside region `active` is where two regions overlap
-        if isinstance(active, int):
-            disjoint.passed = False
-            disjoint.witness = y
-            disjoint.detail = "boundary point of regions %d/%d inside region %d" % (bp.i, bp.j, active)
-        return isinstance(active, int)
+    # stability: per boundary point, the nearby points are tried scale by scale
+    # until one keeps its active index and value. A point (boundary or nearby)
+    # inside a region ends its trial: there the regions overlap
+    overlap, seen = np.where(kx == "interior", np.argmax(mx, axis=0), -1), X.copy()
+    ix = np.full(len(X), -1)
+    ix[overlap < 0] = active_indices(X[overlap < 0], wx[overlap < 0], tx[:, overlap < 0])
+    tried, kept = np.zeros(len(X), dtype=bool), np.zeros(len(X), dtype=bool)
+    for Y in nearby.transpose(1, 0, 2):
+        live = np.flatnonzero((overlap < 0) & ~kept & ~np.isnan(Y).any(axis=1))
+        live = live[_norms(Y[live] - X[live]) > 0]
+        wy, ky, my, ty = W.glue(Y[live])
+        hit = ky == "interior"
+        overlap[live[hit]], seen[live[hit]] = np.argmax(my[:, hit], axis=0), Y[live[hit]]
+        live, wy, ty = live[~hit], wy[~hit], ty[:, ~hit]
+        iy = active_indices(Y[live], wy, ty)
+        tried[live] = True
+        kept[live] = (iy == ix[live]) & (wy == ty[ix[live], np.arange(len(live))])
+    stability = _batch_check(
+        "active-index-stability", X, tried & (overlap < 0), ~kept,
+        lambda k: "active index flips under small boundary perturbations",
+    )
 
-    for bp, near in zip(bpoints, nearby):
-        x = bp.x
-        # limsup estimate: approach the boundary point from each adjacent
-        # interior; linear extrapolation from distances d and 2d cancels the
-        # first-order variation of the piece so the boundary limit itself is judged
-        wx, active = W.eval(x)
-        scale = 1.0 + float(np.linalg.norm(x))
-        for anchor, idx in ((bp.anchor_i, bp.i), (bp.anchor_j, bp.j)):
-            gap = float(np.linalg.norm(anchor - x))
-            if gap == 0.0:
-                continue
-            direction = (anchor - x) / gap
-            for dist in (1e-6 * scale, 1e-5 * scale, 1e-4 * scale):
-                if 2 * dist >= gap:
-                    break
-                y1 = x + dist * direction
-                y2 = x + 2 * dist * direction
-                if not (pieces[idx].region.interior(y1) and pieces[idx].region.interior(y2)):
-                    continue
-                limit = 2.0 * W(y1) - W(y2)
-                if limit > wx + 10 * BOUNDARY_TOL:
-                    usc.passed = False
-                    usc.witness = y1
-                    usc.detail = "limit from region %d exceeds boundary value" % idx
-                break
-
-        if overlaps(x, active, bp):
-            continue
-        ix = active_index(W, x)
-        verdict = None
-        for y in near:
-            if np.isnan(y).any() or not float(np.linalg.norm(y - x)) > 0:
-                continue
-            wy, active = W.eval(y)
-            if overlaps(y, active, bp):
-                verdict = None
-                break
-            iy = active_index(W, y)
-            verdict = iy == ix and wy == family.piece_value(ix, y)
-            if verdict:
-                break
-        if verdict is not None:
-            stability.checked += 1
-            if not verdict:
-                stability.passed = False
-                stability.witness = x
-                stability.detail = "active index flips under small boundary perturbations"
-
-    # distinct and usc count every boundary point; only stability can skip them all
-    if bpoints and stability.checked == 0:
+    if np.any(overlap >= 0):
+        k = np.flatnonzero(overlap >= 0)[-1]
+        disjoint.passed, disjoint.witness = False, seen[k]
+        disjoint.detail = "boundary point of regions %d/%d inside region %d" % (I[k], J[k], overlap[k])
+    if not bpoints:
+        distinct.detail = usc.detail = stability.detail = "no shared boundaries sampled (vacuous)"
+    elif stability.checked == 0:
+        # distinct and usc count every boundary point; only stability can skip them all
         stability.detail = "not exercised: all %d boundary points skipped" % len(bpoints)
     checks = [cover, disjoint, sandwich, positive, distinct, usc, stability]
     return PatchworkReport(checks=checks)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ControllerError, NoCertifiedStepError, NotStabilizableError
 from .odeint import IntegrationConfig, integrate, max_excursion, rk4_autonomous_step
-from .patchwork import DOUBLING, active_index
+from .patchwork import DOUBLING, active_indices
 from .sysmodel import ControlSignal, GeneralSystem, make_uniform_partition, state_vector, zero_signal
 from .synth import synthesize_gain
 
@@ -112,15 +112,12 @@ class PatchworkController:
 
     def plan(self, xi, eps):
         xi = state_vector(xi)
-        kind, info = self.W.family.locate(xi)
-        if kind == "origin":
+        values, kind, _, table = self.W.glue(xi[None])
+        if kind[0] == "origin":
             return zero_signal(eps, self.dim_input)
-        if kind == "interior":
-            idx = info
-        elif kind == "boundary":
-            idx = active_index(self.W, xi)
-        else:
+        if kind[0] == "uncovered":
             raise ControllerError("sample %s is outside the patchwork domain" % xi)
+        idx = int(active_indices(xi[None], values, table)[0])
         sig = self.piece_plans[idx].plan(xi, eps)
         sig.info["piece"] = idx
         return sig

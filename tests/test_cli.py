@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -692,6 +693,21 @@ points = 5
         cfg = write(tmp_path / "n.ini", self.LIE_GRID_V % "x1^2 + x2^2 + (x1 - 2)/(x1 - 2) - 1")
         assert main(["check-lie", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "V is not positive away from the origin" in capsys.readouterr().err
+
+    def test_nan_at_the_origin_does_not_vanish(self, tmp_path, capsys):
+        # 0/0 at the origin is NaN, which no tolerance comparison lets through
+        cfg = write(tmp_path / "n.ini", self.LIE_GRID_V % "x1^2 + x2^2 + (x1 - x1)/(x1 - x1)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["check-lie", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "V must vanish at the origin" in err
+        assert "RuntimeWarning" not in err
+
+    def test_division_by_zero_at_the_origin_is_a_numerical_failure(self, tmp_path, capsys):
+        cfg = write(tmp_path / "d.ini", self.LIE_GRID_V % "x1^2 + x2^2 + 1/(x1 + x2)")
+        assert main(["check-lie", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
 
 
 def test_seed_override_changes_nothing_for_fixed_run(tmp_path):

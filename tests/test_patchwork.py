@@ -6,7 +6,7 @@ import logging
 import numpy as np
 import pytest
 
-from sdstab import registry
+from sdstab import patchwork, registry
 from sdstab.errors import UncoveredPointError
 from sdstab.liecalc import ExprScalarField
 from sdstab.patchwork import (
@@ -47,6 +47,38 @@ def overlap_pieces():
     """Half-planes pushed together: the strip |x1| < 0.5 of the ring lies in both."""
     ring = " && x1^2 + x2^2 > 0.01 && x1^2 + x2^2 < 16"
     return two_region_pieces("x1 + 0.5 > 0" + ring, "0.5 - x1 > 0" + ring)
+
+
+def three_region_pieces():
+    """The right half-plane and the two left quadrants, one quadratic piece each."""
+    ring = " && x1^2 + x2^2 < 16"
+    texts = ["x1 > 0" + ring, "0 - x1 > 0 && x2 > 0" + ring, "0 - x1 > 0 && 0 - x2 > 0" + ring]
+    Vs = ["x1^2 + x2^2", "2*x1^2 + x2^2", "x1^2 + 2*x2^2"]
+    return [
+        LyapunovPiece(ExprScalarField.from_text(v, 2), Region.from_text(t, 2, BOX), W1, W2)
+        for v, t in zip(Vs, texts)
+    ]
+
+
+class MinGlue(PatchworkW):
+    """Glues boundaries by the minimum of the member pieces: not upper semicontinuous."""
+
+    def glue(self, X):
+        values, kind, member, table = super().glue(X)
+        bottom = np.min(np.where(member, table, np.inf), axis=0)
+        return np.where(kind == "boundary", bottom, values), kind, member, table
+
+
+class FlipGlue(PatchworkW):
+    """Counts one piece on each boundary row, alternating with floor(1e6*x2) % 2,
+    so the active index flips between nearby boundary points."""
+
+    def glue(self, X):
+        values, kind, member, table = super().glue(X)
+        pick = (np.floor(1e6 * np.asarray(X, dtype=float)[:, 1]) % 2).astype(int)
+        boundary = kind == "boundary"
+        table = np.where(boundary & (np.arange(len(table))[:, None] != pick), -np.inf, table)
+        return np.where(boundary, np.max(table, axis=0), values), kind, member, table
 
 
 class TestRegion:
@@ -222,16 +254,7 @@ class TestVerification:
     def test_min_rule_violates_semicontinuity(self):
         W, _ = build_family(halfplane_pieces())
 
-        class MinRule(PatchworkW):
-            def eval(self, x):
-                kind, info = self.family.locate(x)
-                if kind == "boundary":
-                    vals = [(self.family.piece_value(i, x), i) for i in info]
-                    bot = min(v for v, _ in vals)
-                    return bot, [i for v, i in vals if v == bot]
-                return super().eval(x)
-
-        report = verify_patchwork(MinRule(W.family), 2.0, samples=500, seed=3)
+        report = verify_patchwork(MinGlue(W.family), 2.0, samples=500, seed=3)
         assert not report.passed
         assert any(c.name == "upper-semicontinuity" and not c.passed for c in report.checks)
 
@@ -372,3 +395,104 @@ class TestPinnedBehaviour:
                 return np.nan
 
         assert np.array_equal(W.glue(X)[0], [w_or_nan(x) for x in pts], equal_nan=True)
+
+
+def passing_lines(samples, boundary):
+    return [
+        "coverage                 pass  n=%d" % samples,
+        "disjointness             pass  n=%d" % samples,
+        "sandwich                 pass  n=%d" % samples,
+        "positivity               pass  n=%d" % samples,
+        "boundary-distinctness    pass  n=%d" % boundary,
+        "upper-semicontinuity     pass  n=%d" % boundary,
+        "active-index-stability   pass  n=%d" % boundary,
+    ]
+
+
+def min_glue_report():
+    W, _ = build_family(halfplane_pieces())
+    return verify_patchwork(MinGlue(W.family), 2.0, samples=500, seed=3)
+
+
+def flip_glue_report():
+    W, _ = build_family(halfplane_pieces())
+    return verify_patchwork(FlipGlue(W.family), 2.0, samples=500, seed=3)
+
+
+def overlap_report():
+    W, _ = build_family(overlap_pieces())
+    return verify_patchwork(W, 2.0, samples=2000, seed=0)
+
+
+def three_region_report():
+    W, _ = build_family(three_region_pieces())
+    return verify_patchwork(W, 2.0, samples=4000, seed=2)
+
+
+# report lines recorded while the boundary checks still evaluated W point by point
+PINNED_REPORTS = {
+    min_glue_report: passing_lines(500, 64)[:5] + [
+        "upper-semicontinuity     FAIL  n=64 witness=[-4e-06, 3.256088] (limit from region 1 exceeds boundary value)",
+        "active-index-stability   pass  n=64",
+    ],
+    flip_glue_report: passing_lines(500, 64)[:5] + [
+        "upper-semicontinuity     FAIL  n=64 witness=[-2e-06, -1.320843] (limit from region 1 exceeds boundary value)",
+        "active-index-stability   FAIL  n=64 witness=[-0.0, 0.061333] "
+        "(active index flips under small boundary perturbations)",
+    ],
+    overlap_report: [
+        "coverage                 FAIL  n=2000 witness=[0.077151, -0.051682]",
+        "disjointness             FAIL  n=1997 witness=[-0.5, 2.123869] (boundary point of regions 0/1 inside region 1)",
+        "sandwich                 pass  n=1997",
+        "positivity               pass  n=1997",
+        "boundary-distinctness    pass  n=47",
+        "upper-semicontinuity     pass  n=47",
+        "active-index-stability   pass  n=0 (not exercised: all 47 boundary points skipped)",
+    ],
+    three_region_report: passing_lines(4000, 160),
+}
+
+
+class TestPinnedBoundaryChecks:
+    """Every check reads the glue rule alone, and the lines keep their recorded text."""
+
+    @pytest.mark.parametrize("report", PINNED_REPORTS, ids=lambda f: f.__name__)
+    def test_pinned_lines(self, report):
+        assert report().lines() == PINNED_REPORTS[report]
+
+    def test_witnesses_keep_their_bits(self):
+        assert min_glue_report().checks[5].witness.tolist() == [-4.248052574105825e-06, 3.2560875631007127]
+        flip = flip_glue_report().checks
+        assert flip[5].witness.tolist() == [-2.059428351290334e-06, -1.3208427706999333]
+        assert flip[6].witness.tolist() == [-4.440892098500626e-16, 0.061332922487340236]
+        assert overlap_report().checks[1].witness.tolist() == [-0.5, 2.1238685917832147]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_registry_family_seeds(self, seed):
+        W, _ = registry.patchwork_halfplanes(seed=seed)
+        assert verify_patchwork(W, 2.0, samples=10_000, seed=seed).lines() == passing_lines(10_000, 64)
+
+    def test_registry_family_radius_3(self):
+        W, _ = registry.patchwork_halfplanes(seed=0)
+        assert verify_patchwork(W, 3.0, samples=10_000, seed=0).lines() == passing_lines(10_000, 64)
+
+    def test_equal_offsets_warn_at_the_recorded_points(self, caplog):
+        W, _ = registry.patchwork_halfplanes(offsets=[0.1, 0.1])
+        with caplog.at_level(logging.WARNING, logger="sdstab.patchwork"):
+            verify_patchwork(W, 2.0, samples=2000, seed=0)
+        messages = sorted({rec.getMessage() for rec in caplog.records})
+        assert len(messages) == 128
+        assert hashlib.sha256("\n".join(messages).encode()).hexdigest() == (
+            "b2806940d57e0a69e350d505ea270e145290957301184cec009120059eeb715a"
+        )
+
+    def test_per_point_api_is_not_read(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_patchwork read the per-point API")
+
+        monkeypatch.setattr(PatchworkW, "eval", refuse)
+        monkeypatch.setattr(PatchworkFamily, "locate", refuse)
+        monkeypatch.setattr(PatchworkFamily, "piece_value", refuse)
+        monkeypatch.setattr(patchwork, "active_index", refuse)
+        for report, lines in PINNED_REPORTS.items():
+            assert report().lines() == lines
