@@ -13,7 +13,8 @@ Layers:
 * :mod:`sdstab.patchwork` - discontinuous glued Lyapunov functions built
   from region-local pieces, with statistical verification.
 * :mod:`sdstab.sampling` - seeded scrambled Halton points over boxes and
-  balls; ``scipy.stats`` is imported at the first draw.
+  balls, drawn in NumPy (the points of ``scipy.stats.qmc.Halton``, bit for
+  bit, without importing ``scipy.stats``).
 * :mod:`sdstab.sdfctl` - sampled-data closed loops (frozen-gain and
   patchwork-dispatch controllers) and decrease certificates.
 * :mod:`sdstab.cli` - the ``sdstab`` command-line front end.

@@ -12,12 +12,17 @@ All binary operations between two jets require equal truncation order,
 which holds by construction everywhere in this package. A scalar operand
 acts as a constant jet. Integer powers are repeated products on every ring,
 so a polynomial gives the same bits on an array as element by element;
-``sin``, ``cos`` and ``exp`` use :mod:`math` on scalars and NumPy on arrays.
+so does ``exp``, which is NumPy's on scalars too (past the float range a
+scalar raises ``OverflowError``, as :func:`math.exp` does). ``sin`` and
+``cos`` use :mod:`math` on scalars and NumPy on arrays.
 """
 
 import math
+import sys
 
 import numpy as np
+
+_EXP_MAX = math.log(sys.float_info.max)  # the largest argument whose exp is finite
 
 
 def lift(value, exemplar):
@@ -101,7 +106,12 @@ class Jet:
 
 def jexp(u):
     if not isinstance(u, Jet):
-        return np.exp(u) if isinstance(u, np.ndarray) else math.exp(u)
+        if isinstance(u, np.ndarray):
+            return np.exp(u)
+        # math.exp differs from NumPy's exp in the last bit on some arguments
+        if _EXP_MAX < u < math.inf:
+            raise OverflowError("math range error")
+        return float(np.exp(u))
     cs = u.coeffs
     e = [jexp(cs[0])]
     for k in range(1, len(cs)):

@@ -206,7 +206,7 @@ class PatchworkW:
         self.family = family
 
     def glue(self, X):
-        """The glue rule on each row of a (k, n) array, one walk per piece.
+        """The glue rule on each row of a (k, n) array, one walk per piece counted on some row.
 
         Returns the values (0 at the origin, NaN where uncovered), the kinds
         and member table of PatchworkFamily.members, and the regions × rows
@@ -217,8 +217,9 @@ class PatchworkW:
         kind, member = self.family.members(X)
         counted = np.where(kind == "interior", member & (np.cumsum(member, axis=0) == 1), member)
         table = np.full(counted.shape, -np.inf)
-        for i, (p, c) in enumerate(zip(self.family.pieces, self.family.offsets)):
-            table[i, counted[i]] = _on_rows(p.V, X[counted[i]]) + c
+        pieces, offsets = self.family.pieces, self.family.offsets
+        for i in np.flatnonzero(counted.any(axis=1)):
+            table[i, counted[i]] = _on_rows(pieces[i].V, X[counted[i]]) + offsets[i]
         top = np.max(table, axis=0)
         values = np.where(kind == "origin", 0.0, np.where(kind == "uncovered", np.nan, top))
         return values, kind, member, table
@@ -498,35 +499,36 @@ def verify_patchwork(W, radius, samples=10_000, seed=0):
     )
     usc.checked = len(X)
 
-    # nearby boundary points for the stability check: each pair's points are
-    # re-bisected at once between anchors shifted transverse to the crossing
-    # segment by each scale, so the new crossing moves along the boundary; NaN marks none
-    scales = np.array([1e-4, 1e-5, 1e-6, 1e-7])[:, None]
-    nearby = np.full((len(X), len(scales), family.dim), np.nan)
-    for i, j in set(zip(I.tolist(), J.tolist())):
-        pair = np.flatnonzero((I == i) & (J == j))
-        shift = np.zeros((len(pair), 1, family.dim))
-        shift[np.arange(len(pair)), 0, np.argmin(np.abs(B[pair] - A[pair]), axis=1)] = 1.0 + _norms(X[pair])
-        P, Q = ((E[pair, None] + scales * shift).reshape(-1, family.dim) for E in (A, B))
-        Y, ok = _crossings(pieces[i].region, pieces[j].region, P, Q)
-        ok &= pieces[i].region.interior(P) & pieces[j].region.interior(Q)
-        nearby[pair] = np.where(ok[:, None], Y, np.nan).reshape(len(pair), len(scales), family.dim)
-
-    # stability: per boundary point, the nearby points are tried scale by scale
-    # until one keeps its active index and value. A point (boundary or nearby)
-    # inside a region ends its trial: there the regions overlap
+    # stability: per boundary point, a nearby boundary point is tried scale by
+    # scale until one keeps its active index and value. At each scale the
+    # points still in the trial are re-bisected, pair by pair, between anchors
+    # shifted transverse to the crossing segment by the scale, so the new
+    # crossing moves along the boundary. A point (boundary or nearby) inside a
+    # region ends its trial: there the regions overlap
     overlap, seen = np.where(kx == "interior", np.argmax(mx, axis=0), -1), X.copy()
     ix = np.full(len(X), -1)
     ix[overlap < 0] = active_indices(X[overlap < 0], wx[overlap < 0], tx[:, overlap < 0])
+    shift = np.zeros_like(X)
+    shift[np.arange(len(X)), np.argmin(np.abs(B - A), axis=1)] = 1.0 + _norms(X)
     tried, kept = np.zeros(len(X), dtype=bool), np.zeros(len(X), dtype=bool)
-    for Y in nearby.transpose(1, 0, 2):
-        live = np.flatnonzero((overlap < 0) & ~kept & ~np.isnan(Y).any(axis=1))
-        live = live[_norms(Y[live] - X[live]) > 0]
-        wy, ky, my, ty = W.glue(Y[live])
+    for scale in (1e-4, 1e-5, 1e-6, 1e-7):
+        live = np.flatnonzero((overlap < 0) & ~kept)
+        if not live.size:
+            break
+        Y = np.empty((len(live), family.dim))
+        for i, j in set(zip(I[live].tolist(), J[live].tolist())):
+            pair = (I[live] == i) & (J[live] == j)
+            P, Q = (E[live[pair]] + scale * shift[live[pair]] for E in (A, B))
+            Z, ok = _crossings(pieces[i].region, pieces[j].region, P, Q)
+            ok &= pieces[i].region.interior(P) & pieces[j].region.interior(Q)
+            Y[pair] = np.where(ok[:, None], Z, np.nan)
+        moved = _norms(Y - X[live]) > 0  # False where no crossing was found (NaN)
+        live, Y = live[moved], Y[moved]
+        wy, ky, my, ty = W.glue(Y)
         hit = ky == "interior"
-        overlap[live[hit]], seen[live[hit]] = np.argmax(my[:, hit], axis=0), Y[live[hit]]
-        live, wy, ty = live[~hit], wy[~hit], ty[:, ~hit]
-        iy = active_indices(Y[live], wy, ty)
+        overlap[live[hit]], seen[live[hit]] = np.argmax(my[:, hit], axis=0), Y[hit]
+        live, Y, wy, ty = live[~hit], Y[~hit], wy[~hit], ty[:, ~hit]
+        iy = active_indices(Y, wy, ty)
         tried[live] = True
         kept[live] = (iy == ix[live]) & (wy == ty[ix[live], np.arange(len(live))])
     stability = _batch_check(

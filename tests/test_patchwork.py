@@ -206,6 +206,19 @@ class TestGluedEvaluation:
         val, active = self.W.eval(x)
         assert val == self.W.family.piece_value(0, x)
 
+    def test_interior_glue_walks_only_the_owner_piece(self):
+        class Unread:
+            def eval(self, coords):
+                raise AssertionError("glue walked a piece that counts on no row")
+
+        x = np.array([0.37, -1.2])
+        want = self.W.family.piece_value(0, x)
+        self.W.family.pieces[1].V = Unread()
+        values, kind, _, table = self.W.glue(x[None])
+        assert kind.tolist() == ["interior"]
+        assert values[0] == table[0, 0] == want
+        assert table[1, 0] == -np.inf
+
 
 class TestActiveIndex:
     def test_larger_offset_wins(self):
@@ -475,6 +488,20 @@ class TestPinnedBoundaryChecks:
     def test_registry_family_radius_3(self):
         W, _ = registry.patchwork_halfplanes(seed=0)
         assert verify_patchwork(W, 3.0, samples=10_000, seed=0).lines() == passing_lines(10_000, 64)
+
+    def test_stability_bisects_only_the_points_still_in_the_trial(self, monkeypatch):
+        # every boundary point of the registry family keeps its active index at
+        # the first scale: the boundary sampling and that scale bisect, no other
+        W, _ = registry.patchwork_halfplanes(seed=0)
+        rows, crossings = [], patchwork._crossings
+
+        def counting(ri, rj, P, Q):
+            rows.append(len(P))
+            return crossings(ri, rj, P, Q)
+
+        monkeypatch.setattr(patchwork, "_crossings", counting)
+        assert verify_patchwork(W, 2.0, samples=500, seed=0).lines() == passing_lines(500, 64)
+        assert rows == [64, 64]
 
     def test_equal_offsets_warn_at_the_recorded_points(self, caplog):
         W, _ = registry.patchwork_halfplanes(offsets=[0.1, 0.1])

@@ -97,8 +97,8 @@ def subtrees(t):
             yield from subtrees(getattr(t, slot))
 
 
-def transcendental(t):
-    return any(isinstance(s, Func) for s in subtrees(t))
+def calls_sin_or_cos(t):
+    return any(isinstance(s, Func) and s.name in ("sin", "cos") for s in subtrees(t))
 
 
 def to_sympy(t):
@@ -221,8 +221,8 @@ def per_point(fn, cols):
 
 def assert_batch_equals_points(batch, pointwise, ts, s):
     batch = np.broadcast_to(batch, pointwise.shape)
-    if any(transcendental(t) for t in ts):
-        # sin, cos and exp run NumPy's vector loops on arrays and math on scalars;
+    if any(calls_sin_or_cos(t) for t in ts):
+        # sin and cos run NumPy's vector loops on arrays and math on scalars;
         # the two may differ in the last bit, and later operations carry that along
         np.testing.assert_allclose(batch, pointwise, rtol=0, atol=16 * EPS * (1.0 + s) ** 2)
     else:
@@ -236,6 +236,30 @@ def test_batch_values_equal_per_point_values(t, pts):
     s = max(largest_intermediate([t], [np.float64(c) for c in pt]) for pt in pts)
     batch = np.asarray(t.eval(cols), dtype=float)
     assert_batch_equals_points(batch, per_point(t.eval, cols), [t], s)
+
+
+def _exp_branches(children):
+    return st.one_of(
+        st.builds(Add, children, children),
+        st.builds(Sub, children, children),
+        st.builds(Mul, children, children),
+        st.builds(Func, st.just("exp"), children),
+    )
+
+
+exp_trees = st.recursive(leaves, _exp_branches, max_leaves=6).map(lambda t: Func("exp", t))
+
+
+@PROPERTY
+@given(exp_trees, st.lists(points, min_size=1, max_size=16))
+def test_exp_tree_keeps_its_bits_from_point_to_batch(t, pts):
+    # exp is NumPy's on scalars and arrays alike, so a point evaluated alone
+    # and the same point in a batch give the same bits
+    cols = [np.array(c) for c in zip(*pts)]
+    for pt in pts:  # discards examples that leave the float range
+        largest_intermediate([t], [np.float64(c) for c in pt])
+    batch = np.broadcast_to(t.eval(cols), (len(pts),))
+    assert np.array_equal(batch, per_point(t.eval, cols)), repr(t)
 
 
 @PROPERTY
