@@ -90,9 +90,16 @@ def ball_points(dim, count, radius, seed=0):
     if not radius > 0:
         raise ValueError("ball radius must be positive, got %r" % (radius,))
     count = int(count)
-    out = np.empty((0, dim))
+    share = math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) / 2.0**dim  # the ball's share of its cube
     sampler = _Halton(dim, seed)
-    while len(out) < count:
-        x = radius * (2.0 * sampler.random(max(count, 128)) - 1.0)
-        out = np.concatenate([out, x[np.linalg.norm(x, axis=1) <= radius]])
-    return out[:count]
+    chunks = [np.empty((0, dim))]
+    kept = 0
+    while kept < count:
+        # a point's bits do not depend on how the draws are chunked, so each
+        # draw is sized for the points still missing, in draws of 128 to 2^16
+        size = min(max(math.ceil((count - kept) / share), 128), 1 << 16)
+        x = radius * (2.0 * sampler.random(size) - 1.0)
+        x = x[np.linalg.norm(x, axis=1) <= radius]
+        chunks.append(x)
+        kept += len(x)
+    return np.concatenate(chunks)[:count]

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ControllerError, NoCertifiedStepError, NotStabilizableError
 from .odeint import IntegrationConfig, integrate, max_excursion, rk4_autonomous_step
 from .patchwork import DOUBLING, active_indices
-from .sysmodel import ControlSignal, GeneralSystem, make_uniform_partition, state_vector, zero_signal
+from .sysmodel import ControlSignal, make_uniform_partition, state_vector, zero_signal
 from .synth import synthesize_gain
 
 MARGINAL_TOL = 1e-10
@@ -29,6 +29,23 @@ class ZeroController:
 
     def plan(self, xi, eps):
         return zero_signal(eps, self.dim_input)
+
+
+class _ModelSystem:
+    """The internal model dx/dt = field(x) as a system ``integrate`` can run.
+
+    Unlike GeneralSystem it does not evaluate the field at the origin: the
+    frozen-gain field (A(0) + B(0) F) 0 vanishes because A(0) and B(0) are
+    finite, which the plant checked when it was built.
+    """
+
+    def __init__(self, dim_state, dim_input, field):
+        self.dim_state = dim_state
+        self.dim_input = dim_input
+        self._field = field
+
+    def rhs(self, x, _u):
+        return self._field(x)
 
 
 class FrozenGainController:
@@ -71,7 +88,7 @@ class FrozenGainController:
             return sig
 
         model_field = self.sys.closed_loop_field(F)
-        model_sys = GeneralSystem(self.sys.dim_state, m, lambda x, _u: model_field(x))
+        model_sys = _ModelSystem(self.sys.dim_state, m, model_field)
         # first_stage[k] = model_field(states[k]): the first stage of every
         # playback substep from grid point k, recorded by the model run
         first_stage = []

@@ -15,8 +15,15 @@ at the small n used here), accepted by its backward error
 |A_cl'P + P A_cl + I| <= tol (2 |A_cl| |P| + |I|) so that the check scales
 with the problem, and the largest verified decay constant k with
 x'P A_cl x <= -k |x|^2 is reported.
+
+Controllability is checked first with the PBH rank test: one batched SVD
+over the pencils [A - lam I, B] of every mode with Re lam >= -AXIS_TOL.
+At the n <= 12 of a sampled-data run the cost is NumPy call overhead, not
+LAPACK, so the Hamiltonian and the Kronecker operator are built in place
+from the same products np.block and np.kron form, and keep their bits.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +45,44 @@ def _square(A, name="matrix"):
         A = A.reshape(1, 1)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("%s must be square" % name)
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("%s must have finite entries" % name)
     return A
+
+
+def _fro(X):
+    """Frobenius norm of a real matrix, as np.linalg.norm computes it (same bits)."""
+    x = X.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
+def _lyapunov_operator(A, eye):
+    """kron(A', I) + kron(I, A') from the broadcast products np.kron forms (same bits)."""
+    n2 = A.size
+    At = A.T
+    L = (At[:, None, :, None] * eye[None, :, None, :]).reshape(n2, n2)
+    L += (eye[:, None, :, None] * At[None, :, None, :]).reshape(n2, n2)
+    return L
+
+
+def _hamiltonian(A, BBt, eye):
+    """The Riccati Hamiltonian [[A, -BB'], [-I, -A']], built in place."""
+    n = A.shape[0]
+    H = np.empty((2 * n, 2 * n))
+    H[:n, :n] = A
+    H[:n, n:] = -BBt
+    H[n:, :n] = -eye
+    H[n:, n:] = -A.T
+    return H
+
+
+def _smallest_singular_values(A, B, modes, eye):
+    """Smallest singular value of [A - lam I, B] for each lam in modes: one batched SVD."""
+    n = A.shape[0]
+    pencils = np.empty((modes.size, n, n + B.shape[1]), dtype=modes.dtype)
+    pencils[:, :, :n] = A - modes[:, None, None] * eye
+    pencils[:, :, n:] = B
+    return np.linalg.svd(pencils, compute_uv=False)[:, -1]
 
 
 def spectral_abscissa(A):
@@ -50,7 +92,7 @@ def spectral_abscissa(A):
         w = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("eigensolver did not converge: %s" % exc) from exc
-    return float(np.max(w.real))
+    return float(w.real.max())
 
 
 def solve_lyapunov(A, Q):
@@ -69,15 +111,14 @@ def solve_lyapunov(A, Q):
         raise ValueError("A and Q must have matching shapes")
     if n > LYAP_MAX_DIM:
         raise ValueError("Kronecker Lyapunov solve is limited to n <= %d" % LYAP_MAX_DIM)
-    if np.max(np.abs(Q - Q.T)) > 1e-12 * (1.0 + np.max(np.abs(Q))):
+    if abs(Q - Q.T).max() > 1e-12 * (1.0 + abs(Q).max()):
         raise ValueError("Q must be symmetric")
-    if np.min(np.linalg.eigvalsh((Q + Q.T) / 2)) <= 0:
+    if np.linalg.eigvalsh((Q + Q.T) / 2).min() <= 0:
         raise ValueError("Q must be positive definite")
     if spectral_abscissa(A) >= 0:
         raise ValueError("A must be Hurwitz for the Lyapunov equation to have a PD solution")
 
-    eye = np.eye(n)
-    L = np.kron(A.T, eye) + np.kron(eye, A.T)
+    L = _lyapunov_operator(A, np.eye(n))
     rhs = -Q.reshape(-1)
     # One LU factorization serves the solve and every refinement step.
     # LAPACK's getrf/getrs are called directly: scipy's lu_factor/lu_solve
@@ -88,23 +129,23 @@ def solve_lyapunov(A, Q):
     p = dgetrs(lu, piv, rhs)[0]
     # a couple of refinement steps keep the residual at machine level
     # even when the closed loop is nearly marginal
+    r_tol = 1e-14 * (1.0 + abs(rhs).max())
     for _ in range(3):
         r = rhs - L @ p
-        if np.max(np.abs(r)) <= 1e-14 * (1.0 + np.max(np.abs(rhs))):
+        if abs(r).max() <= r_tol:
             break
         p = p + dgetrs(lu, piv, r)[0]
     P = p.reshape(n, n)
     P = (P + P.T) / 2
 
-    residual = float(np.linalg.norm(A.T @ P + P @ A + Q, "fro"))
-    scale = 2.0 * float(np.linalg.norm(A, "fro")) * float(np.linalg.norm(P, "fro"))
-    scale += float(np.linalg.norm(Q, "fro"))
+    residual = _fro(A.T @ P + P @ A + Q)
+    scale = 2.0 * _fro(A) * _fro(P) + _fro(Q)
     if residual > LYAP_BACKWARD_TOL * scale:
         raise NumericalFailure(
             "Lyapunov backward error %.3e exceeds tolerance %.3e (residual %.3e)"
             % (residual / scale, LYAP_BACKWARD_TOL, residual)
         )
-    if np.min(np.linalg.eigvalsh(P)) <= 0:
+    if np.linalg.eigvalsh(P).min() <= 0:
         raise NumericalFailure("Lyapunov solution is not positive definite")
     return P
 
@@ -144,28 +185,28 @@ def synthesize_gain(A, B):
         B = B.reshape(1, 1)
     if B.ndim == 1:
         B = B.reshape(n, 1)
-    if B.shape[0] != n or not np.all(np.isfinite(B)):
+    if B.shape[0] != n or not np.isfinite(B).all():
         raise ValueError("B must be n x m with finite entries")
+    eye = np.eye(n)
 
-    scale = 1.0 + float(np.max(np.abs(A))) + float(np.max(np.abs(B)))
-    for lam in np.linalg.eigvals(A):
-        if lam.real >= -AXIS_TOL:
-            pencil = np.hstack([A - lam * np.eye(n), B])
-            if np.linalg.svd(pencil, compute_uv=False)[-1] <= AXIS_TOL * scale:
-                raise NotStabilizableError(
-                    "uncontrollable mode with eigenvalue %s" % np.round(lam, 6)
-                )
+    # PBH rank test on the modes with Re lam >= -AXIS_TOL, in eigenvalue
+    # order, so the first uncontrollable one is named
+    scale = 1.0 + float(abs(A).max()) + float(abs(B).max())
+    w = np.linalg.eigvals(A)
+    modes = w[w.real >= -AXIS_TOL]
+    for lam, s in zip(modes, _smallest_singular_values(A, B, modes, eye)):
+        if s <= AXIS_TOL * scale:
+            raise NotStabilizableError("uncontrollable mode with eigenvalue %s" % np.round(lam, 6))
 
     BBt = B @ B.T
-    H = np.block([[A, -BBt], [-np.eye(n), -A.T]])
     try:
-        w, V = np.linalg.eig(H)
+        w, V = np.linalg.eig(_hamiltonian(A, BBt, eye))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("Hamiltonian eigendecomposition failed") from exc
-    if np.min(np.abs(w.real)) <= AXIS_TOL:
+    if abs(w.real).min() <= AXIS_TOL:
         raise NotStabilizableError("Hamiltonian eigenvalue on the imaginary axis")
     stable = w.real < 0
-    if int(np.sum(stable)) != n:
+    if np.count_nonzero(stable) != n:
         raise NumericalFailure("stable Hamiltonian subspace has wrong dimension")
     U = V[:, stable]
     U1, U2 = U[:n], U[n:]
@@ -173,7 +214,7 @@ def synthesize_gain(A, B):
     if n * np.finfo(float).eps * sv[0] > CARE_TOL * sv[-1]:
         # the graph solve would lose more than CARE_TOL: use the balanced Schur solver
         try:
-            Pr = scipy.linalg.solve_continuous_are(A, B, np.eye(n), np.eye(B.shape[1]))
+            Pr = scipy.linalg.solve_continuous_are(A, B, eye, np.eye(B.shape[1]))
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure("Schur Riccati solve failed: %s" % exc) from exc
     else:
@@ -181,11 +222,11 @@ def synthesize_gain(A, B):
             Pr = np.linalg.solve(U1.T, U2.T).T
         except np.linalg.LinAlgError as exc:
             raise NotStabilizableError("stable subspace is not a graph over the state space") from exc
-        Pr = np.real(Pr)
+        Pr = Pr.real
     Pr = (Pr + Pr.T) / 2
 
-    care_res = float(np.linalg.norm(A.T @ Pr + Pr @ A - Pr @ BBt @ Pr + np.eye(n), "fro"))
-    care_scale = 1.0 + float(np.linalg.norm(Pr, "fro")) ** 2 * (1.0 + float(np.linalg.norm(BBt)))
+    care_res = _fro(A.T @ Pr + Pr @ A - Pr @ BBt @ Pr + eye)
+    care_scale = 1.0 + _fro(Pr) ** 2 * (1.0 + _fro(BBt))
     if care_res > CARE_TOL * care_scale:
         raise NumericalFailure("Riccati residual %.3e too large" % care_res)
 
@@ -195,9 +236,9 @@ def synthesize_gain(A, B):
     if abscissa >= 0:
         raise NumericalFailure("synthesized gain failed to stabilize (abscissa %.3e)" % abscissa)
 
-    P = solve_lyapunov(Acl, np.eye(n))
+    P = solve_lyapunov(Acl, eye)
     S = (P @ Acl + Acl.T @ P) / 2
-    decay = -float(np.max(np.linalg.eigvalsh(S)))
+    decay = -float(np.linalg.eigvalsh(S).max())
     if decay <= 0:
         raise NumericalFailure("no verifiable decay constant")
     return GainSynthesisResult(gain=F, lyapunov=P, decay=decay, abscissa=abscissa, riccati=Pr)

@@ -22,6 +22,16 @@ def test_ball_points_rejects_a_non_positive_radius(radius):
         ball_points(2, 10, radius)
 
 
+@pytest.mark.parametrize("dim", [1, 3, 6, 8])
+def test_ball_points_do_not_depend_on_the_draw_sizes(dim):
+    # one large draw, scaled and filtered, keeps the same rows as ball_points' sized draws
+    count, radius = 500, 1.5
+    x = radius * (2.0 * unit_points(dim, 100 * count, seed=2) - 1.0)
+    want = x[np.linalg.norm(x, axis=1) <= radius][:count]
+    assert want.shape == (count, dim)
+    assert ball_points(dim, count, radius, seed=2).tobytes() == want.tobytes()
+
+
 # SHA-256 of the C-order float64 bytes of each draw. Every statistical check
 # and every ball-sampled synthesis reads these sequences, so a change of
 # sampler, scrambling or seeding moves a digest.

@@ -337,6 +337,22 @@ class TestConstantInputMatrix:
                 jf.excursion_ratio,
             )
 
+    def test_plan_does_not_evaluate_A_at_the_origin(self):
+        # the model run starts at the sample; A(0) was checked when the system was built
+        system = registry.statedep_2d()
+        A = system.A
+        at_origin = []
+
+        def counted(x):
+            if not np.any(x):
+                at_origin.append(1)
+            return A(x)
+
+        system.A = counted
+        sig = FrozenGainController(system).plan([0.5, 0.5], 0.05)
+        assert len(sig.info["model"].times) > 1
+        assert at_origin == []
+
     def test_replaced_A_is_evaluated(self):
         # a counting wrapper installed after construction must see every A(x)
         system = registry.statedep_2d()

@@ -7,6 +7,9 @@ from scipy.linalg import solve_continuous_are
 from sdstab.errors import NotStabilizableError
 from sdstab.synth import (
     UniformBounds,
+    _hamiltonian,
+    _lyapunov_operator,
+    _smallest_singular_values,
     solve_lyapunov,
     spectral_abscissa,
     synthesize_gain,
@@ -142,6 +145,65 @@ class TestGainSynthesis:
     def test_decay_is_half_for_identity_cost(self):
         res = synthesize_gain([[0.0, 1.0], [2.0, -1.0]], [[0.0], [1.0]])
         assert res.decay == pytest.approx(0.5, abs=1e-9)
+
+    def test_names_the_first_uncontrollable_unstable_mode(self):
+        # both modes are unstable; B reaches the first one only
+        with pytest.raises(NotStabilizableError, match=r"uncontrollable mode with eigenvalue 2\.0$"):
+            synthesize_gain(np.diag([1.0, 2.0]), [[1.0], [0.0]])
+
+    def test_uncontrollable_complex_unstable_pair(self):
+        # eigenvalues 0.1 +- i on the first two states; B drives only the stable third
+        A = np.array([[0.1, 1.0, 0.0], [-1.0, 0.1, 0.0], [0.0, 0.0, -1.0]])
+        with pytest.raises(NotStabilizableError, match="uncontrollable mode"):
+            synthesize_gain(A, [[0.0], [0.0], [1.0]])
+
+    def test_dimension_cap(self):
+        with pytest.raises(ValueError, match="n <= 20"):
+            synthesize_gain(-np.eye(21), np.eye(21))
+
+
+def construction_inputs():
+    """Seeded real matrices, and matrices with complex eigenvalues and signed zeros."""
+    rng = np.random.default_rng(15)
+    for n in range(1, 9):
+        yield rng.standard_normal((n, n)), rng.standard_normal((n, int(rng.integers(1, 3))))
+    for n in (2, 4, 6):
+        # rotation blocks (eigenvalues near a +- i b) with every zero entry -0.0; B has signed zeros
+        A = np.zeros((n, n))
+        for k in range(0, n, 2):
+            a, b = rng.standard_normal(2)
+            A[k : k + 2, k : k + 2] = [[a, b], [-b, a]]
+        A += np.round(rng.standard_normal((n, n)), 0) * 1e-3
+        A[A == 0] = -0.0
+        yield A, np.round(rng.standard_normal((n, 1)))
+
+
+class TestConstructionsKeepNumPysBits:
+    @pytest.mark.parametrize("A, B", list(construction_inputs()))
+    def test_lyapunov_operator_is_kron(self, A, B):
+        eye = np.eye(A.shape[0])
+        want = np.kron(A.T, eye) + np.kron(eye, A.T)
+        got = _lyapunov_operator(A, eye)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("A, B", list(construction_inputs()))
+    def test_hamiltonian_is_block(self, A, B):
+        eye = np.eye(A.shape[0])
+        BBt = B @ B.T
+        want = np.block([[A, -BBt], [-eye, -A.T]])
+        got = _hamiltonian(A, BBt, eye)
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+    @pytest.mark.parametrize("A, B", list(construction_inputs()))
+    def test_batched_pencil_svd_is_per_pencil_svd(self, A, B):
+        n = A.shape[0]
+        eye = np.eye(n)
+        for modes in (np.linalg.eigvals(A), np.linalg.eigvals(A + A.T)):  # complex, then real
+            want = [np.linalg.svd(np.hstack([A - lam * eye, B]), compute_uv=False)[-1] for lam in modes]
+            got = _smallest_singular_values(A, B, modes, eye)
+            assert got.tobytes() == np.array(want).tobytes()
 
 
 class TestUniformBounds:
