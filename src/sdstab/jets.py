@@ -10,11 +10,21 @@ coefficients that are jets in a second, independent parameter.
 
 All binary operations between two jets require equal truncation order,
 which holds by construction everywhere in this package. A scalar operand
-acts as a constant jet. Integer powers are repeated products on every ring,
-so a polynomial gives the same bits on an array as element by element;
-so does ``exp``, which is NumPy's on scalars too (past the float range a
-scalar raises ``OverflowError``, as :func:`math.exp` does). ``sin`` and
-``cos`` use :mod:`math` on scalars and NumPy on arrays.
+acts as a constant jet, and dividing by one divides every coefficient.
+Integer powers are repeated products on every ring, so a polynomial gives
+the same bits on an array as element by element; so does ``exp``, which is
+NumPy's on scalars too (past the float range a scalar raises
+``OverflowError``, as :func:`math.exp` does). ``sin`` and ``cos`` use
+:mod:`math` on scalars and NumPy on arrays. Coefficient 0 of every
+operation is the plain operation on coefficients 0, so coefficient 0 of a
+jet evaluation is the plain evaluation, bit for bit.
+
+Every jet the package builds is first order (``x + t·d``), so the ring
+operations unroll that order: the same products and sums in the same order
+as the general Cauchy loop, which higher orders still take. A first-order
+square forms its slope ``a0*a1 + a1*a0`` as ``(a0*a1)*2.0``. That is exact:
+products commute bitwise at every nesting level, and ``x + x == x*2.0`` in
+IEEE arithmetic, overflow and signed zero included.
 """
 
 import math
@@ -52,42 +62,60 @@ class Jet:
         return "Jet(%s)" % (list(self.coeffs),)
 
     # -- ring operations ---------------------------------------------------
+    # First-order jets (the only order the package builds) take unrolled paths
+    # that form the same products and sums, in the same order, as the loops.
 
     def __add__(self, other):
+        a = self.coeffs
         if isinstance(other, Jet):
-            return Jet([a + b for a, b in zip(self.coeffs, other.coeffs)])
-        return Jet((self.coeffs[0] + other,) + self.coeffs[1:])
+            b = other.coeffs
+            if len(a) == 2:
+                return _jet((a[0] + b[0], a[1] + b[1]))
+            return _jet(tuple([x + y for x, y in zip(a, b)]))
+        return _jet((a[0] + other,) + a[1:])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet([-c for c in self.coeffs])
+        a = self.coeffs
+        if len(a) == 2:
+            return _jet((-a[0], -a[1]))
+        return _jet(tuple([-c for c in a]))
 
     def __sub__(self, other):
+        a = self.coeffs
         if isinstance(other, Jet):
-            return Jet([a - b for a, b in zip(self.coeffs, other.coeffs)])
-        return Jet((self.coeffs[0] - other,) + self.coeffs[1:])
+            b = other.coeffs
+            if len(a) == 2:
+                return _jet((a[0] - b[0], a[1] - b[1]))
+            return _jet(tuple([x - y for x, y in zip(a, b)]))
+        return _jet((a[0] - other,) + a[1:])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        a = self.coeffs
         if not isinstance(other, Jet):
-            return Jet([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
+            if len(a) == 2:
+                return _jet((a[0] * other, a[1] * other))
+            return _jet(tuple([c * other for c in a]))
+        b = other.coeffs
+        if len(a) == 2:
+            return _jet((a[0] * b[0], a[0] * b[1] + a[1] * b[0]))
         out = []
         for k in range(len(a)):
             s = a[0] * b[k]
             for j in range(1, k + 1):
                 s = s + a[j] * b[k - j]
             out.append(s)
-        return Jet(out)
+        return _jet(tuple(out))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return self * (1.0 / other)
+            return _jet(tuple([c / other for c in self.coeffs]))
         p, q = self.coeffs, other.coeffs
         d = [p[0] / q[0]]
         for k in range(1, len(p)):
@@ -99,6 +127,16 @@ class Jet:
 
     def __rtruediv__(self, other):
         return lift(other, self) / self
+
+
+_new = object.__new__
+
+
+def _jet(coeffs):
+    """A Jet on a coefficient tuple built by a ring operation (no copy, no check)."""
+    out = _new(Jet)
+    out.coeffs = coeffs
+    return out
 
 
 # -- elementary functions (work on every scalar of the ring and on jets) -------
@@ -165,8 +203,16 @@ def jpow(u, p):
             acc = base if acc is None else acc * base
         n >>= 1
         if n:
-            base = base * base
+            base = _square(base)
     return acc
+
+
+def _square(u):
+    """u * u, bit for bit; a first-order jet forms its slope as (a0*a1)*2.0 (see the module notes)."""
+    if isinstance(u, Jet) and len(u.coeffs) == 2:
+        a0, a1 = u.coeffs
+        return _jet((_square(a0), (a0 * a1) * 2.0))
+    return u * u
 
 
 # -- extraction helpers ------------------------------------------------------

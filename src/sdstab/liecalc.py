@@ -12,6 +12,7 @@ numerical policy; every report carries the tolerances it used.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -81,7 +82,12 @@ class ExprVectorField(VectorField):
 
 
 class BracketField(VectorField):
-    """Commutator [X, Y] = DY·X - DX·Y as a lazily differentiated field."""
+    """Commutator [X, Y] = DY·X - DX·Y as a lazily differentiated field.
+
+    Y is evaluated once, on the jets x + t·X(x): coefficient 0 of every ring
+    operation is the plain operation on coefficients 0, so that walk's values
+    are Y(x) bit for bit and give the direction of DX·Y.
+    """
 
     def __init__(self, X, Y):
         if X.dim != Y.dim or X.odim != Y.odim or X.dim != X.odim:
@@ -93,7 +99,7 @@ class BracketField(VectorField):
 
     def eval(self, coords):
         dy_x = _along(self.Y, coords, self.X.eval(coords))
-        dx_y = _along(self.X, coords, self.Y.eval(coords))
+        dx_y = _along(self.X, coords, [coeff(w, 0) for w in dy_x])
         return [coeff(a, 1) - coeff(b, 1) for a, b in zip(dy_x, dx_y)]
 
     def __repr__(self):
@@ -235,6 +241,19 @@ def _monomial_sequences(monomials, budget):
             yield (m,) + rest
 
 
+@cache
+def _clause_sequences(n_max, N):
+    """(sequence, name) of every annihilation clause of grade N under the n_max monomials.
+
+    The clauses depend on (n_max, N) only, so they are built once; tuples keep
+    the cache immutable.
+    """
+    monomials = [m for m in bracket_monomials(n_max) if bracket_order(m) <= N]
+    return tuple(
+        (seq, "".join(tree_label(t) for t in seq) + "V") for seq in _monomial_sequences(monomials, N)
+    )
+
+
 # -- condition reports and pointwise checkers ----------------------------------
 
 
@@ -266,7 +285,7 @@ def check_prop1_point(sys, V, x, n_max=4):
     if not 1 <= n_max <= 4:
         raise ValueError("n_max must be between 1 and 4")
     x = np.asarray(x, dtype=float)
-    if float(np.max(np.abs(x))) == 0.0:
+    if float(abs(x).max()) == 0.0:
         raise ValueError("the origin is excluded from pointwise checks")
     xs = list(x)
 
@@ -289,7 +308,6 @@ def check_prop1_point(sys, V, x, n_max=4):
     if fv < -tau_fv:
         return ConditionReport(x, FV_NEGATIVE, witnesses, taus)
 
-    monomials = bracket_monomials(n_max)
     drift_powers = {}
     W = V
     for j in range(1, n_max + 2):
@@ -304,13 +322,10 @@ def check_prop1_point(sys, V, x, n_max=4):
                 vanished = False
                 break
         if vanished:
-            for seq in _monomial_sequences(
-                [m for m in monomials if bracket_order(m) <= N], N
-            ):
+            for seq, name in _clause_sequences(n_max, N):
                 W = V
                 for t in reversed(seq):
                     W = LieDerivative(tree_field(t, f, g), W)
-                name = "".join(tree_label(t) for t in seq) + "V"
                 val, tau = record(name, W)
                 if abs(val) > tau:
                     vanished = False
@@ -350,7 +365,7 @@ def check_corollary1_point(F, V, W, region, p):
     x-part vanishes).
     """
     p = np.asarray(p, dtype=float)
-    if float(np.max(np.abs(p))) == 0.0:
+    if float(abs(p).max()) == 0.0:
         raise ValueError("the origin is excluded from pointwise checks")
     n = V.dim
     if F.dim != n + 1 or F.odim != n or W.dim != n + 1:
@@ -362,14 +377,14 @@ def check_corollary1_point(F, V, W, region, p):
     taus = {}
 
     if region == "D1":
-        if float(np.max(np.abs(x))) <= ZERO_TOL:
+        if float(abs(x).max()) <= ZERO_TOL:
             return ConditionReport(
                 p, FAIL, witnesses, taus, detail="x-part vanishes on a region that forbids it"
             )
         dv = gradient(V, x)
         fxy = np.array([float(v) for v in F.eval(list(p))])
         dvf = float(dv @ fxy)
-        tau = ZERO_TOL * (1.0 + float(np.max(np.abs(dv))) + float(np.max(np.abs(fxy))))
+        tau = ZERO_TOL * (1.0 + float(abs(dv).max()) + float(abs(fxy).max()))
         witnesses["DV·F"] = dvf
         taus["DV·F"] = tau
         if dvf < -tau:
@@ -377,7 +392,7 @@ def check_corollary1_point(F, V, W, region, p):
         if abs(dvf) <= tau:
             dfdy = [coeff(w, 1) for w in _along(F, list(p), y_dir)]
             dvdfdy = float(dv @ np.array([float(v) for v in dfdy]))
-            tau2 = ZERO_TOL * (1.0 + float(np.max(np.abs(dv))) + max(abs(float(v)) for v in dfdy))
+            tau2 = ZERO_TOL * (1.0 + float(abs(dv).max()) + max(abs(float(v)) for v in dfdy))
             witnesses["DV·dF/dy"] = dvdfdy
             taus["DV·dF/dy"] = tau2
             if abs(dvdfdy) > tau2:
@@ -385,14 +400,15 @@ def check_corollary1_point(F, V, W, region, p):
         return ConditionReport(p, FAIL, witnesses, taus, detail="no decrease clause holds")
 
     if region == "D2":
-        wy = float(coeff(_along(W, list(p), y_dir), 1))
-        tau = ZERO_TOL * (1.0 + abs(wy) + abs(float(W.eval(list(p)))))
+        w = _along(W, list(p), y_dir)
+        wy = float(coeff(w, 1))
+        wval = float(coeff(w, 0))  # W(p), bit for bit
+        tau = ZERO_TOL * (1.0 + abs(wy) + abs(wval))
         witnesses["dW/dy"] = wy
         taus["dW/dy"] = tau
         if abs(wy) <= tau:
             return ConditionReport(p, FAIL, witnesses, taus, detail="dW/dy vanishes")
-        if float(np.max(np.abs(x))) <= ZERO_TOL:
-            wval = float(W.eval(list(p)))
+        if float(abs(x).max()) <= ZERO_TOL:
             witnesses["W"] = wval
             taus["W"] = tau
             if wval <= tau:

@@ -1,10 +1,13 @@
 """Bracket algebra, Lie derivatives, and the pointwise condition checkers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from sdstab import liecalc, registry
 from sdstab.exprs import Add, Const, Mul, Var, parse_scalar, coord_names
+from sdstab.jets import coeff
 from sdstab.liecalc import (
     EVEN_BRACKET_NEGATIVE,
     DRIFT_POWER_NEGATIVE,
@@ -89,6 +92,21 @@ class TestBrackets:
         Y = ExprVectorField.from_text("0, 0, x1", 3)
         x = [0.5, -1.5, 2.5]
         np.testing.assert_allclose(BracketField(X, Y)(x), [0.0, -0.5, -1.5], atol=1e-14)
+
+    def test_one_walk_of_y_gives_the_two_walk_bits(self):
+        # Y(x) is read off the jet walk of Y along X(x): coefficient 0 is the plain value
+        X = ExprVectorField.from_text("x2/3 - x1^-2, exp(x1)*cos(x2)", 2)
+        Y = ExprVectorField.from_text("(2 - sin(x1*x2)^3)/7, (x1 - 0.7)/(1.5 + x2^2) - x2^4", 2)
+        rng = np.random.default_rng(5)
+        for x in np.concatenate([rng.standard_normal((20, 2)) * scale for scale in (1e-3, 1.0, 10.0)]):
+            xs = list(x)
+            dy_x = liecalc._along(Y, xs, X.eval(xs))
+            dx_y = liecalc._along(X, xs, Y.eval(xs))
+            two_walks = [coeff(a, 1) - coeff(b, 1) for a, b in zip(dy_x, dx_y)]
+            assert [float.hex(float(v)) for v in BracketField(X, Y).eval(xs)] == [
+                float.hex(float(v)) for v in two_walks
+            ]
+            assert [float.hex(float(coeff(w, 0))) for w in dy_x] == [float.hex(float(v)) for v in Y.eval(xs)]
 
     def test_dimension_mismatch(self):
         X = ExprVectorField.from_text("x1", 1)
@@ -261,8 +279,20 @@ class TestPointwiseChecker:
 
     def test_n_max_validated(self):
         V = ExprScalarField.from_text("0.5*x1^2", 2)
-        with pytest.raises(ValueError):
-            check_prop1_point(integrator_system(), V, [1.0, 0.0], n_max=7)
+        for n_max in (0, 5, 7):
+            with pytest.raises(ValueError):
+                check_prop1_point(integrator_system(), V, [1.0, 0.0], n_max=n_max)
+
+    def test_clause_sequences_are_the_generators_output(self):
+        for n_max in range(1, 5):
+            monomials = bracket_monomials(n_max)
+            for N in range(1, n_max + 1):
+                cached = liecalc._clause_sequences(n_max, N)
+                seqs = list(liecalc._monomial_sequences([m for m in monomials if bracket_order(m) <= N], N))
+                assert isinstance(cached, tuple) and all(isinstance(c, tuple) for c in cached)
+                assert [seq for seq, _ in cached] == seqs
+                assert [name for _, name in cached] == ["".join(tree_label(t) for t in s) + "V" for s in seqs]
+                assert liecalc._clause_sequences(n_max, N) is cached
 
 
 class TestIntegratorFormChecker:
@@ -307,3 +337,38 @@ class TestIntegratorFormChecker:
     def test_region_name_validated(self):
         with pytest.raises(ValueError):
             check_corollary1_point(self.F, self.V, self.W, "D3", [1.0, 0.0])
+
+
+# SHA-256 of every witness, tau, label and n_used of three reports on the 41x41
+# extent-2 grid below; the benchmark gate compares labels only, so this pins the bits
+WITNESS_SHA256 = "84c0a0ef61364b14952bb7e4df2abfc0b9c6a0e3b69cd59d0de2ccff46104e56"
+
+
+def witness_digest():
+    axis = np.linspace(-2.0, 2.0, 41)
+    axis[20] = 0.0
+    entry = registry.double_integrator()
+    inline = AffineSystem(
+        ExprVectorField.from_text("x2^3, -x1^3", 2), ExprVectorField.from_text("0, x1^3", 2)
+    )
+    V = ExprScalarField.from_text("0.25*x1^4 + 0.25*x2^4", 2)
+    h = hashlib.sha256()
+    for a in axis:
+        for b in axis:
+            if a == 0.0 and b == 0.0:
+                continue
+            p = np.array([a, b])
+            for rep in (
+                entry.classify(p, n_max=4),
+                entry.classify_integrator_form(p),
+                check_prop1_point(inline, V, p, n_max=4),
+            ):
+                for name, w in rep.witnesses.items():
+                    row = (rep.classification, name, float.hex(w), float.hex(rep.taus[name]), rep.n_used)
+                    h.update(repr(row).encode())
+                h.update(repr((rep.classification, rep.n_used)).encode())
+    return h.hexdigest()
+
+
+def test_witnesses_keep_their_bits():
+    assert witness_digest() == WITNESS_SHA256
