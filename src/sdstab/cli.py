@@ -262,8 +262,10 @@ def _write_trajectory_csv(path, run, cert, n, m, W=None):
     header += ["V"] + ([] if W is None else ["W"])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
+        # repr of a Python float is _fmt's text; converting one row at a time
+        # never holds the whole table as Python floats
         for row in np.column_stack(columns):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def _write_certificate_csv(path, cert):

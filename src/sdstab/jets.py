@@ -226,7 +226,15 @@ def coeff(w, k):
 
 
 def magnitude(w):
-    """Largest absolute value among all (nested) coefficients of `w`."""
+    """Largest absolute value among all (nested) coefficients of `w`; NaN if any is NaN."""
     if isinstance(w, Jet):
-        return max(magnitude(c) for c in w.coeffs)
+        # max() would keep a NaN only where it came first
+        m = 0.0
+        for c in w.coeffs:
+            v = magnitude(c)
+            if v != v:
+                return v
+            if v > m:
+                m = v
+        return m
     return abs(w)

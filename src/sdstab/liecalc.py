@@ -11,6 +11,7 @@ being checked are exact sign conditions, so the tolerance is a declared
 numerical policy; every report carries the tolerances it used.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -267,6 +268,10 @@ class ConditionReport:
     detail: str = ""
 
 
+class _Undecided(Exception):
+    """A witness or its tolerance is not a number; carries the clause name."""
+
+
 def _eval_scaled(ld, x):
     """Evaluate a Lie derivative at x; tolerance scale from its defining jet."""
     w = _along(ld.V, x, ld.X.eval(x))
@@ -280,7 +285,9 @@ def check_prop1_point(sys, V, x, n_max=4):
     decrease; then for N = 1..n_max, total annihilation of all drift powers
     and bracket-monomial derivatives of V up to grade N combined with one of
     the four higher-order sign conditions (negative next drift power; odd /
-    even iterated input-bracket tests; the mixed drift-bracket test).
+    even iterated input-bracket tests; the mixed drift-bracket test). A NaN
+    witness or a non-finite tolerance ends the check with FAIL, and the
+    report's detail names that clause.
     """
     if not 1 <= n_max <= 4:
         raise ValueError("n_max must be between 1 and 4")
@@ -297,63 +304,75 @@ def check_prop1_point(sys, V, x, n_max=4):
     def record(name, ld):
         # a name spells its tree (labels f, g, [a,b] read one way): same name, same value
         if name not in witnesses:
-            witnesses[name], taus[name] = _eval_scaled(ld, xs)
+            val, tau = _eval_scaled(ld, xs)
+            witnesses[name], taus[name] = val, tau
+            # a NaN compares false with its tolerance, so it would pass as vanished
+            if math.isnan(val) or not math.isfinite(tau):
+                raise _Undecided(name)
         return witnesses[name], taus[name]
 
-    gv, tau_gv = record("gV", LieDerivative(g, V))
-    if abs(gv) > tau_gv:
-        return ConditionReport(x, GV_NONZERO, witnesses, taus)
+    try:
+        gv, tau_gv = record("gV", LieDerivative(g, V))
+        if abs(gv) > tau_gv:
+            return ConditionReport(x, GV_NONZERO, witnesses, taus)
 
-    fv, tau_fv = record("fV", LieDerivative(f, V))
-    if fv < -tau_fv:
-        return ConditionReport(x, FV_NEGATIVE, witnesses, taus)
+        fv, tau_fv = record("fV", LieDerivative(f, V))
+        if fv < -tau_fv:
+            return ConditionReport(x, FV_NEGATIVE, witnesses, taus)
 
-    drift_powers = {}
-    W = V
-    for j in range(1, n_max + 2):
-        W = LieDerivative(f, W)
-        drift_powers[j] = W
+        drift_powers = {}
+        W = V
+        for j in range(1, n_max + 2):
+            W = LieDerivative(f, W)
+            drift_powers[j] = W
 
-    for N in range(1, n_max + 1):
-        vanished = True
-        for j in range(1, N + 1):
-            val, tau = record("f^%dV" % j, drift_powers[j])
-            if abs(val) > tau:
-                vanished = False
-                break
-        if vanished:
-            for seq, name in _clause_sequences(n_max, N):
-                W = V
-                for t in reversed(seq):
-                    W = LieDerivative(tree_field(t, f, g), W)
-                val, tau = record(name, W)
+        for N in range(1, n_max + 1):
+            vanished = True
+            for j in range(1, N + 1):
+                val, tau = record("f^%dV" % j, drift_powers[j])
                 if abs(val) > tau:
                     vanished = False
                     break
-        if not vanished:
-            break
+            if vanished:
+                for seq, name in _clause_sequences(n_max, N):
+                    W = V
+                    for t in reversed(seq):
+                        W = LieDerivative(tree_field(t, f, g), W)
+                    val, tau = record(name, W)
+                    if abs(val) > tau:
+                        vanished = False
+                        break
+            if not vanished:
+                break
 
-        fn1, tau_fn1 = record("f^%dV" % (N + 1), drift_powers[N + 1])
-        if fn1 < -tau_fn1:
-            return ConditionReport(x, DRIFT_POWER_NEGATIVE, witnesses, taus, n_used=N)
+            fn1, tau_fn1 = record("f^%dV" % (N + 1), drift_powers[N + 1])
+            if fn1 < -tau_fn1:
+                return ConditionReport(x, DRIFT_POWER_NEGATIVE, witnesses, taus, n_used=N)
 
-        adj = ("f", "g")
-        for _ in range(N - 1):
-            adj = (adj, "g")
-        qn, tau_qn = record(tree_label(adj) + "V", LieDerivative(tree_field(adj, f, g), V))
-        if N % 2 == 1 and abs(qn) > tau_qn:
-            return ConditionReport(x, ODD_BRACKET_NONZERO, witnesses, taus, n_used=N)
-        if N % 2 == 0 and qn < -tau_qn:
-            return ConditionReport(x, EVEN_BRACKET_NEGATIVE, witnesses, taus, n_used=N)
+            adj = ("f", "g")
+            for _ in range(N - 1):
+                adj = (adj, "g")
+            qn, tau_qn = record(tree_label(adj) + "V", LieDerivative(tree_field(adj, f, g), V))
+            if N % 2 == 1 and abs(qn) > tau_qn:
+                return ConditionReport(x, ODD_BRACKET_NONZERO, witnesses, taus, n_used=N)
+            if N % 2 == 0 and qn < -tau_qn:
+                return ConditionReport(x, EVEN_BRACKET_NEGATIVE, witnesses, taus, n_used=N)
 
-        mixed = ("g", "f")
-        for _ in range(N - 1):
-            mixed = (mixed, "f")
-        rn, tau_rn = record(tree_label(mixed) + "V", LieDerivative(tree_field(mixed, f, g), V))
-        if abs(fn1) <= tau_fn1 and abs(rn) > tau_rn:
-            return ConditionReport(x, MIXED_BRACKET_NONZERO, witnesses, taus, n_used=N)
+            mixed = ("g", "f")
+            for _ in range(N - 1):
+                mixed = (mixed, "f")
+            rn, tau_rn = record(tree_label(mixed) + "V", LieDerivative(tree_field(mixed, f, g), V))
+            if abs(fn1) <= tau_fn1 and abs(rn) > tau_rn:
+                return ConditionReport(x, MIXED_BRACKET_NONZERO, witnesses, taus, n_used=N)
 
-    return ConditionReport(x, FAIL, witnesses, taus, detail="no clause verified")
+        return ConditionReport(x, FAIL, witnesses, taus, detail="no clause verified")
+    except _Undecided as exc:
+        name = exc.args[0]
+        return ConditionReport(
+            x, FAIL, witnesses, taus,
+            detail="%s: witness %r, tolerance %r; a NaN witness or a non-finite tolerance decides nothing"
+            % (name, witnesses[name], taus[name]),
+        )
 
 
 def check_corollary1_point(F, V, W, region, p):

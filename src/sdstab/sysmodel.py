@@ -167,6 +167,9 @@ class StateLinearSystem:
         return A, B
 
     def rhs(self, x, u):
+        """A(x) x + B(x) u for a float state array x."""
+        if self.constant_B:
+            return self.state_matrix(x) @ x + self.B @ _vector(u)
         A, B = self.matrices_at(x)
         return A @ x + B @ _vector(u)
 

@@ -94,6 +94,70 @@ def test_simulate_statedep_csvs_byte_identical_to_recorded(tmp_path):
     assert digests == SIM_STATEDEP_SHA256
 
 
+SIM_PIN = """
+[experiment]
+kind = simulate
+seed = 0
+[system]
+{system}
+[controller]
+type = {controller}
+{extra}
+[partition]
+h = {h}
+count = {count}
+[run]
+x0 = {x0}
+horizon = 1
+final_norm = 10
+certificate = {certificate}
+"""
+
+# SHA-256 of the CSVs of short runs that SIM_STATEDEP does not cover: the
+# hold variant, the patchwork dispatch, and the zero controller on a constant
+# state-linear system and on an inline affine one. (exit code, traj, cert)
+SIM_PINS = {
+    "frozen-gain-zoh": (
+        dict(system="registry = statedep-2d", controller="frozen-gain-zoh", extra="",
+             h=0.05, count=201, x0="2, -1", certificate="per-sample-quadratic"),
+        0,
+        "f1785d9f5c234e67b8c1669ad3e682c2a74300654e3a449d6004437e0be67c32",
+        "34d582efde31a8b065504d2993dd0c5bc81561bae143fc6f79a583da4088cd26",
+    ),
+    "patchwork": (
+        dict(system="registry = statedep-2d", controller="patchwork",
+             extra="[patchwork]\nregistry = patchwork-halfplanes",
+             h=0.05, count=21, x0="1, -0.5", certificate="per-sample-quadratic"),
+        0,
+        "df5aad15b919b774481c5d2e4c7ef2205223325709dbf96053a00eb8ade1b772",
+        "c7af86b7c3749af19ba4f9fd40346ec59e7533961548b04b79abfc27ddc23508",
+    ),
+    "zero-scalar": (
+        dict(system="registry = scalar-unstable", controller="zero", extra="",
+             h=0.1, count=11, x0="1", certificate="per-sample-quadratic"),
+        1,
+        "e2a99d210343d4dc64c67fb74850474c6ae324903069f43a52e6670e740624cc",
+        "eca7fdba3aa80d439f59055b3aee11df5f6bf06724a73823247edce51057773f",
+    ),
+    "zero-affine": (
+        dict(system="type = affine\ndim = 2\nf = x2, -x1 - x2 + x1^3\ng = 0, 1", controller="zero",
+             extra="", h=0.1, count=11, x0="0.5, -0.25", certificate="expression\nV = x1^2 + x2^2"),
+        0,
+        "d607f7778bec2c5706c9ea51a2022ea8c8cf6efce21ea46b5ec90c3c53d928b8",
+        "0040d60db3b773941618e9aadb5ec876432cbf7e586e35892ae8d3a14b217bdd",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIM_PINS))
+def test_simulate_csvs_byte_identical_to_recorded(tmp_path, name):
+    fields, code, traj_sha, cert_sha = SIM_PINS[name]
+    cfg = write(tmp_path / "pin.ini", SIM_PIN.format(**fields))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == code
+    digests = [hashlib.sha256((tmp_path / "o" / f).read_bytes()).hexdigest() for f in ("traj_0.csv", "cert_0.csv")]
+    assert digests == [traj_sha, cert_sha]
+
+
 def test_simulate_horizon_below_the_partition_gap_runs_one_interval(tmp_path, capsys):
     # horizons at or below the 1e-12 prefix gap keep time 0: one interval, not none
     text = SIM_STATEDEP.replace("horizon = 1", "horizon = 1e-13").replace("final_norm = 10", "final_norm = 0.01")

@@ -101,6 +101,20 @@ def test_coeff_and_magnitude_on_plain_numbers():
     assert magnitude(Jet([1.0, Jet([-3.0, 2.0])])) == 3.0
 
 
+def test_magnitude_is_nan_wherever_the_nan_is():
+    nan = float("nan")
+    for w in (
+        Jet([1.0, nan]),
+        Jet([nan, 1.0]),
+        Jet([Jet([2.0, 1.0]), Jet([-3.0, nan])]),
+        Jet([Jet([nan, 1.0]), Jet([-3.0, 2.0])]),
+        Jet([5.0, -2.0, nan]),
+    ):
+        assert math.isnan(magnitude(w))
+    assert magnitude(Jet([-4.0, 1.0])) == magnitude(Jet([1.0, -4.0])) == 4.0
+    assert magnitude(Jet([float("-inf"), 1.0])) == math.inf
+
+
 # -- the ring against the general Cauchy loop, bit for bit ----------------------
 # The reference operations below are the plain loops over coefficients that every
 # order once took; the fast first-order paths must give the same IEEE results.

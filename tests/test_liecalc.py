@@ -255,6 +255,27 @@ class TestPointwiseChecker:
         rep = check_prop1_point(integrator_system(), V, [1.0, 1.0])
         assert rep.classification == FAIL
 
+    def test_nan_witness_fails_naming_its_clause(self):
+        # fV and the drift powers overflow to NaN at this point; a NaN compares
+        # false with its tolerance, so it must not pass as a vanished clause
+        f = ExprVectorField.from_text("x1^3, 0", 2)
+        g = ExprVectorField.from_text("0, x2", 2)
+        V = ExprScalarField.from_text("x2*x1^2 + 0.5*x1^2", 2)
+        with np.errstate(all="ignore"):
+            rep = check_prop1_point(AffineSystem(f, g), V, [1e100, 0.0])
+        assert rep.classification == FAIL
+        assert rep.detail.startswith("fV: witness nan")
+        assert list(rep.witnesses) == ["gV", "fV"]
+        assert "ffV" not in rep.witnesses and "f^3V" not in rep.witnesses
+
+    def test_non_finite_tolerance_fails(self, monkeypatch):
+        evaluate = liecalc._eval_scaled
+        monkeypatch.setattr(liecalc, "_eval_scaled", lambda ld, x: (evaluate(ld, x)[0], float("inf")))
+        V = ExprScalarField.from_text("0.5*x1^2 + 0.5*x2^2", 2)
+        rep = check_prop1_point(integrator_system(), V, [0.0, 1.0])
+        assert rep.classification == FAIL
+        assert rep.detail.startswith("gV: witness 1.0, tolerance inf")
+
     def test_rescaling_invariance(self):
         names = coord_names(2)
         V = ExprScalarField(parse_scalar("0.5*x1^2", names), 2)

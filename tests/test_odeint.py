@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sdstab.odeint import IntegrationConfig, integrate, max_excursion
+from sdstab.odeint import IntegrationConfig, integrate, max_excursion, rk4_autonomous_step
 from sdstab.sysmodel import ControlSignal, GeneralSystem
 
 
@@ -136,3 +136,133 @@ def test_config_validation():
         IntegrationConfig(blowup_norm=0.5)
     with pytest.raises(ValueError):
         IntegrationConfig(blowup_norm=1e300)
+
+
+def test_stage_of_the_wrong_length_raises():
+    # a 2-D system whose field returns one value: NumPy would broadcast it
+    short = GeneralSystem(2, 1, lambda x, u: -x[:1])
+    with pytest.raises(ValueError, match=r"shape \(1,\) for a state of dimension 2"):
+        integrate(short, [1.0, 2.0], None, (0.0, 1.0))
+    with pytest.raises(ValueError, match=r"shape \(3,\) for a state of dimension 2"):
+        rk4_autonomous_step(lambda y: np.ones(3), np.ones(2), 0.1, np.ones(2))
+    with pytest.raises(ValueError, match=r"shape \(2, 1\) for a state of dimension 2"):
+        rk4_autonomous_step(lambda y: y, np.ones(2), 0.1, np.ones((2, 1)))
+
+
+# -- the RK4 kernel against NumPy, bit for bit -----------------------------------
+# The oracles below are the array expressions the integrator used before it did
+# its per-step arithmetic on Python floats. Elementwise + and * are single IEEE
+# operations in both, so every stage state and every step must keep its bits.
+
+SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310, 2.2250738585072014e-308,
+           1.7e308, -1.7e308, 1e154, -3e153)
+
+
+def numpy_autonomous_step(f, x, h, k1):
+    k2 = f(x + (h / 2) * k1)
+    k3 = f(x + (h / 2) * k2)
+    k4 = f(x + h * k3)
+    return x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def numpy_integrate(rhs, x0, u, t1, h, blowup, first_stages):
+    """The step loop of integrate over (0, t1), on arrays; returns (states, escaped)."""
+    x = np.array(x0, dtype=float)
+    n_steps = max(1, int(np.ceil(t1 / h - 1e-12)))
+    u_start = u.value(0.0) if u is not None else np.zeros(1)
+    states = [x]
+    tau = 0.0
+    for _ in range(n_steps):
+        hk = min(h, t1 - tau)
+        if hk <= 0:
+            break
+        k1 = rhs(x, u_start)
+        first_stages.append(k1)
+        half = hk / 2
+        u_mid = u.value(tau + half) if u is not None else u_start
+        k2 = rhs(x + half * k1, u_mid)
+        k3 = rhs(x + half * k2, u_mid)
+        u_end = u.value(tau + hk) if u is not None else u_start
+        k4 = rhs(x + hk * k3, u_end)
+        x_new = x + (hk / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        tau += hk
+        if tau >= t1 - 1e-12:
+            tau = t1
+        if not (np.all(np.abs(x_new) <= blowup) and np.sqrt(x_new @ x_new) <= blowup):
+            return np.array(states), True
+        x = x_new
+        states.append(x)
+        u_start = u_end
+    return np.array(states), False
+
+
+def hexes(values):
+    return [float.hex(float(v)) for v in np.ravel(values)]
+
+
+class LoggedField:
+    """A seeded nonlinear field that logs every state and input it is called at."""
+
+    def __init__(self, rng, n, scale):
+        self.M = rng.normal(size=(n, n))
+        self.b = rng.normal(size=n)
+        self.scale = scale
+        self.dim_state = n
+        self.dim_input = 1
+        self.log = []
+
+    def rhs(self, x, u):
+        self.log.append(hexes(x) + hexes(u))
+        with np.errstate(all="ignore"):
+            return self.scale * (self.M @ x) + x * x[::-1] * 0.25 + self.b * u[0]
+
+    def field(self, x):
+        return self.rhs(x, np.zeros(1))
+
+
+def special_vector(rng, n):
+    v = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+    for i in rng.choice(n, size=min(n, 3), replace=False):
+        v[i] = SPECIAL[rng.integers(len(SPECIAL))]
+    return v
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_autonomous_step_keeps_numpys_bits(n):
+    rng = np.random.default_rng(100 + n)
+    for case in range(40):
+        scale = (1.0, 1e-300, 1e160, -2.0)[case % 4]
+        h = (1e-3, 0.37, 2.0, 1e-310, 0.05)[case % 5]
+        x, k1 = special_vector(rng, n), special_vector(rng, n)
+        ours, theirs = LoggedField(np.random.default_rng(case), n, scale), LoggedField(np.random.default_rng(case), n, scale)
+        got = rk4_autonomous_step(ours.field, x, h, k1)
+        with np.errstate(all="ignore"):
+            want = numpy_autonomous_step(theirs.field, x, h, k1)
+        assert got.shape == (n,) and got.dtype == np.float64
+        assert hexes(got) == hexes(want), (n, case)
+        assert ours.log == theirs.log, (n, case)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("controlled", [False, True])
+def test_integrate_keeps_numpys_bits(n, controlled):
+    rng = np.random.default_rng(200 + n)
+    u = ControlSignal(0.3, 0.5, 1, lambda t: np.array([0.5 * np.cos(7.0 * t)])) if controlled else None
+    finite = [v for v in SPECIAL if np.isfinite(v) and abs(v) < 1e150]
+    for case in range(12):
+        scale = (1.0, 1e-300, 1e140, -3.0)[case % 4]
+        x0 = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+        x0[rng.integers(n)] = finite[case % len(finite)]
+        if case % 3 == 2:
+            x0[0] = 9e149  # near the largest blow-up threshold: stages may overflow
+        h = (0.01, 0.07, 0.013)[case % 3]
+        cfg = IntegrationConfig(step=h, blowup_norm=1e150)
+        ours, theirs = LoggedField(np.random.default_rng(case), n, scale), LoggedField(np.random.default_rng(case), n, scale)
+        stages, want_stages = [], []
+        traj = integrate(ours, x0, u, (0.0, 0.3), cfg, stages)
+        with np.errstate(all="ignore"):
+            states, escaped = numpy_integrate(theirs.rhs, x0, u, 0.3, h, 1e150, want_stages)
+        assert traj.escaped == escaped, (n, case)
+        assert hexes(traj.states) == hexes(states), (n, case)
+        assert ours.log == theirs.log, (n, case)
+        assert [hexes(k) for k in stages] == [hexes(k) for k in want_stages], (n, case)
