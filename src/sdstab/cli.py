@@ -119,7 +119,9 @@ def _constant_entry(expr):
     if not is_constant(expr):
         return expr
     try:
-        return Const(expr.eval([]))
+        # a division by zero gives inf or NaN on any ring; in a constant entry it is an error
+        with np.errstate(divide="raise", invalid="raise"):
+            return Const(expr.eval([]))
     except (ArithmeticError, ValueError) as exc:
         raise ConfigError("cannot evaluate matrix entry %r: %s" % (expr, exc)) from exc
 

@@ -20,7 +20,7 @@ positive exactly on the open set it defines.
 import math
 import re
 
-from .jets import jcos, jexp, jpow, jsin
+from .jets import jcos, jdiv, jexp, jpow, jsin
 
 
 class ExprSyntaxError(ValueError):
@@ -104,7 +104,7 @@ class Div(_Binary):
     symbol = "/"
 
     def eval(self, coords):
-        return self.a.eval(coords) / self.b.eval(coords)
+        return jdiv(self.a.eval(coords), self.b.eval(coords))
 
 
 class Neg(Expr):

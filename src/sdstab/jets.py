@@ -19,6 +19,16 @@ NumPy's on scalars too (past the float range a scalar raises
 operation is the plain operation on coefficients 0, so coefficient 0 of a
 jet evaluation is the plain evaluation, bit for bit.
 
+Division is IEEE on every scalar. :func:`jdiv`, which jet division and the
+``/`` of expression trees use, divides as Python does, and only where a
+Python float meets a zero divisor divides again as a NumPy float: ``1/0``
+is ``inf`` and ``0/0`` is NaN, with NumPy's ``RuntimeWarning`` (or
+``FloatingPointError`` under :func:`numpy.errstate`), not a
+``ZeroDivisionError``. Every other ring operation is the same IEEE
+operation on Python floats and NumPy scalars, so a walk gives the same bits
+on either; Python floats are faster, but only NumPy scalars warn (or raise)
+on overflow.
+
 Every jet the package builds is first order (``x + t·d``), so the ring
 operations unroll that order: the same products and sums in the same order
 as the general Cauchy loop, which higher orders still take. A first-order
@@ -115,14 +125,14 @@ class Jet:
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return _jet(tuple([c / other for c in self.coeffs]))
+            return _jet(tuple([jdiv(c, other) for c in self.coeffs]))
         p, q = self.coeffs, other.coeffs
-        d = [p[0] / q[0]]
+        d = [jdiv(p[0], q[0])]
         for k in range(1, len(p)):
             acc = p[k]
             for j in range(k):
                 acc = acc - d[j] * q[k - j]
-            d.append(acc / q[0])
+            d.append(jdiv(acc, q[0]))
         return Jet(d)
 
     def __rtruediv__(self, other):
@@ -140,6 +150,14 @@ def _jet(coeffs):
 
 
 # -- elementary functions (work on every scalar of the ring and on jets) -------
+
+
+def jdiv(a, b):
+    """a / b with IEEE results on every scalar (see the module notes on division)."""
+    try:
+        return a / b
+    except ZeroDivisionError:  # only a Python float divided by zero gets here
+        return np.float64(a) / b
 
 
 def jexp(u):
@@ -194,7 +212,7 @@ def jpow(u, p):
     if p == 0:
         return lift(1.0, u)
     if p < 0:
-        return lift(1.0, u) / jpow(u, -p)
+        return jdiv(lift(1.0, u), jpow(u, -p))
     acc = None
     base = u
     n = p

@@ -9,6 +9,13 @@ Zero tests use a scaled tolerance: a quantity q computed from a jet w counts
 as zero when |q| <= ZERO_TOL * (1 + max |coefficient of w|). The conditions
 being checked are exact sign conditions, so the tolerance is a declared
 numerical policy; every report carries the tolerances it used.
+
+The pointwise checkers walk their trees on Python floats taken from
+``x.tolist()``: the ring gives the same bits on them as on NumPy scalars
+(see :mod:`sdstab.jets`, division included) at a fraction of the cost per
+operation. ``check_prop1_point`` walks each distinct clause tree once: the
+drift power ``f^jV`` is the j-fold drift clause ``f…fV`` (``f^1V`` is
+``fV``), so both names carry the one walk's witness and tolerance.
 """
 
 import math
@@ -155,7 +162,7 @@ def gradient(V, x):
     """DV(x) as a plain vector, from one walk whose directions are the unit rows."""
     x = np.asarray(x, dtype=float)
     out = np.empty(x.size)
-    out[:] = coeff(_along(V, list(x), np.eye(x.size)), 1)
+    out[:] = coeff(_along(V, x.tolist(), np.eye(x.size)), 1)
     return out
 
 
@@ -272,6 +279,16 @@ class _Undecided(Exception):
     """A witness or its tolerance is not a number; carries the clause name."""
 
 
+def _undecided(val, tau):
+    """True when a witness decides nothing: a NaN compares false with its tolerance."""
+    return math.isnan(val) or not math.isfinite(tau)
+
+
+def _undecided_detail(name, val, tau):
+    return "%s: witness %r, tolerance %r; a NaN witness or a non-finite tolerance decides nothing" % (
+        name, val, tau)
+
+
 def _eval_scaled(ld, x):
     """Evaluate a Lie derivative at x; tolerance scale from its defining jet."""
     w = _along(ld.V, x, ld.X.eval(x))
@@ -292,67 +309,62 @@ def check_prop1_point(sys, V, x, n_max=4):
     if not 1 <= n_max <= 4:
         raise ValueError("n_max must be between 1 and 4")
     x = np.asarray(x, dtype=float)
-    if float(abs(x).max()) == 0.0:
+    xs = x.tolist()  # Python floats at the leaves (see the module notes)
+    if not any(xs):
         raise ValueError("the origin is excluded from pointwise checks")
-    xs = list(x)
 
     f = sys.drift
     g = sys.input_field
     witnesses = {}
     taus = {}
+    walked = {}
 
-    def record(name, ld):
-        # a name spells its tree (labels f, g, [a,b] read one way): same name, same value
-        if name not in witnesses:
-            val, tau = _eval_scaled(ld, xs)
-            witnesses[name], taus[name] = val, tau
-            # a NaN compares false with its tolerance, so it would pass as vanished
-            if math.isnan(val) or not math.isfinite(tau):
-                raise _Undecided(name)
-        return witnesses[name], taus[name]
+    def record(name, seq):
+        # seq lists the clause's trees, outermost first; f^jV is the j-fold f clause
+        if seq not in walked:
+            W = V
+            for t in reversed(seq):
+                W = LieDerivative(tree_field(t, f, g), W)
+            walked[seq] = _eval_scaled(W, xs)
+        val, tau = walked[seq]
+        witnesses[name], taus[name] = val, tau
+        if _undecided(val, tau):
+            raise _Undecided(name)
+        return val, tau
 
     try:
-        gv, tau_gv = record("gV", LieDerivative(g, V))
+        gv, tau_gv = record("gV", (GEN_INPUT,))
         if abs(gv) > tau_gv:
             return ConditionReport(x, GV_NONZERO, witnesses, taus)
 
-        fv, tau_fv = record("fV", LieDerivative(f, V))
+        fv, tau_fv = record("fV", (GEN_DRIFT,))
         if fv < -tau_fv:
             return ConditionReport(x, FV_NEGATIVE, witnesses, taus)
-
-        drift_powers = {}
-        W = V
-        for j in range(1, n_max + 2):
-            W = LieDerivative(f, W)
-            drift_powers[j] = W
 
         for N in range(1, n_max + 1):
             vanished = True
             for j in range(1, N + 1):
-                val, tau = record("f^%dV" % j, drift_powers[j])
+                val, tau = record("f^%dV" % j, (GEN_DRIFT,) * j)
                 if abs(val) > tau:
                     vanished = False
                     break
             if vanished:
                 for seq, name in _clause_sequences(n_max, N):
-                    W = V
-                    for t in reversed(seq):
-                        W = LieDerivative(tree_field(t, f, g), W)
-                    val, tau = record(name, W)
+                    val, tau = record(name, seq)
                     if abs(val) > tau:
                         vanished = False
                         break
             if not vanished:
                 break
 
-            fn1, tau_fn1 = record("f^%dV" % (N + 1), drift_powers[N + 1])
+            fn1, tau_fn1 = record("f^%dV" % (N + 1), (GEN_DRIFT,) * (N + 1))
             if fn1 < -tau_fn1:
                 return ConditionReport(x, DRIFT_POWER_NEGATIVE, witnesses, taus, n_used=N)
 
             adj = ("f", "g")
             for _ in range(N - 1):
                 adj = (adj, "g")
-            qn, tau_qn = record(tree_label(adj) + "V", LieDerivative(tree_field(adj, f, g), V))
+            qn, tau_qn = record(tree_label(adj) + "V", (adj,))
             if N % 2 == 1 and abs(qn) > tau_qn:
                 return ConditionReport(x, ODD_BRACKET_NONZERO, witnesses, taus, n_used=N)
             if N % 2 == 0 and qn < -tau_qn:
@@ -361,7 +373,7 @@ def check_prop1_point(sys, V, x, n_max=4):
             mixed = ("g", "f")
             for _ in range(N - 1):
                 mixed = (mixed, "f")
-            rn, tau_rn = record(tree_label(mixed) + "V", LieDerivative(tree_field(mixed, f, g), V))
+            rn, tau_rn = record(tree_label(mixed) + "V", (mixed,))
             if abs(fn1) <= tau_fn1 and abs(rn) > tau_rn:
                 return ConditionReport(x, MIXED_BRACKET_NONZERO, witnesses, taus, n_used=N)
 
@@ -369,9 +381,7 @@ def check_prop1_point(sys, V, x, n_max=4):
     except _Undecided as exc:
         name = exc.args[0]
         return ConditionReport(
-            x, FAIL, witnesses, taus,
-            detail="%s: witness %r, tolerance %r; a NaN witness or a non-finite tolerance decides nothing"
-            % (name, witnesses[name], taus[name]),
+            x, FAIL, witnesses, taus, detail=_undecided_detail(name, witnesses[name], taus[name])
         )
 
 
@@ -381,10 +391,12 @@ def check_corollary1_point(F, V, W, region, p):
     ``region`` selects which clause family applies: "D1" checks the strict
     decrease / y-derivative alternative for V on the x-part, "D2" checks the
     nonvanishing y-derivative of W (plus positivity of W off zero when the
-    x-part vanishes).
+    x-part vanishes); there a NaN ``dW/dy`` or a non-finite tolerance ends the
+    check with FAIL, as in :func:`check_prop1_point`.
     """
     p = np.asarray(p, dtype=float)
-    if float(abs(p).max()) == 0.0:
+    ps = p.tolist()
+    if not any(ps):
         raise ValueError("the origin is excluded from pointwise checks")
     n = V.dim
     if F.dim != n + 1 or F.odim != n or W.dim != n + 1:
@@ -401,7 +413,7 @@ def check_corollary1_point(F, V, W, region, p):
                 p, FAIL, witnesses, taus, detail="x-part vanishes on a region that forbids it"
             )
         dv = gradient(V, x)
-        fxy = np.array([float(v) for v in F.eval(list(p))])
+        fxy = np.array([float(v) for v in F.eval(ps)])
         dvf = float(dv @ fxy)
         tau = ZERO_TOL * (1.0 + float(abs(dv).max()) + float(abs(fxy).max()))
         witnesses["DV·F"] = dvf
@@ -409,7 +421,7 @@ def check_corollary1_point(F, V, W, region, p):
         if dvf < -tau:
             return ConditionReport(p, VDOT_NEGATIVE, witnesses, taus)
         if abs(dvf) <= tau:
-            dfdy = [coeff(w, 1) for w in _along(F, list(p), y_dir)]
+            dfdy = [coeff(w, 1) for w in _along(F, ps, y_dir)]
             dvdfdy = float(dv @ np.array([float(v) for v in dfdy]))
             tau2 = ZERO_TOL * (1.0 + float(abs(dv).max()) + max(abs(float(v)) for v in dfdy))
             witnesses["DV·dF/dy"] = dvdfdy
@@ -419,12 +431,14 @@ def check_corollary1_point(F, V, W, region, p):
         return ConditionReport(p, FAIL, witnesses, taus, detail="no decrease clause holds")
 
     if region == "D2":
-        w = _along(W, list(p), y_dir)
+        w = _along(W, ps, y_dir)
         wy = float(coeff(w, 1))
         wval = float(coeff(w, 0))  # W(p), bit for bit
         tau = ZERO_TOL * (1.0 + abs(wy) + abs(wval))
         witnesses["dW/dy"] = wy
         taus["dW/dy"] = tau
+        if _undecided(wy, tau):
+            return ConditionReport(p, FAIL, witnesses, taus, detail=_undecided_detail("dW/dy", wy, tau))
         if abs(wy) <= tau:
             return ConditionReport(p, FAIL, witnesses, taus, detail="dW/dy vanishes")
         if float(abs(x).max()) <= ZERO_TOL:

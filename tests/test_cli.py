@@ -773,6 +773,28 @@ points = 5
         assert main(["check-lie", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_division_by_zero_on_the_grid_fails_those_points(self, tmp_path, capsys):
+        # x1/(x2 - 1) divides by zero on the grid row x2 = 1: IEEE inf/NaN there,
+        # so those points fail their check (exit 1), not the run (exit 3)
+        cfg = write(
+            tmp_path / "d.ini",
+            """
+[experiment]
+kind = check-lie
+[system]
+type = affine
+dim = 2
+f = x2, x1/(x2 - 1)
+g = 0, x2 - 1
+[lie]
+V = 0.5*x1^2 + 0.5*x2^2
+""",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["check-lie", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+        assert "RESULT fail 1680 41" in capsys.readouterr().out
+
 
 def test_seed_override_changes_nothing_for_fixed_run(tmp_path):
     # the scalar simulate run draws no samples, so any seed gives identical bytes

@@ -177,7 +177,7 @@ def ref_div(u, v):
         return Jet([ref_div(c, v) for c in u.coeffs])
     if isinstance(v, Jet):
         return ref_div(lift(u, v), v)
-    return u / v
+    return np.divide(u, v)  # IEEE on every scalar: a Python float over zero too
 
 
 def ref_pow(u, p):

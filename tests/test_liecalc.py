@@ -1,6 +1,8 @@
 """Bracket algebra, Lie derivatives, and the pointwise condition checkers."""
 
 import hashlib
+import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from sdstab.liecalc import (
     FAIL,
     FV_NEGATIVE,
     GV_NONZERO,
+    MIXED_BRACKET_NONZERO,
     ODD_BRACKET_NONZERO,
     VDOT_NEGATIVE,
     VDOT_ZERO_YDIR_NONZERO,
@@ -276,6 +279,16 @@ class TestPointwiseChecker:
         assert rep.classification == FAIL
         assert rep.detail.startswith("gV: witness 1.0, tolerance inf")
 
+    def test_division_by_zero_gives_ieee_values(self):
+        # x1^2/x2 at x2 = 0: the witness is -inf with NumPy's warning, not a ZeroDivisionError
+        V = ExprScalarField.from_text("0.5*x1^2 + 0.5*x2^2 + x1^2/x2", 2)
+        with pytest.warns(RuntimeWarning, match="divide by zero encountered in scalar divide"):
+            rep = check_prop1_point(integrator_system(), V, [1.0, 0.0])
+        assert rep.classification == FAIL
+        assert rep.witnesses == {"gV": -math.inf}
+        assert rep.taus == {"gV": math.inf}
+        assert rep.detail.startswith("gV: witness -inf")
+
     def test_rescaling_invariance(self):
         names = coord_names(2)
         V = ExprScalarField(parse_scalar("0.5*x1^2", names), 2)
@@ -291,12 +304,37 @@ class TestPointwiseChecker:
             check_prop1_point(integrator_system(), V, [0.0, 0.0])
 
     def test_each_named_derivative_evaluated_once(self, monkeypatch):
+        # one walk per distinct tree: f^jV is the j-fold f clause, so f^1V reuses
+        # the walk of fV, f^2V that of ffV and f^3V that of fffV
+        f = ExprVectorField.from_text("x2^3, -x1^3", 2)
+        g = ExprVectorField.from_text("0, x1^3", 2)
+        V = ExprScalarField.from_text("0.25*x1^4 + 0.25*x2^4", 2)
+        generators = {f: "f", g: "g"}
+
+        def label(field):
+            if isinstance(field, BracketField):
+                return "[%s,%s]" % (label(field.X), label(field.Y))
+            return generators[field]
+
+        def spelled(ld):
+            return label(ld.X) + (spelled(ld.V) if isinstance(ld.V, LieDerivative) else "V")
+
         calls = []
         evaluate = liecalc._eval_scaled
-        monkeypatch.setattr(liecalc, "_eval_scaled", lambda ld, x: calls.append(ld) or evaluate(ld, x))
-        rep = registry.double_integrator().classify([1.0, 0.0], n_max=4)
-        assert rep.classification == ODD_BRACKET_NONZERO
-        assert len(calls) == len(rep.witnesses)
+        monkeypatch.setattr(liecalc, "_eval_scaled", lambda ld, x: calls.append(spelled(ld)) or evaluate(ld, x))
+        rep = check_prop1_point(AffineSystem(f, g), V, [0.0, 1.0], n_max=4)
+        assert rep.classification == MIXED_BRACKET_NONZERO and rep.n_used == 3
+        trees = [re.sub(r"^f\^(\d)V$", lambda m: "f" * int(m.group(1)) + "V", n) for n in rep.witnesses]
+        assert len(trees) == 17 and len(set(trees)) == 14
+        assert calls == list(dict.fromkeys(trees))
+
+        # each drift power carries the bits of its j-fold clause and of the chain built apart
+        W = V
+        for j in range(1, 5):
+            W = LieDerivative(f, W)
+            want = tuple(map(float.hex, evaluate(W, [0.0, 1.0])))
+            for name in ["f^%dV" % j] + (["f" * j + "V"] if j < 4 else []):
+                assert (float.hex(rep.witnesses[name]), float.hex(rep.taus[name])) == want, name
 
     def test_n_max_validated(self):
         V = ExprScalarField.from_text("0.5*x1^2", 2)
@@ -345,6 +383,16 @@ class TestIntegratorFormChecker:
     def test_vanishing_x_part_fails_first_region(self):
         rep = check_corollary1_point(self.F, self.V, self.W, "D1", [0.0, 1.0])
         assert rep.classification == FAIL
+
+    def test_nan_y_derivative_fails_naming_it(self):
+        # y^3 - y^3 is inf - inf = NaN at y = 1e200, and so is the tolerance;
+        # a NaN compares false with its tolerance, so it must not count as nonzero
+        W = ExprScalarField.from_text("y^3 - y^3 + y", 1, with_y=True)
+        with np.errstate(all="ignore"):
+            rep = check_corollary1_point(self.F, self.V, W, "D2", [0.5, 1e200])
+        assert rep.classification == FAIL
+        assert rep.detail.startswith("dW/dy: witness nan, tolerance nan")
+        assert list(rep.witnesses) == ["dW/dy"]
 
     def test_flat_w_fails_second_region(self):
         W_flat = ExprScalarField.from_text("0.5*x1^2", 1, with_y=True)

@@ -43,6 +43,7 @@ from sdstab.liecalc import (  # noqa: E402
     ExprScalarField,
     ExprVectorField,
     LieDerivative,
+    _eval_scaled,
     gradient,
 )
 from sdstab.sysmodel import SamplingPartition  # noqa: E402
@@ -271,6 +272,51 @@ def test_batch_lie_derivative_equals_per_point(ts, pts):
     batch = np.asarray(ld.eval(cols), dtype=float)
     # a Lie derivative sums products of a derivative and a field value
     assert_batch_equals_points(batch, per_point(ld.eval, cols), ts, (1.0 + s) ** 2)
+
+
+# -- Python floats and NumPy scalars at the leaves -----------------------------------
+
+# any denominator and any power, so that a point may divide by zero or leave the float range
+wild_leaves = st.one_of(
+    st.just(Var(0, "x1")), st.just(Var(1, "x2")), st.sampled_from([0.0, -0.0, 1.0]).map(Const), leaves
+)
+
+
+def _wild_branches(children):
+    return st.one_of(
+        st.builds(Add, children, children),
+        st.builds(Sub, children, children),
+        st.builds(Mul, children, children),
+        st.builds(Div, children, children),
+        st.builds(Pow, children, st.integers(-3, 4)),
+        st.builds(Neg, children),
+        *(st.builds(Func, st.just(name), children) for name in ("sin", "cos", "exp")),
+    )
+
+
+wild_trees = st.recursive(wild_leaves, _wild_branches, max_leaves=8)
+# signed zeros, subnormals and values whose products overflow, besides ordinary ones
+edge_coordinates = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e-160, 1.3e154, -1e200, 1e308]),
+    st.floats(-2.0, 2.0),
+)
+
+
+def scaled_bits(ld, coords):
+    """float.hex of the witness and tolerance of ld at coords, or the exception raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return tuple(float.hex(v) for v in _eval_scaled(ld, coords))
+    except (ArithmeticError, ValueError) as exc:  # exp past the float range, sin(inf)
+        return type(exc).__name__
+
+
+@PROPERTY
+@given(st.lists(wild_trees, min_size=3, max_size=3), st.tuples(edge_coordinates, edge_coordinates))
+def test_python_float_leaves_keep_the_numpy_bits(ts, p):
+    # the pointwise checkers evaluate on Python floats; NaN hexes to 'nan' whatever its sign
+    ld = LieDerivative(ExprVectorField(ts[1:], 2), ExprScalarField(ts[0], 2))
+    assert scaled_bits(ld, list(p)) == scaled_bits(ld, [np.float64(c) for c in p]), (ts, p)
 
 
 # -- the grammar ------------------------------------------------------------------
