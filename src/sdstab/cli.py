@@ -27,7 +27,7 @@ from .errors import (
     NumericalFailure,
     OffsetSelectionError,
 )
-from .exprs import Const, ExprSyntaxError, coord_names, is_constant, parse_scalar
+from .exprs import Const, ExprSyntaxError, coord_names, fold_constants, parse_scalar
 from .liecalc import FAIL, ExprScalarField, ExprVectorField, check_prop1_point
 from .odeint import IntegrationConfig
 from .patchwork import verify_patchwork
@@ -114,22 +114,23 @@ def _parse_vectors(text):
     return [_parse_vector(chunk) for chunk in text.split(";") if chunk.strip()]
 
 
-def _constant_entry(expr):
-    """expr, or a Const of its value when it names no coordinate."""
-    if not is_constant(expr):
-        return expr
+def _folded(expr, what):
+    """expr with every subtree that names no coordinate evaluated once, here.
+
+    An entry that names no coordinate becomes a Const.
+    """
     try:
-        # a division by zero gives inf or NaN on any ring; in a constant entry it is an error
+        # a division by zero gives inf or NaN on any ring; in a constant subtree it is an error
         with np.errstate(divide="raise", invalid="raise"):
-            return Const(expr.eval([]))
+            return fold_constants(expr)
     except (ArithmeticError, ValueError) as exc:
-        raise ConfigError("cannot evaluate matrix entry %r: %s" % (expr, exc)) from exc
+        raise ConfigError("cannot evaluate %s %r: %s" % (what, expr, exc)) from exc
 
 
 def _expr_matrix(text, dim, rows, cols, constant_ok=False):
     """Rows split on ';', entries on ',', each an expression in x1..xn.
 
-    An entry that names no coordinate is evaluated once, here. Returns a
+    Every subtree that names no coordinate is evaluated once, here. Returns a
     function of the state; with ``constant_ok``, the matrix itself when no
     entry names a coordinate.
     """
@@ -140,7 +141,7 @@ def _expr_matrix(text, dim, rows, cols, constant_ok=False):
             raise ConfigError("expected %d matrix rows, got %d" % (rows, len(row_texts)))
         entries = []
         for r in row_texts:
-            row = [_constant_entry(parse_scalar(e, names)) for e in r.split(",")]
+            row = [_folded(parse_scalar(e, names), "matrix entry") for e in r.split(",")]
             if len(row) != cols:
                 raise ConfigError("expected %d entries per row, got %d" % (cols, len(row)))
             entries.append(row)
@@ -176,12 +177,15 @@ def _build_system(cfg):
         B = _expr_matrix(cfg.get("system", "B", required=True), dim, dim, m, constant_ok=True)
         return StateLinearSystem(A, B, dim, m)
     if kind == "affine":
-        try:
-            f = ExprVectorField.from_text(cfg.get("system", "f", required=True), dim)
-            g = ExprVectorField.from_text(cfg.get("system", "g", required=True), dim)
-        except ExprSyntaxError as exc:
-            raise ConfigError("bad vector field: %s" % exc) from exc
-        return AffineSystem(f, g)
+        fields = []
+        for key in ("f", "g"):
+            try:
+                field = ExprVectorField.from_text(cfg.get("system", key, required=True), dim)
+            except ExprSyntaxError as exc:
+                raise ConfigError("bad vector field: %s" % exc) from exc
+            comps = [_folded(c, "[system] %s component" % key) for c in field.components]
+            fields.append(ExprVectorField(comps, field.dim))
+        return AffineSystem(*fields)
     raise ConfigError("unknown system type %r" % kind)
 
 

@@ -17,6 +17,7 @@ Region constraints reuse the grammar with strict inequalities joined by
 positive exactly on the open set it defines.
 """
 
+import copy
 import math
 import re
 
@@ -154,6 +155,25 @@ def is_constant(expr):
     if isinstance(expr, Var):
         return False
     return all(is_constant(getattr(expr, s)) for s in ("a", "b") if hasattr(expr, s))
+
+
+def fold_constants(expr):
+    """A copy of expr with every subtree that names no coordinate a Const of its value.
+
+    A constant subtree evaluates on floats whatever the ring, so the folded
+    tree gives the same bits. Raises what the evaluation raises, and
+    ValueError when a value is not finite (the grammar has no literal for it).
+    """
+    if is_constant(expr):
+        value = expr.eval([])
+        if not math.isfinite(value):
+            raise ValueError("the constant %r evaluates to %r" % (expr, float(value)))
+        return Const(value)
+    folded = copy.copy(expr)
+    for s in ("a", "b"):
+        if hasattr(expr, s):
+            setattr(folded, s, fold_constants(getattr(expr, s)))
+    return folded
 
 
 # -- tokenizer / parser -------------------------------------------------------

@@ -391,8 +391,9 @@ def check_corollary1_point(F, V, W, region, p):
     ``region`` selects which clause family applies: "D1" checks the strict
     decrease / y-derivative alternative for V on the x-part, "D2" checks the
     nonvanishing y-derivative of W (plus positivity of W off zero when the
-    x-part vanishes); there a NaN ``dW/dy`` or a non-finite tolerance ends the
-    check with FAIL, as in :func:`check_prop1_point`.
+    x-part vanishes). In both, a NaN witness (``DV·F``, ``DV·dF/dy`` or
+    ``dW/dy``) or a non-finite tolerance ends the check with FAIL and a detail
+    that names the clause, as in :func:`check_prop1_point`.
     """
     p = np.asarray(p, dtype=float)
     ps = p.tolist()
@@ -418,6 +419,8 @@ def check_corollary1_point(F, V, W, region, p):
         tau = ZERO_TOL * (1.0 + float(abs(dv).max()) + float(abs(fxy).max()))
         witnesses["DV·F"] = dvf
         taus["DV·F"] = tau
+        if _undecided(dvf, tau):
+            return ConditionReport(p, FAIL, witnesses, taus, detail=_undecided_detail("DV·F", dvf, tau))
         if dvf < -tau:
             return ConditionReport(p, VDOT_NEGATIVE, witnesses, taus)
         if abs(dvf) <= tau:
@@ -426,6 +429,9 @@ def check_corollary1_point(F, V, W, region, p):
             tau2 = ZERO_TOL * (1.0 + float(abs(dv).max()) + max(abs(float(v)) for v in dfdy))
             witnesses["DV·dF/dy"] = dvdfdy
             taus["DV·dF/dy"] = tau2
+            if _undecided(dvdfdy, tau2):
+                detail = _undecided_detail("DV·dF/dy", dvdfdy, tau2)
+                return ConditionReport(p, FAIL, witnesses, taus, detail=detail)
             if abs(dvdfdy) > tau2:
                 return ConditionReport(p, VDOT_ZERO_YDIR_NONZERO, witnesses, taus)
         return ConditionReport(p, FAIL, witnesses, taus, detail="no decrease clause holds")

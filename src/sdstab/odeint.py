@@ -16,15 +16,24 @@ floats, and turns each result back into an array with one np.array call. The
 bits are those of the same expressions on float arrays: NumPy's elementwise
 + and * are single IEEE-754 operations, so the same operations in the same
 order round alike, signed zeros, infinities and NaN included, and 2*k is an
-exact doubling. Products stay in NumPy, because OpenBLAS fuses multiply-adds:
-with OpenBLAS 0.3.31 (Haswell kernels) on x86-64, 85,559 of 200,000 seeded
-2 x 2 matrix-vector products and 31,700 of 200,000 2-D dot products differ
-in the last bit from the plain Python sums. The float lists pay off on small
-states only. With the field's cost left out, a step on lists took about 70 %
-of the array step's time at n = 1 to 3, the same at n = 5, and 1.1, 1.4 and
-2 times as long at n = 8, 12 and 20 (one microbenchmark on a shared 2-core
-x86-64 VM). Every registry system, README config and benchmark workload that
-integrates has n <= 3.
+exact doubling. The float lists pay off on small states only. With the
+field's cost left out, a step on lists took about 70 % of the array step's
+time at n = 1 to 3, the same at n = 5, and 1.1, 1.4 and 2 times as long at
+n = 8, 12 and 20 (one microbenchmark on a shared 2-core x86-64 VM). Every
+registry system, README config and benchmark workload that integrates has
+n <= 3.
+
+Products stay in NumPy, because OpenBLAS fuses multiply-adds: with OpenBLAS
+0.3.31 (Haswell kernels) on x86-64, 85,559 of 200,000 seeded 2 x 2
+matrix-vector products and 31,700 of 200,000 2-D dot products differ in the
+last bit from the plain Python sums. They go through ``ndarray.dot`` where it
+calls the BLAS routine ``@`` calls (gemv, or ddot for a single row): the
+same bits with half the dispatch. That is every product with an inner
+dimension of two or more (see :func:`sdstab.sysmodel.product`), and the
+escape test's x.x at any dimension, since a sum of squares has no negative
+product to round. A product with one inner coordinate, such as B u with one
+input, stays on ``@``: there dot multiplies through BLAS axpy or ger, and a
+negative product that underflows comes out -0.0 where ``@`` gives +0.0.
 """
 
 import math
@@ -45,7 +54,7 @@ class IntegrationConfig:
             raise ValueError("integration step must be positive")
         if self.blowup_norm <= 1:
             raise ValueError("blow-up threshold must exceed 1")
-        # every |x_i| <= 1e150 keeps x @ x finite for up to 1.7e8 coordinates
+        # every |x_i| <= 1e150 keeps x.dot(x) finite for up to 1.7e8 coordinates
         if self.blowup_norm > 1e150:
             raise ValueError("blow-up threshold must not exceed 1e150")
 
@@ -105,9 +114,9 @@ def integrate(sys, x0, u, window, cfg=IntegrationConfig(), first_stages=None):
             tau = span
         # Escape unless every |x_i| and then the norm are within the
         # threshold. A state the coordinate test rejects would fail the norm
-        # test too; testing it first keeps x @ x from overflowing. NaN fails
+        # test too; testing it first keeps x.dot(x) from overflowing. NaN fails
         # every comparison and so escapes.
-        if not (all(-blowup <= v <= blowup for v in new) and math.sqrt(x_new @ x_new) <= blowup):
+        if not (all(-blowup <= v <= blowup for v in new) and math.sqrt(x_new.dot(x_new)) <= blowup):
             escaped = True
             escape_time = t0 + tau
             break

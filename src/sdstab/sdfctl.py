@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ControllerError, NoCertifiedStepError, NotStabilizableError
 from .odeint import IntegrationConfig, integrate, max_excursion, rk4_autonomous_step
 from .patchwork import DOUBLING, active_indices
-from .sysmodel import ControlSignal, make_uniform_partition, state_vector, zero_signal
+from .sysmodel import ControlSignal, make_uniform_partition, product, state_vector, zero_signal
 from .synth import synthesize_gain
 
 MARGINAL_TOL = 1e-10
@@ -111,7 +111,8 @@ class FrozenGainController:
 
         bound = float(np.linalg.norm(F, 2) * np.max(np.linalg.norm(states, axis=1)))
         bound *= 1.0 + 1e-6
-        sig = ControlSignal(eps, bound, m, lambda t: F @ model_state(t))
+        times = product(self.sys.dim_state)
+        sig = ControlSignal(eps, bound, m, lambda t: times(F, model_state(t)))
         sig.info.update({"xi": xi, "synthesis": synth, "model": model})
         return sig
 
@@ -242,7 +243,8 @@ class PerSampleQuadratic:
     def for_interval(self, record):
         synth = record.info.get("synthesis")
         P = synth.lyapunov if synth is not None else np.eye(len(record.xi))
-        return lambda x: 0.5 * float(np.asarray(x) @ P @ np.asarray(x))
+        times = product(len(P))
+        return lambda x: 0.5 * float(times(times(np.asarray(x), P), x))
 
 
 @dataclass

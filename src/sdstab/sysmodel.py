@@ -32,9 +32,27 @@ def _vector(v):
     return v if v.ndim else v.reshape(1)
 
 
+def product(inner):
+    """The matrix product for operands of inner dimension ``inner``: the bits of ``@``.
+
+    From two inner coordinates on it is ``ndarray.dot``, which calls the BLAS
+    routine ``@`` calls (gemv, or ddot for a single row) with half the
+    dispatch. With one inner coordinate dot multiplies by a one-element
+    operand through BLAS axpy, or forms an outer product through ger, with
+    fused multiply-adds: a negative product that underflows is -0.0 there,
+    and +0.0 from ``@``, which adds it to +0.0. So that case keeps np.matmul.
+    """
+    return np.ndarray.dot if inner > 1 else np.matmul
+
+
 def _all_finite(M):
-    """np.isfinite(M).all() for a float array; faster at the small sizes used here."""
-    return all(map(math.isfinite, M.ravel().tolist()))
+    """np.isfinite(M).all() for a float array; faster at the small sizes used here.
+
+    A non-finite entry makes the sum inf or NaN, so a finite sum decides at
+    once; a sum that overflows from finite entries falls back to the entries.
+    """
+    v = M.ravel().tolist()
+    return math.isfinite(sum(v)) or all(map(math.isfinite, v))
 
 
 class ControlSignal:
@@ -66,7 +84,7 @@ class ControlSignal:
     def check_bound(self, n=1000):
         """Max |u(t)| over an n-point grid; raises if it exceeds the bound."""
         grid = np.linspace(0.0, self.horizon, n)
-        worst = max(math.sqrt(u @ u) for u in map(self.value, grid))
+        worst = max(math.sqrt(u.dot(u)) for u in map(self.value, grid))
         if worst > self.bound * (1.0 + 1e-9) + 1e-12:
             raise ValueError(
                 "signal exceeds its declared bound: %g > %g" % (worst, self.bound)
@@ -126,13 +144,16 @@ class StateLinearSystem:
     matrix, or is a constant n x m matrix: a constant ``B`` is checked here,
     stored as a read-only float array (``constant_B`` is true) and returned
     by :meth:`matrices_at` without any evaluation. Both are finite at the
-    origin. ``A`` is looked up on every call, so it may be replaced.
+    origin. ``A`` is looked up on every call, so it may be replaced. Products
+    go through :func:`product`, so they have the bits of ``@``.
     """
 
     def __init__(self, A, B, dim_state, dim_input):
         self.A = A
         self.dim_state = int(dim_state)
         self.dim_input = int(dim_input)
+        self._times_x = product(self.dim_state)
+        self._times_u = product(self.dim_input)
         self.constant_B = not callable(B)
         if self.constant_B:
             B = np.array(B, dtype=float)
@@ -169,25 +190,26 @@ class StateLinearSystem:
     def rhs(self, x, u):
         """A(x) x + B(x) u for a float state array x."""
         if self.constant_B:
-            return self.state_matrix(x) @ x + self.B @ _vector(u)
+            return self._times_x(self.state_matrix(x), x) + self._times_u(self.B, _vector(u))
         A, B = self.matrices_at(x)
-        return A @ x + B @ _vector(u)
+        return self._times_x(A, x) + self._times_u(B, _vector(u))
 
     def closed_loop_field(self, F):
         """The frozen-gain field x -> (A(x) + B(x) F) x; a constant B F is formed once."""
+        times_x, times_u = self._times_x, self._times_u
         if self.constant_B:
-            # Bx @ F is this same product at every x, so the field keeps its bits
-            BF = self.B @ F
+            # B(x) F is this same product at every x, so the field keeps its bits
+            BF = times_u(self.B, F)
             state_matrix = self.state_matrix
 
             def field(x):
-                return (state_matrix(x) + BF) @ x
+                return times_x(state_matrix(x) + BF, x)
 
         else:
 
             def field(x):
                 Ax, Bx = self.matrices_at(x)
-                return (Ax + Bx @ F) @ x
+                return times_x(Ax + times_u(Bx, F), x)
 
         return field
 

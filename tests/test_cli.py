@@ -10,6 +10,7 @@ import pytest
 
 from sdstab import registry
 from sdstab.cli import Config, _build_system, main
+from sdstab.exprs import coord_names, parse_scalar
 from sdstab.sysmodel import StateLinearSystem
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -211,6 +212,37 @@ class TestInlineStateLinear:
         cfg = write(tmp_path / "s.ini", readme_ini("synthesize"))
         assert main(["synthesize", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().out == README_SYNTHESIZE_STDOUT
+
+    def test_constant_subtree_division_by_zero_is_a_config_error(self, tmp_path, capsys):
+        # the constant subtree 0*(1/0) of a coordinate entry is evaluated when
+        # the config is read: one error naming the entry, and no warning
+        text = readme_ini("synthesize").replace("sin(x1), x2^2", "sin(x1) + 0*(1/0), x2^2")
+        cfg = write(tmp_path / "z.ini", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["synthesize", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "configuration error: cannot evaluate matrix entry (sin(x1) + (0.0 * (1.0 / 0.0))): "
+            "divide by zero encountered in scalar divide\n"
+        )
+
+    def test_folded_constant_subtree_keeps_the_bits(self, tmp_path):
+        entry = "sin(x1)*(1/3) - x2*exp(1/7)"
+        sys_obj = self.build(tmp_path, readme_ini("synthesize").replace("sin(x1), x2^2", entry + ", x2^2"))
+        unfolded = parse_scalar(entry, coord_names(2))
+        for x in np.random.default_rng(8).uniform(-2.0, 2.0, (100, 2)):
+            got = sys_obj.state_matrix(x)[1, 0]
+            assert float.hex(float(got)) == float.hex(float(unfolded.eval(list(x))))
+
+    def test_affine_constant_subtree_is_a_config_error(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path / "f.ini",
+            "[experiment]\nkind = check-lie\n[system]\ntype = affine\ndim = 2\n"
+            "f = x2, x1*(0/0)\ng = 0, 1\n[lie]\nV = 0.5*x1^2 + 0.5*x2^2\n",
+        )
+        assert main(["check-lie", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "cannot evaluate [system] f component (x1 * (0.0 / 0.0))" in capsys.readouterr().err
 
     def test_state_dependent_B_stays_a_function(self, tmp_path):
         text = readme_ini("synthesize").replace("B = 0; 1", "B = 0; 1 + x1^2")

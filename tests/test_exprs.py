@@ -2,16 +2,19 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from sdstab.exprs import (
     ExprSyntaxError,
     coord_names,
+    fold_constants,
     is_constant,
     parse_components,
     parse_constraints,
     parse_scalar,
 )
+from sdstab.jets import Jet
 
 NAMES2 = coord_names(2)
 
@@ -107,3 +110,37 @@ def test_is_constant():
     assert not is_constant(parse_scalar("0 * x1", names))
     assert not is_constant(parse_scalar("pow(1 + x2, 2)", names))
     assert not is_constant(parse_scalar("-exp(x1)", names))
+
+
+class TestFoldConstants:
+    TEXTS = [
+        "sin(x1)*(1/3)",
+        "x2^2 - exp(2)*cos(1/7)*x1",
+        "(1 + 2)^-2 / x1 + (-0)*x2",
+        "x1/(3 - 1/3)^3",
+    ]
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_same_bits_on_floats_arrays_and_jets(self, text):
+        tree = parse_scalar(text, NAMES2)
+        folded = fold_constants(tree)
+        assert repr(tree) == repr(parse_scalar(text, NAMES2))  # the input is not changed
+        rng = np.random.default_rng(5)
+        for x in rng.uniform(-3.0, 3.0, (50, 2)):
+            xs = x.tolist()
+            assert float.hex(folded.eval(xs)) == float.hex(tree.eval(xs))
+            jets = [Jet([v, d]) for v, d in zip(xs, rng.normal(size=2).tolist())]
+            got, want = folded.eval(jets), tree.eval(jets)
+            assert [float.hex(float(c)) for c in got.coeffs] == [float.hex(float(c)) for c in want.coeffs]
+        pts = list(rng.uniform(-3.0, 3.0, (2, 40)))
+        assert np.array_equal(folded.eval(pts), tree.eval(pts))
+
+    def test_constant_subtrees_become_constants(self):
+        folded = fold_constants(parse_scalar("sin(x1)*(1/4) + (2 - 3)*x2", NAMES2))
+        assert repr(folded) == "((sin(x1) * 0.25) + ((-1.0) * x2))"
+        assert repr(fold_constants(parse_scalar("2^3", NAMES2))) == "8.0"
+
+    @pytest.mark.parametrize("text", ["x1 + 1e300*1e300", "x1*(1e300*1e300 - 1e300*1e300)"])
+    def test_nonfinite_constant_raises(self, text):
+        with pytest.raises(ValueError, match="evaluates to"):
+            fold_constants(parse_scalar(text, NAMES2))

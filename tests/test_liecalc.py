@@ -394,6 +394,24 @@ class TestIntegratorFormChecker:
         assert rep.detail.startswith("dW/dy: witness nan, tolerance nan")
         assert list(rep.witnesses) == ["dW/dy"]
 
+    def test_nan_decrease_witness_fails_naming_it(self):
+        # x1^3 - x1^3 is inf - inf = NaN at x1 = 1e200, so DV·F and its tolerance are NaN
+        V = ExprScalarField.from_text("x1^3 - x1^3 + 0.5*x1^2", 1)
+        with np.errstate(all="ignore"):
+            rep = check_corollary1_point(self.F, V, self.W, "D1", [1e200, 1.0])
+        assert rep.classification == FAIL
+        assert rep.detail.startswith("DV·F: witness nan, tolerance nan")
+        assert list(rep.witnesses) == ["DV·F"]
+
+    def test_nan_y_derivative_of_the_decrease_fails_naming_it(self):
+        # F = 1/y - 1/y vanishes at y = 1e-300, but its y-derivative is -inf + inf
+        F = ExprVectorField.from_text("1/y - 1/y", 1, with_y=True)
+        with np.errstate(all="ignore"):
+            rep = check_corollary1_point(F, self.V, self.W, "D1", [1.0, 1e-300])
+        assert rep.classification == FAIL
+        assert rep.witnesses["DV·F"] == 0.0
+        assert rep.detail.startswith("DV·dF/dy: witness nan, tolerance nan")
+
     def test_flat_w_fails_second_region(self):
         W_flat = ExprScalarField.from_text("0.5*x1^2", 1, with_y=True)
         rep = check_corollary1_point(self.F, self.V, W_flat, "D2", [1.0, 1.0])

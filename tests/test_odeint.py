@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sdstab.odeint import IntegrationConfig, integrate, max_excursion, rk4_autonomous_step
-from sdstab.sysmodel import ControlSignal, GeneralSystem
+from sdstab.sysmodel import ControlSignal, GeneralSystem, StateLinearSystem
 
 
 def decay():
@@ -64,6 +64,17 @@ def test_state_past_overflow_range_escapes_without_warning():
     assert traj.escaped
     assert traj.escape_time == 1e-3
     np.testing.assert_array_equal(traj.states, [[0.0]])
+
+
+def test_finite_matrix_whose_product_overflows_escapes():
+    # A(x) is finite, so state_matrix lets it through; A(x) x overflows to inf
+    # (NumPy warns), which the escape test catches instead of raising
+    sys = StateLinearSystem(lambda x: np.array([[1e300, 1e300], [0.0, -1.0]]), np.zeros((2, 1)), 2, 1)
+    with np.errstate(all="ignore"):
+        traj = integrate(sys, [1e10, 1.0], None, (0.0, 1.0), IntegrationConfig(step=0.25))
+    assert traj.escaped
+    assert traj.escape_time == 0.25
+    np.testing.assert_array_equal(traj.states, [[1e10, 1.0]])
 
 
 def test_order_four_convergence():

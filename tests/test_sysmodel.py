@@ -1,16 +1,21 @@
 """System, signal, and partition construction contracts."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from sdstab.liecalc import ExprVectorField
+from sdstab.sdfctl import PerSampleQuadratic
 from sdstab.sysmodel import (
     AffineSystem,
     ControlSignal,
     GeneralSystem,
     SamplingPartition,
     StateLinearSystem,
+    _all_finite,
     make_uniform_partition,
+    product,
     state_vector,
     zero_signal,
 )
@@ -183,3 +188,97 @@ class TestConstantInputMatrix:
             sys.state_matrix(np.ones(1))
         with pytest.raises(ValueError):
             sys.matrices_at(np.ones(1))
+
+
+# -- the per-step products and the finiteness check -------------------------------
+
+# Signed zeros, subnormals and magnitudes near 1e150 (the largest the escape
+# test lets through), mixed into draws whose magnitudes spread over e^+-20.
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1.3e-315, 1e150, -9.9e149, 1.7e-150]
+
+
+def draw_operand(rng, shape):
+    v = rng.choice([-1.0, 1.0], shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
+    special = rng.random(shape) < 0.15
+    v[special] = rng.choice(SPECIAL_VALUES, int(special.sum()))
+    return v
+
+
+SHAPES = [
+    ((2, 2), (2,)),
+    ((2, 1), (1,)),
+    ((1, 2), (2,)),
+    ((2, 1), (1, 2)),
+    ((2,), (2,)),
+    ((2,), (2, 2)),
+    ((1, 1), (1,)),
+    ((1,), (1, 1)),
+    ((3, 3), (3,)),
+    ((2, 2), (2, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "left, right", SHAPES, ids=["x".join(map(str, a)) + "." + "x".join(map(str, b)) for a, b in SHAPES]
+)
+def test_product_gives_the_bits_of_matmul(left, right):
+    # every product of the step loop: A(x) x, B u, B F, F x, x P x
+    inner = left[-1]
+    times = product(inner)
+    assert times is (np.ndarray.dot if inner > 1 else np.matmul)
+    rng = np.random.default_rng(2020)
+    for _ in range(3000):
+        a, b = draw_operand(rng, left), draw_operand(rng, right)
+        assert times(a, b).tobytes() == (a @ b).tobytes(), (a.tolist(), b.tolist())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_self_dot_gives_the_bits_of_matmul(n):
+    # the escape test's x.dot(x) and check_bound's u.dot(u) at any dimension
+    rng = np.random.default_rng(n)
+    for _ in range(3000):
+        x = draw_operand(rng, (n,))
+        assert x.dot(x).tobytes() == (x @ x).tobytes(), x.tolist()
+
+
+def test_system_products_give_the_bits_of_matmul():
+    # rhs, the closed-loop field and 0.5 x'P x against the same expressions
+    # written with @, at every state and input dimension up to 3
+    rng = np.random.default_rng(11)
+    for n, m in [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)] * 200:
+        A, B, F = draw_operand(rng, (n, n)), draw_operand(rng, (n, m)), draw_operand(rng, (m, n))
+        x, u = draw_operand(rng, (n,)), draw_operand(rng, (m,))
+        const = StateLinearSystem(lambda _x: A, B, n, m)
+        func = StateLinearSystem(lambda _x: A, lambda _x: B, n, m)
+        with np.errstate(all="ignore"):
+            for sys in (const, func):
+                assert sys.rhs(x, u).tobytes() == (A @ x + B @ u).tobytes()
+                assert sys.closed_loop_field(F)(x).tobytes() == ((A + B @ F) @ x).tobytes()
+            P = A @ A.T
+            record = SimpleNamespace(xi=x, info={"synthesis": SimpleNamespace(lyapunov=P)})
+            V = PerSampleQuadratic().for_interval(record)
+            assert float.hex(V(x)) == float.hex(0.5 * float(x @ P @ x))
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        np.array([[1e308, 1e308], [0.0, 0.0]]),  # finite, though its sum overflows
+        np.array([-1e308, -1e308, 5e-324]),
+        np.array([np.inf, -np.inf]),
+        np.array([[0.0, np.nan], [1.0, 2.0]]),
+        np.array([[np.inf]]),
+        np.array([[-0.0, 5e-324], [1e150, -1e-150]]),
+        np.zeros((0, 2)),
+    ],
+)
+def test_all_finite_matches_isfinite(M):
+    assert _all_finite(M) == bool(np.isfinite(M).all())
+
+
+def test_all_finite_matches_isfinite_on_draws():
+    rng = np.random.default_rng(7)
+    pool = np.array([1.0, -2.5, 1e308, -1e308, 5e-324, np.inf, -np.inf, np.nan])
+    for _ in range(2000):
+        M = rng.choice(pool, rng.integers(1, 5, 2))
+        assert _all_finite(M) == bool(np.isfinite(M).all()), M.tolist()
