@@ -14,10 +14,28 @@ A_cl' P + P A_cl = -I (solved by Kronecker vectorization, exact and simple
 at the small n used here), accepted by its backward error
 |A_cl'P + P A_cl + I| <= tol (2 |A_cl| |P| + |I|) so that the check scales
 with the problem, and the largest verified decay constant k with
-x'P A_cl x <= -k |x|^2 is reported.
+x'P A_cl x <= -k |x|^2 is reported. The closed loop is checked once, for
+finiteness and a negative spectral abscissa; the Lyapunov step then runs
+solve_lyapunov's solve and acceptance without its input checks, which
+would repeat that eigenvalue computation and test Q = I; the n <= 20 cap
+and the acceptance tests stay.
 
 Controllability is checked first with the PBH rank test: one batched SVD
-over the pencils [A - lam I, B] of every mode with Re lam >= -AXIS_TOL.
+over the pencils [A - lam I, B] of the modes with Re lam >= -AXIS_TOL,
+skipped when there is none. Each column of B larger than 1 + max|A| is
+scaled down to that size first. Column scaling keeps the rank. Unscaled,
+the tolerance AXIS_TOL (1 + max|A| + max|B|) grows with |B| while the
+smallest singular value stays of the size of A, and a stabilizable pair
+such as A = [[0, 1], [1, 0]], B = [0; 1e9] would be called uncontrollable.
+A smaller column is left as it is, so a mode that only a negligible column
+reaches is still named uncontrollable. For a real pair,
+[A - conj(lam) I, B] is the conjugate of [A - lam I, B] and has its
+singular values, so of a conjugate pair only the mode with Im lam > 0 is
+tested. eigvals (LAPACK dgeev) lists that mode first, so the first
+uncontrollable mode keeps its name. The two pencils' smallest singular
+values came out bit for bit equal on all 4,065 conjugate pairs of four
+synth-batch seeds (OpenBLAS 0.3.31, x86-64), and a test checks this.
+
 At the n <= 12 of a sampled-data run the cost is NumPy call overhead, not
 LAPACK, so the Hamiltonian and the Kronecker operator are built in place
 from the same products np.block and np.kron form, and keep their bits.
@@ -103,22 +121,32 @@ def solve_lyapunov(A, Q):
     solve and up to three refinement steps; limited to n <= 20.
     The solution is accepted by its backward error: NumericalFailure unless
     |A'P + PA + Q| <= 1e-12 (2 |A| |P| + |Q|) in Frobenius norms.
+    synthesize_gain runs the same solve, cap and acceptance on the closed
+    loop it has already checked, without repeating the input checks.
     """
     A = _square(A, "A")
     Q = _square(Q, "Q")
     n = A.shape[0]
     if Q.shape != A.shape:
         raise ValueError("A and Q must have matching shapes")
-    if n > LYAP_MAX_DIM:
-        raise ValueError("Kronecker Lyapunov solve is limited to n <= %d" % LYAP_MAX_DIM)
     if abs(Q - Q.T).max() > 1e-12 * (1.0 + abs(Q).max()):
         raise ValueError("Q must be symmetric")
     if np.linalg.eigvalsh((Q + Q.T) / 2).min() <= 0:
         raise ValueError("Q must be positive definite")
     if spectral_abscissa(A) >= 0:
         raise ValueError("A must be Hurwitz for the Lyapunov equation to have a PD solution")
+    return _solve_lyapunov(A, Q, np.eye(n))
 
-    L = _lyapunov_operator(A, np.eye(n))
+
+def _solve_lyapunov(A, Q, eye):
+    """solve_lyapunov's solve and acceptance, for a finite Hurwitz A and a finite SPD Q.
+
+    The caller has checked A and Q; eye is np.eye(n).
+    """
+    n = A.shape[0]
+    if n > LYAP_MAX_DIM:
+        raise ValueError("Kronecker Lyapunov solve is limited to n <= %d" % LYAP_MAX_DIM)
+    L = _lyapunov_operator(A, eye)
     rhs = -Q.reshape(-1)
     # One LU factorization serves the solve and every refinement step.
     # LAPACK's getrf/getrs are called directly: scipy's lu_factor/lu_solve
@@ -190,13 +218,18 @@ def synthesize_gain(A, B):
     eye = np.eye(n)
 
     # PBH rank test on the modes with Re lam >= -AXIS_TOL, in eigenvalue
-    # order, so the first uncontrollable one is named
-    scale = 1.0 + float(abs(A).max()) + float(abs(B).max())
+    # order, so the first uncontrollable one is named; columns of B larger
+    # than A are scaled down to its size, and of a conjugate pair only the
+    # first mode is tested (see the module docstring)
     w = np.linalg.eigvals(A)
-    modes = w[w.real >= -AXIS_TOL]
-    for lam, s in zip(modes, _smallest_singular_values(A, B, modes, eye)):
-        if s <= AXIS_TOL * scale:
-            raise NotStabilizableError("uncontrollable mode with eigenvalue %s" % np.round(lam, 6))
+    modes = w[(w.real >= -AXIS_TOL) & (w.imag >= 0)]
+    if modes.size:
+        size = 1.0 + float(abs(A).max())
+        Bs = B * (size / np.maximum(abs(B).max(axis=0), size))
+        scale = size + float(abs(Bs).max())
+        for lam, s in zip(modes, _smallest_singular_values(A, Bs, modes, eye)):
+            if s <= AXIS_TOL * scale:
+                raise NotStabilizableError("uncontrollable mode with eigenvalue %s" % np.round(lam, 6))
 
     BBt = B @ B.T
     try:
@@ -236,7 +269,9 @@ def synthesize_gain(A, B):
     if abscissa >= 0:
         raise NumericalFailure("synthesized gain failed to stabilize (abscissa %.3e)" % abscissa)
 
-    P = solve_lyapunov(Acl, eye)
+    # Acl is finite and Hurwitz (spectral_abscissa checked both) and Q = I
+    # is SPD: solve_lyapunov's input checks would only repeat that
+    P = _solve_lyapunov(Acl, eye, eye)
     S = (P @ Acl + Acl.T @ P) / 2
     decay = -float(np.linalg.eigvalsh(S).max())
     if decay <= 0:

@@ -395,6 +395,38 @@ V = x1^2 + x2^2
     assert "RESULT fail" in capsys.readouterr().out
 
 
+def test_simulate_escape_counts_once_without_warnings(tmp_path, capsys):
+    # A(x) x overflows on the first step: the escape fails the final-norm
+    # check, and the run reports it with no NumPy warning
+    cfg = write(
+        tmp_path / "e.ini",
+        """
+[experiment]
+kind = simulate
+[system]
+type = state-linear
+dim = 2
+A = 1e300, 1e300; 0, -1
+B = 0; 1
+[controller]
+type = zero
+[partition]
+h = 0.05
+count = 21
+[run]
+x0 = 1e10, 1
+horizon = 0.5
+""",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert "trajectory escaped at t=0.001" in out
+    assert out.splitlines()[-1] == "RESULT fail 2 2"
+    assert "RuntimeWarning" not in err
+
+
 def test_simulate_multiple_initial_states(tmp_path):
     cfg = write(
         tmp_path / "m.ini",

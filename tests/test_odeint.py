@@ -67,14 +67,24 @@ def test_state_past_overflow_range_escapes_without_warning():
 
 
 def test_finite_matrix_whose_product_overflows_escapes():
-    # A(x) is finite, so state_matrix lets it through; A(x) x overflows to inf
-    # (NumPy warns), which the escape test catches instead of raising
+    # A(x) is finite, so state_matrix lets it through; A(x) x overflows to inf,
+    # which the escape test catches and reports, with no NumPy warning
     sys = StateLinearSystem(lambda x: np.array([[1e300, 1e300], [0.0, -1.0]]), np.zeros((2, 1)), 2, 1)
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         traj = integrate(sys, [1e10, 1.0], None, (0.0, 1.0), IntegrationConfig(step=0.25))
     assert traj.escaped
     assert traj.escape_time == 0.25
     np.testing.assert_array_equal(traj.states, [[1e10, 1.0]])
+
+
+def test_non_finite_state_matrix_still_raises():
+    # A(x) is finite at the origin; at x1 = 10 its entry x1 * 1e308 overflows to inf
+    sys = StateLinearSystem(lambda x: np.array([[x[0] * 1e308]]), np.zeros((1, 1)), 1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="system matrices must be finite at finite states"):
+            integrate(sys, [10.0], None, (0.0, 1.0), IntegrationConfig(step=0.25))
 
 
 def test_order_four_convergence():

@@ -17,6 +17,14 @@ from sdstab.synth import (
 )
 
 
+def synth_batch_pairs(count):
+    """The first `count` pairs of the seed-0 synthesis batch: n in 1..12, m in {1, 2}."""
+    rng = np.random.default_rng(0)
+    for _ in range(count):
+        n, m = int(rng.integers(1, 13)), int(rng.integers(1, 3))
+        yield rng.standard_normal((n, n)), rng.standard_normal((n, m))
+
+
 def scalar_riccati_gain(a, b):
     """Closed-form stabilizing gain for dx = a x + b u with unit weights."""
     p = (a + np.sqrt(a * a + b * b)) / (b * b)
@@ -58,6 +66,22 @@ class TestLyapunov:
     def test_indefinite_q_rejected(self):
         with pytest.raises(ValueError):
             solve_lyapunov(-np.eye(2), np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize(
+        "A, Q, message",
+        [
+            (np.ones((2, 3)), np.eye(2), "A must be square"),
+            (-np.eye(2), np.eye(3), "A and Q must have matching shapes"),
+            (-np.eye(21), np.eye(21), "n <= 20"),
+            (-np.eye(2), [[1.0, 0.5], [0.0, 1.0]], "Q must be symmetric"),
+            (-np.eye(2), np.diag([1.0, -1.0]), "Q must be positive definite"),
+            (np.eye(2), np.eye(2), "A must be Hurwitz"),
+            ([[np.nan]], [[1.0]], "A must have finite entries"),
+        ],
+    )
+    def test_public_checks(self, A, Q, message):
+        with pytest.raises(ValueError, match=message):
+            solve_lyapunov(A, Q)
 
     def test_random_residuals(self):
         rng = np.random.default_rng(42)
@@ -131,10 +155,8 @@ class TestGainSynthesis:
     def test_ill_conditioned_graph_matches_schur_riccati(self):
         # pair 596 of the seed-0 synthesis batch (n = 11, m = 1, |X| ~ 7e7): the
         # Hamiltonian eigenvector graph U2 U1^-1 would be ~1.5e-8 off here
-        rng = np.random.default_rng(0)
-        for _ in range(597):
-            n, m = int(rng.integers(1, 13)), int(rng.integers(1, 3))
-            A, B = rng.standard_normal((n, n)), rng.standard_normal((n, m))
+        *_, (A, B) = synth_batch_pairs(597)
+        n, m = B.shape
         w, V = np.linalg.eig(np.block([[A, -B @ B.T], [-np.eye(n), -A.T]]))
         assert n * np.finfo(float).eps * np.linalg.cond(V[:n, w.real < 0]) > 1e-8
         res = synthesize_gain(A, B)
@@ -152,10 +174,24 @@ class TestGainSynthesis:
             synthesize_gain(np.diag([1.0, 2.0]), [[1.0], [0.0]])
 
     def test_uncontrollable_complex_unstable_pair(self):
-        # eigenvalues 0.1 +- i on the first two states; B drives only the stable third
+        # eigenvalues 0.1 +- i on the first two states; B drives only the stable third.
+        # Of the conjugate pair only the first mode is tested, and it is the one named
         A = np.array([[0.1, 1.0, 0.0], [-1.0, 0.1, 0.0], [0.0, 0.0, -1.0]])
-        with pytest.raises(NotStabilizableError, match="uncontrollable mode"):
+        with pytest.raises(NotStabilizableError, match=r"uncontrollable mode with eigenvalue \(0\.1\+1j\)$"):
             synthesize_gain(A, [[0.0], [0.0], [1.0]])
+
+    @pytest.mark.parametrize("big", [1e9, 1e12])
+    def test_badly_scaled_input_reaches_the_unstable_mode(self, big):
+        # [B, AB] has rank 2 however large |B| is against |A|
+        A = np.array([[0.0, 1.0], [1.0, 0.0]])
+        res = synthesize_gain(A, [[0.0], [big]])
+        assert res.abscissa == pytest.approx(-1.0, abs=1e-2)
+        assert spectral_abscissa(res.closed_loop(A, [[0.0], [big]])) < 0
+
+    @pytest.mark.parametrize("big", [1e9, 1e12])
+    def test_badly_scaled_input_misses_the_unstable_mode(self, big):
+        with pytest.raises(NotStabilizableError, match=r"uncontrollable mode with eigenvalue 1\.0$"):
+            synthesize_gain(np.diag([1.0, -1.0]), [[0.0], [big]])
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="n <= 20"):
@@ -204,6 +240,25 @@ class TestConstructionsKeepNumPysBits:
             want = [np.linalg.svd(np.hstack([A - lam * eye, B]), compute_uv=False)[-1] for lam in modes]
             got = _smallest_singular_values(A, B, modes, eye)
             assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("A, B", list(construction_inputs()))
+    def test_conjugate_pencils_have_the_same_smallest_singular_value(self, A, B):
+        # the PBH test checks one mode of each conjugate pair
+        n = A.shape[0]
+        w = np.linalg.eigvals(A)
+        w = w[w.imag != 0]
+        got = _smallest_singular_values(A, B, w, np.eye(n))
+        assert got.tobytes() == _smallest_singular_values(A, B, w.conj(), np.eye(n)).tobytes()
+
+
+class TestInternalLyapunovSolve:
+    @pytest.mark.parametrize("A, B", list(synth_batch_pairs(40)) + list(construction_inputs()))
+    def test_certificate_is_the_public_lyapunov_solve(self, A, B):
+        # synthesize_gain solves on its checked closed loop without the public
+        # checks; the public solve on the same closed loop gives the same bits
+        res = synthesize_gain(A, B)
+        P = solve_lyapunov(res.closed_loop(A, B), np.eye(A.shape[0]))
+        assert res.lyapunov.tobytes() == P.tobytes()
 
 
 class TestUniformBounds:
