@@ -3,8 +3,8 @@
 Layers:
 
 * :mod:`sdstab.sysmodel` / :mod:`sdstab.odeint` - systems (each with its
-  own ``rhs(x, u)``), signals, sampling partitions, fixed-step integration
-  with blow-up detection.
+  own ``rhs(x, u)``), signals, fixed-step integration with blow-up
+  detection.
 * :mod:`sdstab.synth` - stabilizing-gain synthesis (Riccati via the
   Hamiltonian's stable subspace) with verified quadratic decrease.
 * :mod:`sdstab.liecalc` / :mod:`sdstab.exprs` / :mod:`sdstab.jets` -
@@ -15,8 +15,9 @@ Layers:
 * :mod:`sdstab.sampling` - seeded scrambled Halton points over boxes and
   balls, drawn in NumPy (the points of ``scipy.stats.qmc.Halton``, bit for
   bit, without importing ``scipy.stats``).
-* :mod:`sdstab.sdfctl` - sampled-data closed loops (frozen-gain and
-  patchwork-dispatch controllers) and decrease certificates.
+* :mod:`sdstab.sdfctl` - sampled-data closed loops sampled at ``k*h``
+  (frozen-gain and patchwork-dispatch controllers) and decrease
+  certificates.
 * :mod:`sdstab.cli` - the ``sdstab`` command-line front end.
 """
 
@@ -34,10 +35,8 @@ from .sysmodel import (
     AffineSystem,
     ControlSignal,
     GeneralSystem,
-    SamplingPartition,
     StateLinearSystem,
     Trajectory,
-    make_uniform_partition,
     state_vector,
     zero_signal,
 )
@@ -64,13 +63,11 @@ __all__ = [
     "NotStabilizableError",
     "NumericalFailure",
     "OffsetSelectionError",
-    "SamplingPartition",
     "StateLinearSystem",
     "Trajectory",
     "UncoveredPointError",
     "UniformBounds",
     "integrate",
-    "make_uniform_partition",
     "max_excursion",
     "solve_lyapunov",
     "spectral_abscissa",

@@ -13,6 +13,7 @@ overflow.
 
 import argparse
 import configparser
+import math
 import os
 import sys
 
@@ -40,7 +41,7 @@ from .sdfctl import (
     certify_decrease,
     run_closed_loop,
 )
-from .sysmodel import AffineSystem, StateLinearSystem, make_uniform_partition
+from .sysmodel import AffineSystem, StateLinearSystem
 from .synth import synthesize_gain
 
 EXIT_OK = 0
@@ -96,10 +97,11 @@ class Config:
             raise ConfigError("[%s] %s must be an integer, got %r" % (section, key, raw)) from None
 
 
-def _positive(cfg, section, key, default, kind=Config.get_float):
-    value = kind(cfg, section, key, default=default)
-    if not value > 0:
-        raise ConfigError("[%s] %s must be positive, got %r" % (section, key, value))
+def _positive(cfg, section, key, default=None, kind=Config.get_float):
+    """A positive finite number; without a default the key is required."""
+    value = kind(cfg, section, key, default=default, required=default is None)
+    if not 0 < value < math.inf:
+        raise ConfigError("[%s] %s must be positive and finite, got %r" % (section, key, value))
     return value
 
 
@@ -315,14 +317,8 @@ def cmd_simulate(cfg, out_dir, seed, quiet):
     else:
         raise ConfigError("unknown controller type %r" % ctrl_type)
 
-    h = cfg.get_float("partition", "h", required=True)
-    count = cfg.get_int("partition", "count", default=2)
-    try:
-        partition = make_uniform_partition(h, count)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    horizon = cfg.get_float("run", "horizon", required=True)
+    h = _positive(cfg, "partition", "h")
+    horizon = _positive(cfg, "run", "horizon")
     x0s = _parse_vectors(cfg.get("run", "x0", required=True))
     final_norm = cfg.get_float("run", "final_norm", default=1e-2)
 
@@ -348,7 +344,7 @@ def cmd_simulate(cfg, out_dir, seed, quiet):
     n_failures = 0
     for i, x0 in enumerate(x0s):
         try:
-            run = run_closed_loop(plant, ctrl, partition, x0, horizon, icfg)
+            run = run_closed_loop(plant, ctrl, h, x0, horizon, icfg)
         except ControllerError as exc:
             n_checks += 1
             n_failures += 1
@@ -367,8 +363,7 @@ def cmd_simulate(cfg, out_dir, seed, quiet):
         final = float(np.linalg.norm(run.final_state()))
         ok_norm = final <= final_norm and not run.escaped
         n_checks += len(cert.intervals) + 1
-        # an escape fails the final-norm check; cert.failures lists it too,
-        # so only the failed intervals are counted from there
+        # an escape fails its interval and the final-norm check, and ends the run
         n_failures += sum(1 for ic in cert.intervals if not ic.ok) + (0 if ok_norm else 1)
 
         traj_path = write_trajectory(run, cert, i)

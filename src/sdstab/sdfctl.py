@@ -1,23 +1,27 @@
 """Sampled-data closed loops with numerically checked decrease certificates.
 
-At every sampling instant the controller (any object with ``plan(xi, eps)``)
-sees only the sampled state and the length of the upcoming interval, and
-returns an open-loop signal for that interval. The frozen-gain controller synthesizes a stabilizing gain at the
+The sampling instants are ``k*h`` for a step ``h``, made one at a time up
+to the horizon (see :func:`sampling_times`). At every instant the
+controller (any object with ``plan(xi, eps)``) sees only the sampled state
+and the length of the upcoming interval, and returns an open-loop signal
+for that interval. The frozen-gain controller synthesizes a stabilizing gain at the
 sample, simulates its own internal model of the frozen-gain closed loop, and
 plays back the gain applied to the *model* state (not a zero-order hold;
 a hold variant is available behind a flag for comparison runs). The plant
 may differ from the model; the decrease certificate quantifies the result.
 """
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain, count, pairwise, takewhile
 
 import numpy as np
 
 from .errors import ControllerError, NoCertifiedStepError, NotStabilizableError
 from .odeint import IntegrationConfig, integrate, max_excursion, rk4_autonomous_step
 from .patchwork import DOUBLING, active_indices
-from .sysmodel import ControlSignal, make_uniform_partition, product, state_vector, zero_signal
+from .sysmodel import ControlSignal, product, state_vector, zero_signal
 from .synth import synthesize_gain
 
 MARGINAL_TOL = 1e-10
@@ -94,8 +98,11 @@ class FrozenGainController:
         first_stage = []
         model = integrate(model_sys, xi, None, (0.0, eps), self.cfg, first_stage)
         if model.escaped:
+            stiffness = self.cfg.step * float(np.max(np.abs(np.linalg.eigvals(A + B @ F))))
             raise ControllerError(
-                "internal model escaped at t=%g for sample %s" % (model.escape_time, xi)
+                "internal model escaped at t=%g for sample %s; step*max|eig(A+BF)| = %g at the "
+                "sample (RK4 is stable only up to about 2.8 on the negative real axis)"
+                % (model.escape_time, xi, stiffness)
             )
 
         grid = model.times.tolist()
@@ -152,9 +159,9 @@ def _join_intervals(parts):
 
 @dataclass
 class IntervalRecord:
-    """One sampling interval: the partition's times and the plant trajectory.
+    """One sampling interval: its two sampling instants and the plant trajectory.
 
-    ``t_end`` is the partition's time, not ``traj.times[-1]``, which is
+    ``t_end`` is the sampling instant, not ``traj.times[-1]``, which is
     ``t_start + (t_end - t_start)`` and can differ from it in the last bit.
     """
 
@@ -204,19 +211,37 @@ class ClosedLoopRun:
         )
 
 
-def run_closed_loop(plant, ctrl, partition, x0, horizon, cfg=IntegrationConfig()):
-    """Sample-and-hold the controller over the partition, integrating the plant.
+def sampling_times(h, horizon):
+    """The sampling instants 0, h, 2h, ... up to the horizon, made one at a time.
+
+    Yields 0.0, then ``k*h`` for k = 1, 2, ... while ``k*h < horizon - 1e-12``,
+    then ``horizon``. Each instant is a product, not a running sum, so none
+    carries the rounding of the ones before it. Raises ValueError at once
+    unless ``h`` and ``horizon`` are positive and finite.
+    """
+    h, horizon = float(h), float(horizon)
+    if not (0.0 < h < math.inf and 0.0 < horizon < math.inf):
+        raise ValueError(
+            "sampling step and horizon must be positive and finite, got h=%r, horizon=%r" % (h, horizon)
+        )
+    cut = horizon - 1e-12
+    inner = takewhile(lambda t: t < cut, (k * h for k in count(1)))
+    return chain((0.0,), inner, (horizon,))
+
+
+def run_closed_loop(plant, ctrl, h, x0, horizon, cfg=IntegrationConfig()):
+    """Sample the controller at the instants ``sampling_times(h, horizon)``, integrating the plant.
 
     The plant trajectory is continuous across sampling instants (each
     interval starts from the previous final state). Each record keeps the
     plant trajectory of its interval, so its sample and end state, and the
     run's escape flag and time, are read from the trajectories. An escape
-    ends the run; a controller failure raises with the partial run attached.
+    ends the run, and no later instant is made; a controller failure raises
+    with the partial run attached.
     """
     x = state_vector(x0)
-    times = partition.boundaries(horizon)
     run = ClosedLoopRun(records=[])
-    for t0, t1 in zip(times, times[1:]):
+    for t0, t1 in pairwise(sampling_times(h, horizon)):
         try:
             sig = ctrl.plan(x, t1 - t0)
         except ControllerError as exc:
@@ -255,6 +280,7 @@ class IntervalCertificate:
     bound_ok: bool
     excursion_ratio: float
     waived: bool = False
+    escape_time: float | None = None  # set when the plant escaped on the interval
 
     @property
     def v_start(self):
@@ -278,7 +304,7 @@ class IntervalCertificate:
 
     @property
     def ok(self):
-        return self.bound_ok and (self.waived or self.margin > 0.0)
+        return self.bound_ok and self.escape_time is None and (self.waived or self.margin > 0.0)
 
 
 @dataclass
@@ -319,8 +345,8 @@ def certify_decrease(run, V, a=DOUBLING):
     V(start) - V(end) must be strictly positive (waived at the origin), the
     interval maximum of V must stay below a(V(start)), and the excursion
     from the sample per unit time is reported as the interval's excursion
-    constant. An escaped run fails; the certificate passes when nothing
-    failed.
+    constant. An interval whose plant escaped fails, whatever its values;
+    the certificate passes when nothing failed.
     """
     if not run.records:
         raise ValueError("run has no completed intervals")
@@ -339,17 +365,18 @@ def certify_decrease(run, V, a=DOUBLING):
             bound_ok=v_max <= cap + 1e-12 * (1.0 + abs(cap)),
             excursion_ratio=max_excursion(rec.traj, rec.xi) / rec.eps,
             waived=float(np.max(np.abs(rec.xi))) == 0.0,
+            escape_time=rec.traj.escape_time,
         )
         intervals.append(cert)
         if not cert.ok:
             reasons = []
             if not cert.bound_ok:
                 reasons.append("growth bound exceeded (%g > %g)" % (v_max, cap))
-            if not cert.waived and cert.margin <= 0.0:
+            if cert.escape_time is not None:
+                reasons.append("trajectory escaped at t=%g" % cert.escape_time)
+            elif not cert.waived and cert.margin <= 0.0:
                 reasons.append("no strict decrease (margin %g)" % cert.margin)
             failures.append("interval %d: %s" % (k, "; ".join(reasons)))
-    if run.escaped:
-        failures.append("trajectory escaped at t=%g" % run.escape_time)
     return DecreaseCertificate(intervals=intervals, failures=failures)
 
 
@@ -365,8 +392,7 @@ def adapt_epsilon(plant, ctrl, xi, V, a, eps0, cfg=IntegrationConfig(), max_halv
     trace = []
     eps = float(eps0)
     for _ in range(max_halvings + 1):
-        partition = make_uniform_partition(eps, 2)
-        run = run_closed_loop(plant, ctrl, partition, xi, eps, cfg)
+        run = run_closed_loop(plant, ctrl, eps, xi, eps, cfg)
         cert = certify_decrease(run, V, a)
         trace.append((eps, cert.uniform_margin))
         if cert.passed:

@@ -1,4 +1,4 @@
-"""Core representations: systems, control signals, sampling partitions, trajectories.
+"""Core representations: systems, control signals, trajectories.
 
 Every system has ``dim_state``, ``dim_input`` and ``rhs(x, u)``, so the
 integrator and the closed loop take any of them as the plant. Controls are
@@ -212,59 +212,6 @@ class StateLinearSystem:
                 return times_x(Ax + times_u(Bx, F), x)
 
         return field
-
-
-class SamplingPartition:
-    """Strictly increasing sampling times starting at 0, with an optional uniform tail."""
-
-    def __init__(self, times, tail_step=None):
-        times = [float(t) for t in times]
-        if not times or times[0] != 0.0:
-            raise ValueError("a sampling partition starts at time 0")
-        for a, b in zip(times, times[1:]):
-            if not b > a:
-                raise ValueError("sampling times must be strictly increasing")
-        if tail_step is not None and tail_step <= 0:
-            raise ValueError("tail step must be positive")
-        self.times = tuple(times)
-        self.tail_step = tail_step
-
-    def boundaries(self, horizon):
-        """Interval boundaries covering [0, horizon].
-
-        Returns the strictly increasing times from 0 to horizon: time 0
-        (whatever the horizon), the explicit prefix times more than 1e-12
-        before the horizon, then the uniform tail.
-        """
-        horizon = float(horizon)
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        out = [0.0]
-        for t in self.times[1:]:
-            if t >= horizon - 1e-12:
-                break
-            out.append(t)
-        if self.times[-1] < horizon - 1e-12:
-            if self.tail_step is None:
-                raise ValueError(
-                    "partition prefix ends at %g but horizon is %g and no tail step is set"
-                    % (self.times[-1], horizon)
-                )
-            t = self.times[-1]
-            while t + self.tail_step < horizon - 1e-12:
-                t += self.tail_step
-                out.append(t)
-        out.append(horizon)
-        return out
-
-
-def make_uniform_partition(h, count):
-    """Uniform partition (k-1)*h for k = 1..count, extendable with step h."""
-    if h <= 0:
-        raise ValueError("sampling step must be positive")
-    if count < 1:
-        raise ValueError("partition needs at least one time")
-    return SamplingPartition([(k * h) for k in range(count)], tail_step=h)
 
 
 @dataclass

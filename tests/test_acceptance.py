@@ -35,7 +35,7 @@ from sdstab.sdfctl import (
     run_closed_loop,
 )
 from sdstab.synth import solve_lyapunov, spectral_abscissa, synthesize_gain
-from sdstab.sysmodel import StateLinearSystem, make_uniform_partition
+from sdstab.sysmodel import StateLinearSystem
 
 from test_liecalc import rand_poly_field
 
@@ -163,7 +163,7 @@ def test_criterion_5_lti_consistency():
     Acl = A + B @ F
     x0 = np.array([1.0, -0.5])
     for h in (0.01, 0.1, 0.5):
-        run = run_closed_loop(sys, ctrl, make_uniform_partition(h, 2), x0, 4 * h)
+        run = run_closed_loop(sys, ctrl, h, x0, 4 * h)
         for rec in run.records:
             exact = expm(Acl * rec.t_end) @ x0
             assert np.max(np.abs(rec.x_end - exact)) <= 1e-6
@@ -184,9 +184,8 @@ def _statedep_setup():
 @criterion(6, "state-dependent-end-to-end", 30)
 def test_criterion_6_statedep_end_to_end():
     plant, ctrl = _statedep_setup()
-    partition = make_uniform_partition(0.05, 201)
     for x0 in X0S:
-        run = run_closed_loop(plant, ctrl, partition, np.array(x0), 10.0)
+        run = run_closed_loop(plant, ctrl, 0.05, np.array(x0), 10.0)
         cert = certify_decrease(run, PerSampleQuadratic())
         assert float(np.linalg.norm(run.final_state())) <= 1e-2, x0
         assert cert.passed, cert.failures[:3]
@@ -219,7 +218,7 @@ def test_criterion_8_excursion_ratio_stable_under_halving():
     for x0 in X0S:
         ratios = []
         for eps in (0.05, 0.025, 0.0125):
-            run = run_closed_loop(plant, ctrl, make_uniform_partition(eps, 2), np.array(x0), eps)
+            run = run_closed_loop(plant, ctrl, eps, np.array(x0), eps)
             rec = run.records[0]
             ratios.append(max_excursion(rec.traj, rec.xi) / rec.eps)
         assert max(ratios) <= 2.0 * min(ratios), (x0, ratios)
@@ -235,7 +234,7 @@ def test_criterion_9_negative_controls():
 
     # zero controller on the feedback-integrator example: no decrease
     entry = registry.double_integrator()
-    run = run_closed_loop(entry.system, ZeroController(), make_uniform_partition(0.1, 11), [1.0, 0.5], 1.0)
+    run = run_closed_loop(entry.system, ZeroController(), 0.1, [1.0, 0.5], 1.0)
     cert = certify_decrease(run, entry.V2)
     assert not cert.passed
 
@@ -258,7 +257,6 @@ registry = statedep-2d
 type = frozen-gain
 [partition]
 h = 0.05
-count = 41
 [run]
 x0 = 2, -1
 horizon = 2

@@ -31,7 +31,6 @@ registry = scalar-unstable
 type = frozen-gain
 [partition]
 h = 0.1
-count = 51
 [run]
 x0 = 1
 horizon = 5
@@ -69,7 +68,6 @@ registry = statedep-2d
 type = frozen-gain
 [partition]
 h = 0.05
-count = 201
 [run]
 x0 = 2, -1
 horizon = 1
@@ -95,6 +93,8 @@ def test_simulate_statedep_csvs_byte_identical_to_recorded(tmp_path):
     assert digests == SIM_STATEDEP_SHA256
 
 
+# ``[partition] count`` is no longer read; these pinned configs still set
+# it, so they also show that such a config runs as it did.
 SIM_PIN = """
 [experiment]
 kind = simulate
@@ -382,7 +382,6 @@ registry = double-integrator
 type = zero
 [partition]
 h = 0.1
-count = 11
 [run]
 x0 = 1, 0.5
 horizon = 1
@@ -425,6 +424,73 @@ horizon = 0.5
     assert "trajectory escaped at t=0.001" in out
     assert out.splitlines()[-1] == "RESULT fail 2 2"
     assert "RuntimeWarning" not in err
+
+
+def test_simulate_escaped_interval_never_certifies(tmp_path, capsys):
+    # x2 escapes at t = 0.277 while V, which barely weighs it, falls and
+    # keeps its growth bound: the interval fails on the escape alone
+    cfg = write(
+        tmp_path / "e.ini",
+        """
+[experiment]
+kind = simulate
+[system]
+type = state-linear
+dim = 2
+A = -1, 0; 0, 50
+B = 0; 1
+[controller]
+type = zero
+[partition]
+h = 0.5
+[run]
+x0 = 1, 1
+horizon = 1
+certificate = expression
+V = x1^2 + 1e-30*x2^2
+""",
+    )
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "    interval 0: trajectory escaped at t=0.277\n" in out
+    assert out.splitlines()[-1] == "RESULT fail 2 2"
+    row = (tmp_path / "cert_0.csv").read_text().splitlines()[1].split(",")
+    assert float(row[4]) > 0 and row[6] == "1"  # L_k and bound_ok as recorded
+
+
+def test_simulate_escape_ends_an_unreachable_horizon(tmp_path, capsys):
+    # the escape near t = 14 ends the run; no instant up to 1e9 is made
+    cfg = write(tmp_path / "u.ini", SIM_SCALAR.replace("frozen-gain", "zero").replace("horizon = 5", "horizon = 1e9"))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "RESULT fail 140 140"
+
+
+def test_simulate_internal_model_escape_names_the_stiffness(tmp_path, capsys):
+    # B is 1e9 times the size of A: h * max|eig(A + BF)| = 1e6 at the default step
+    cfg = write(
+        tmp_path / "s.ini",
+        """
+[experiment]
+kind = simulate
+[system]
+type = state-linear
+dim = 2
+A = 0, 1; 1 + 0.1*sin(x1), 0
+B = 0; 1e9
+[controller]
+type = frozen-gain
+[partition]
+h = 0.1
+[run]
+x0 = 1, 0
+horizon = 1
+""",
+    )
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "internal model escaped at t=0.001" in out
+    assert "step*max|eig(A+BF)| = 1e+06" in out
+    assert out.splitlines()[-1] == "RESULT fail 1 1"
 
 
 def test_simulate_multiple_initial_states(tmp_path):
@@ -634,7 +700,6 @@ type = patchwork
 registry = patchwork-halfplanes
 [partition]
 h = 0.05
-count = 21
 [run]
 x0 = 1, -0.5
 horizon = 1
@@ -694,6 +759,28 @@ horizon = 1
 """,
         )
         assert main(["simulate", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("simulate", SIM_SCALAR.replace("h = 0.1", "h = inf"), "[partition] h"),
+            ("simulate", SIM_SCALAR.replace("h = 0.1", "h = nan"), "[partition] h"),
+            ("simulate", SIM_SCALAR.replace("horizon = 5", "horizon = inf"), "[run] horizon"),
+            ("synthesize", None, "[synthesize] radius"),
+            ("check-patchwork", "[experiment]\nkind = check-patchwork\n[patchwork]\n"
+             "registry = patchwork-halfplanes\nradius = inf\n", "[patchwork] radius"),
+        ],
+        ids=["h-inf", "h-nan", "horizon-inf", "synthesize-radius-inf", "patchwork-radius-inf"],
+    )
+    def test_non_finite_positive_key(self, tmp_path, capsys, command, text, key):
+        if text is None:
+            text = readme_ini("synthesize").replace("points = 0,0 ; 1,-1", "radius = inf")
+        assert "= inf" in text or "= nan" in text
+        cfg = write(tmp_path / "f.ini", text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "%s must be positive and finite" % key in captured.err
+        assert "RESULT" not in captured.out
 
     def test_blowup_past_overflow_range(self, tmp_path):
         cfg = write(tmp_path / "b.ini", SIM_SCALAR + "[integrator]\nblowup = 1e300\n")

@@ -8,11 +8,10 @@ evaluated at 40 significant digits. Float results must agree to a
 tolerance that grows with the largest intermediate value of the
 evaluation, which bounds how far rounding errors can be amplified.
 
-The interval boundaries of random sampling partitions are checked against
-the rules of ``SamplingPartition.boundaries``.
+The sampling instants ``sampling_times(h, horizon)`` are checked against
+their rules: 0 first, the horizon last, every inner instant ``k*h``.
 """
 
-import itertools
 import math
 
 import mpmath
@@ -46,7 +45,7 @@ from sdstab.liecalc import (  # noqa: E402
     _eval_scaled,
     gradient,
 )
-from sdstab.sysmodel import SamplingPartition  # noqa: E402
+from sdstab.sdfctl import sampling_times  # noqa: E402
 
 NAMES = ["x1", "x2"]
 SYMBOLS = sympy.symbols("x1 x2")
@@ -336,43 +335,31 @@ def test_repr_parses_back_to_the_same_tree(t, p):
         assert np.array_equal(back.eval(coords), want, equal_nan=True)
 
 
-# -- sampling partitions ------------------------------------------------------------
+# -- sampling instants ---------------------------------------------------------------
 
-GAP = 1e-12  # prefix times after 0 this close to the horizon, or closer, are dropped
+GAP = 1e-12  # instants before the horizon this close to it, or closer, give way to it
 
 
 @st.composite
-def partitions(draw):
-    """(prefix times, tail step or None, horizon); the horizon is sometimes
-    a prefix time or a tail time, or within a few GAPs of one."""
-    times = list(itertools.accumulate(draw(st.lists(st.floats(1e-3, 5.0), max_size=8)), initial=0.0))
-    tail = draw(st.one_of(st.none(), st.floats(1e-2, 5.0)))
-    grid = times[1:] + [times[-1] + k * tail for k in range(1, 21) if tail is not None]
+def steps_and_horizons(draw):
+    """(h, horizon); the horizon is sometimes a multiple k*h, or within a few GAPs of one."""
+    h = draw(st.floats(1e-3, 5.0))
     near = st.sampled_from([-2e-12, -5e-13, 0.0, 5e-13, 2e-12])
-    near_grid = st.builds(lambda t, d: t + d, st.sampled_from(grid or [1.0]), near)
+    near_grid = st.builds(lambda k, d: k * h + d, st.integers(1, 400), near)
     horizon = draw(st.one_of(st.floats(1e-15, 20.0), near_grid))
-    return times, tail, horizon
+    return h, horizon
 
 
 @settings(PROPERTY, max_examples=500)  # cheap examples; the cut-offs need many
-@given(partitions())
+@given(steps_and_horizons())
 def test_partition_boundaries(case):
-    times, tail, horizon = case
-    partition = SamplingPartition(times, tail_step=tail)
-    if tail is None and times[-1] < horizon - GAP:
-        with pytest.raises(ValueError, match="no tail step"):
-            partition.boundaries(horizon)
-        return
-    b = partition.boundaries(horizon)
+    h, horizon = case
+    b = list(sampling_times(h, horizon))
     assert b[0] == 0.0 and b[-1] == horizon
+    # every inner instant is k*h bit for bit: a product, not a running sum
+    assert b[1:-1] == [k * h for k in range(1, len(b) - 1)]
     assert all(s < t for s, t in zip(b, b[1:]))
-    prefix = [0.0] + [t for t in times[1:] if t < horizon - GAP]
-    assert b[: len(prefix)] == prefix
-    if times[-1] >= horizon - GAP:
-        assert b == prefix + [horizon]
-    else:
-        # the tail is a running sum from the last prefix time, so its steps
-        # are tail_step only up to rounding
-        steps = np.diff(b[len(prefix) - 1 :])
-        assert np.all(np.abs(steps[:-1] - tail) <= 4 * EPS * horizon)
-        assert GAP < steps[-1] <= tail + GAP
+    # 0 is an instant whatever the horizon; no later one lies within GAP of it
+    assert all(t < horizon - GAP for t in b[1:-1])
+    # and the next multiple of h would not have been
+    assert (len(b) - 1) * h >= horizon - GAP

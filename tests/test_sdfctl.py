@@ -18,7 +18,7 @@ from sdstab.sdfctl import (
     certify_decrease,
     run_closed_loop,
 )
-from sdstab.sysmodel import GeneralSystem, StateLinearSystem, make_uniform_partition, zero_signal
+from sdstab.sysmodel import GeneralSystem, StateLinearSystem, zero_signal
 
 DOUBLING = lambda s: 2 * s  # noqa: E731
 
@@ -101,7 +101,7 @@ class TestClosedLoopRuns:
         Acl = A + B @ F
         x0 = np.array([1.0, -0.5])
         for h in (0.01, 0.1, 0.5):
-            run = run_closed_loop(sys, ctrl, make_uniform_partition(h, 2), x0, 4 * h)
+            run = run_closed_loop(sys, ctrl, h, x0, 4 * h)
             for rec in run.records:
                 exact = expm(Acl * rec.t_end) @ x0
                 assert np.max(np.abs(rec.x_end - exact)) < 1e-6
@@ -109,20 +109,27 @@ class TestClosedLoopRuns:
     def test_zero_controller_ignores_partition(self):
         plant = GeneralSystem(1, 1, lambda x, u: -x)
         ctrl = ZeroController()
-        ra = run_closed_loop(plant, ctrl, make_uniform_partition(0.1, 11), [1.0], 1.0)
-        rb = run_closed_loop(plant, ctrl, make_uniform_partition(0.5, 3), [1.0], 1.0)
+        ra = run_closed_loop(plant, ctrl, 0.1, [1.0], 1.0)
+        rb = run_closed_loop(plant, ctrl, 0.5, [1.0], 1.0)
         assert ra.final_state()[0] == pytest.approx(np.exp(-1), abs=1e-9)
         assert rb.final_state()[0] == pytest.approx(np.exp(-1), abs=1e-9)
 
     def test_escape_recorded_not_raised(self):
         plant = GeneralSystem(1, 1, lambda x, u: x * x)
-        run = run_closed_loop(plant, ZeroController(), make_uniform_partition(0.5, 2), [1.0], 2.0)
+        run = run_closed_loop(plant, ZeroController(), 0.5, [1.0], 2.0)
         assert run.escaped
         assert run.escape_time == pytest.approx(1.0, abs=0.1)
 
+    def test_escape_ends_a_run_long_before_its_horizon(self):
+        # the instants are made one at a time, so none is made after the escape
+        plant = GeneralSystem(1, 1, lambda x, u: x * x)
+        run = run_closed_loop(plant, ZeroController(), 0.5, [1.0], 1e9)
+        assert run.escaped
+        assert [rec.t_end for rec in run.records] == [0.5, 1.0, 1.5]
+
     def test_trajectory_concatenation_no_duplicates(self):
         plant = GeneralSystem(1, 1, lambda x, u: -x)
-        run = run_closed_loop(plant, ZeroController(), make_uniform_partition(0.25, 5), [1.0], 1.0)
+        run = run_closed_loop(plant, ZeroController(), 0.25, [1.0], 1.0)
         times, states, inputs = run.trajectory()
         assert np.all(np.diff(times) > 0)
         assert times[0] == 0.0 and times[-1] == 1.0
@@ -130,8 +137,7 @@ class TestClosedLoopRuns:
 
     def test_continuity_across_samples(self):
         sys = scalar_unstable()
-        run = run_closed_loop(sys, FrozenGainController(sys),
-                              make_uniform_partition(0.2, 6), [1.0], 1.0)
+        run = run_closed_loop(sys, FrozenGainController(sys), 0.2, [1.0], 1.0)
         for a, b in zip(run.records, run.records[1:]):
             np.testing.assert_array_equal(a.x_end, b.xi)
 
@@ -139,8 +145,7 @@ class TestClosedLoopRuns:
 class TestCertificates:
     def test_frozen_gain_run_passes(self):
         sys = scalar_unstable()
-        run = run_closed_loop(sys, FrozenGainController(sys),
-                              make_uniform_partition(0.1, 51), [1.0], 5.0)
+        run = run_closed_loop(sys, FrozenGainController(sys), 0.1, [1.0], 5.0)
         cert = certify_decrease(run, PerSampleQuadratic())
         assert cert.passed
         assert all(ic.margin > 0 for ic in cert.intervals)
@@ -148,7 +153,7 @@ class TestCertificates:
 
     def test_no_decrease_fails(self):
         plant = GeneralSystem(2, 1, lambda x, u: np.zeros(2))
-        run = run_closed_loop(plant, ZeroController(), make_uniform_partition(0.2, 6), [3.0, 4.0], 1.0)
+        run = run_closed_loop(plant, ZeroController(), 0.2, [3.0, 4.0], 1.0)
         V = ExprScalarField.from_text("x1^2 + x2^2", 2)
         cert = certify_decrease(run, V)
         assert not cert.passed
@@ -156,7 +161,7 @@ class TestCertificates:
 
     def test_monotone_decay_respects_growth_bound(self):
         plant = GeneralSystem(1, 1, lambda x, u: -x)
-        run = run_closed_loop(plant, ZeroController(), make_uniform_partition(0.2, 6), [1.0], 1.0)
+        run = run_closed_loop(plant, ZeroController(), 0.2, [1.0], 1.0)
         V = ExprScalarField.from_text("x1^2", 1)
         cert = certify_decrease(run, V, a=DOUBLING)
         assert cert.passed
@@ -165,7 +170,7 @@ class TestCertificates:
 
     def test_telescoping_soundness(self):
         plant = GeneralSystem(1, 1, lambda x, u: -x)
-        run = run_closed_loop(plant, ZeroController(), make_uniform_partition(0.1, 11), [1.0], 1.0)
+        run = run_closed_loop(plant, ZeroController(), 0.1, [1.0], 1.0)
         V = ExprScalarField.from_text("x1^2", 1)
         cert = certify_decrease(run, V)
         total = sum(ic.margin for ic in cert.intervals)
@@ -175,7 +180,7 @@ class TestCertificates:
 
     def test_marginal_decrease_flagged(self):
         plant = GeneralSystem(1, 1, lambda x, u: -x)
-        run = run_closed_loop(plant, ZeroController(), make_uniform_partition(0.1, 2), [1e-6], 0.1)
+        run = run_closed_loop(plant, ZeroController(), 0.1, [1e-6], 0.1)
         V = ExprScalarField.from_text("x1^2", 1)
         cert = certify_decrease(run, V)
         assert cert.passed
@@ -183,15 +188,14 @@ class TestCertificates:
 
     def test_waived_at_equilibrium(self):
         plant = GeneralSystem(1, 1, lambda x, u: -x)
-        run = run_closed_loop(plant, ZeroController(), make_uniform_partition(0.1, 2), [0.0], 0.1)
+        run = run_closed_loop(plant, ZeroController(), 0.1, [0.0], 0.1)
         cert = certify_decrease(run, ExprScalarField.from_text("x1^2", 1))
         assert cert.passed
         assert cert.intervals[0].waived
 
     def test_keeps_V_at_every_grid_state(self):
         sys = registry.statedep_2d()
-        run = run_closed_loop(sys, FrozenGainController(sys), make_uniform_partition(0.05, 201),
-                              [2.0, -1.0], 0.2)
+        run = run_closed_loop(sys, FrozenGainController(sys), 0.05, [2.0, -1.0], 0.2)
         V = PerSampleQuadratic()
         cert = certify_decrease(run, V)
         assert len(cert.intervals) == 4
@@ -203,11 +207,27 @@ class TestCertificates:
 
     def test_escape_fails_certificate(self):
         plant = GeneralSystem(1, 1, lambda x, u: x * x)
-        run = run_closed_loop(plant, ZeroController(), make_uniform_partition(0.5, 2), [1.0], 2.0)
+        run = run_closed_loop(plant, ZeroController(), 0.5, [1.0], 2.0)
         V = ExprScalarField.from_text("x1^2", 1)
         cert = certify_decrease(run, V)
         assert not cert.passed
         assert run.escaped
+        # the escape is named once, on its interval, in place of the margin
+        assert cert.failures[-1] == "interval 2: trajectory escaped at t=%g" % run.escape_time
+        assert sum("escaped" in line for line in cert.failures) == 1
+
+    def test_escaped_interval_with_a_decrease_fails(self):
+        # x2 escapes, but V barely sees it: V falls and stays under its
+        # growth bound on the interval, which still must not certify
+        plant = GeneralSystem(2, 1, lambda x, u: np.array([-x[0], 50.0 * x[1]]))
+        run = run_closed_loop(plant, ZeroController(), 0.5, [1.0, 1.0], 1.0)
+        cert = certify_decrease(run, ExprScalarField.from_text("x1^2 + 1e-30*x2^2", 2))
+        ic = cert.intervals[0]
+        assert run.escaped and len(cert.intervals) == 1
+        assert ic.margin > 0 and ic.bound_ok
+        assert ic.escape_time == run.escape_time
+        assert not ic.ok
+        assert cert.failures == ["interval 0: trajectory escaped at t=%g" % run.escape_time]
 
 
 def one_d_patchwork():
@@ -311,8 +331,7 @@ class TestConstantInputMatrix:
     def run(self, system):
         cfg = IntegrationConfig()
         ctrl = FrozenGainController(system, cfg)
-        partition = make_uniform_partition(0.05, 201)
-        run = run_closed_loop(system, ctrl, partition, [2.0, -1.0], 1.0, cfg)
+        run = run_closed_loop(system, ctrl, 0.05, [2.0, -1.0], 1.0, cfg)
         return run, certify_decrease(run, PerSampleQuadratic())
 
     def test_statedep_run_bitwise_equal(self):

@@ -1,4 +1,4 @@
-"""System, signal, and partition construction contracts."""
+"""System, signal, and sampling-instant construction contracts."""
 
 from types import SimpleNamespace
 
@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 
 from sdstab.liecalc import ExprVectorField
-from sdstab.sdfctl import PerSampleQuadratic
+from sdstab.sdfctl import PerSampleQuadratic, sampling_times
 from sdstab.sysmodel import (
     AffineSystem,
     ControlSignal,
     GeneralSystem,
-    SamplingPartition,
     StateLinearSystem,
     _all_finite,
-    make_uniform_partition,
     product,
     state_vector,
     zero_signal,
@@ -30,37 +28,26 @@ def test_state_vector_rejects_nonfinite():
 
 
 class TestPartitions:
+    """The sampling instants of a run, from :func:`sdstab.sdfctl.sampling_times`."""
+
     def test_uniform_values(self):
-        p = make_uniform_partition(0.5, 3)
-        assert p.times == (0.0, 0.5, 1.0)
+        assert list(sampling_times(0.5, 1.0)) == [0.0, 0.5, 1.0]
 
     def test_single_time_is_zero(self):
-        assert make_uniform_partition(1.0, 1).times == (0.0,)
+        # a horizon shorter than the step leaves 0 as the one instant before it
+        assert list(sampling_times(1.0, 0.5)) == [0.0, 0.5]
 
     def test_long_uniform_endpoint(self):
-        p = make_uniform_partition(0.05, 201)
-        assert abs(p.times[-1] - 10.0) < 1e-9
-
-    def test_monotonicity_enforced(self):
-        with pytest.raises(ValueError):
-            SamplingPartition([0.0, 1.0, 1.0])
-        with pytest.raises(ValueError):
-            SamplingPartition([0.5, 1.0])
+        times = list(sampling_times(0.05, 10.0))
+        assert len(times) == 201
+        assert times[-2:] == [199 * 0.05, 10.0]
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            make_uniform_partition(0.0, 3)
-        with pytest.raises(ValueError):
-            make_uniform_partition(0.1, 0)
-
-    def test_tail_extension_flags(self):
-        p = make_uniform_partition(0.5, 2)  # explicit prefix [0, 0.5]
-        np.testing.assert_allclose(p.boundaries(2.0), [0.0, 0.5, 1.0, 1.5, 2.0])
-
-    def test_no_tail_raises_when_needed(self):
-        p = SamplingPartition([0.0, 0.5])
-        with pytest.raises(ValueError):
-            p.boundaries(2.0)
+        for h, horizon in [(0.0, 1.0), (-0.1, 1.0), (np.nan, 1.0), (np.inf, 1.0),
+                           (0.1, 0.0), (0.1, np.nan), (0.1, np.inf)]:
+            # raised at the call, before any instant is asked for
+            with pytest.raises(ValueError, match="positive and finite"):
+                sampling_times(h, horizon)
 
 
 class TestControlSignal:
