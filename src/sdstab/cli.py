@@ -152,8 +152,10 @@ def _expr_matrix(text, dim, rows, cols, constant_ok=False):
     if constant_ok and all(isinstance(e, Const) for row in entries for e in row):
         return np.array([[e.value for e in row] for row in entries])
 
+    # Python floats, not NumPy scalars: the same IEEE operations give the same
+    # bits on both, floats are faster and do not warn on overflow
     def matrix(x):
-        xs = list(np.asarray(x, dtype=float))
+        xs = np.asarray(x, dtype=float).tolist()
         return np.array([[float(e.eval(xs)) for e in row] for row in entries])
 
     return matrix
@@ -192,12 +194,12 @@ def _build_system(cfg):
 
 
 def _integration_config(cfg):
-    step = cfg.get_float("integrator", "step", default=1e-3)
+    step = _positive(cfg, "integrator", "step", default=1e-3)
     blowup = cfg.get_float("integrator", "blowup", default=1e6)
     try:
         return IntegrationConfig(step=step, blowup_norm=blowup)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except ValueError as exc:  # the step is valid, so it is the threshold
+        raise ConfigError("[integrator] blowup: %s" % exc) from exc
 
 
 def _build_patchwork(cfg, seed):
@@ -400,7 +402,10 @@ def _grid_points(extent, count):
 
 
 def cmd_check_lie(cfg, out_dir, seed, quiet):
+    # not _positive: extent 0 is a grid of the origin alone, which checks nothing
     extent = cfg.get_float("grid", "extent", default=2.0)
+    if not math.isfinite(extent):
+        raise ConfigError("[grid] extent must be finite, got %r" % extent)
     count = cfg.get_int("grid", "points", default=41)
     pts = _grid_points(extent, count)
     name = cfg.get("system", "registry")

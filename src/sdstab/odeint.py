@@ -6,12 +6,17 @@ threshold, or non-finite values) truncates the trajectory and sets the
 escape flag; it is a reported outcome, not an exception, and the step loop
 runs with NumPy's overflow and invalid-value warnings off.
 
-The step loop evaluates the input once per stage time: the input at the end
-of a step is reused as the next step's start input. A caller that replays
-substeps from the grid (the frozen-gain controller's playback) can collect
-each step's first stage and pass it to :func:`rk4_autonomous_step`.
+The step loop walks the grid in blocks of at most ``BLOCK_STEPS`` steps and
+fetches each block's inputs in one call of the signal, before the block is
+stepped: the start input (first block only), then each step's midpoint and
+end. The input at the end of a step is reused as the next step's start
+input. An escape ends the work, and the memory held for inputs, within one
+block of where it happens. A caller that replays substeps from the grid
+(the frozen-gain controller's playback) can collect each step's first stage
+and pass the stack of them to :func:`rk4_stack_step`.
 
-Both run one step kernel. It forms the stage states x + c*k and the update
+The step loop and :func:`rk4_autonomous_step` run one step kernel. It
+forms the stage states x + c*k and the update
 x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4) coordinate by coordinate on Python
 floats, and turns each result back into an array with one np.array call. The
 bits are those of the same expressions on float arrays: NumPy's elementwise
@@ -35,10 +40,15 @@ escape test's x.x at any dimension, since a sum of squares has no negative
 product to round. A product with one inner coordinate, such as B u with one
 input, stays on ``@``: there dot multiplies through BLAS axpy or ger, and a
 negative product that underflows comes out -0.0 where ``@`` gives +0.0.
+
+:func:`rk4_stack_step` takes one substep for each row of a (k, n) stack,
+with the same elementwise operations in the same order on arrays; each row
+keeps the bits of :func:`rk4_autonomous_step` on that row.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -51,24 +61,47 @@ class IntegrationConfig:
     blowup_norm: float = 1e6
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("integration step must be positive")
-        if self.blowup_norm <= 1:
-            raise ValueError("blow-up threshold must exceed 1")
+        # written so that NaN fails both checks
+        if not 0 < self.step < math.inf:
+            raise ValueError("integration step must be positive and finite, got %r" % (self.step,))
         # every |x_i| <= 1e150 keeps x.dot(x) finite for up to 1.7e8 coordinates
-        if self.blowup_norm > 1e150:
-            raise ValueError("blow-up threshold must not exceed 1e150")
+        if not 1 < self.blowup_norm <= 1e150:
+            raise ValueError("blow-up threshold must exceed 1 and not exceed 1e150, got %r" % (self.blowup_norm,))
+
+
+BLOCK_STEPS = 256  # steps per block of inputs fetched in one call
+
+
+def _steps(span, h):
+    """The steps over a window of length span: (tau, hk, end) for each.
+
+    A step starts at tau and has size hk; it ends at tau + hk, or at span
+    when that is within 1e-12 of span or past it. Its end is the next
+    step's tau.
+    """
+    tau = 0.0
+    for _ in range(max(1, math.ceil(span / h - 1e-12))):
+        hk = min(h, span - tau)
+        if hk <= 0:
+            return
+        end = tau + hk
+        if end >= span - 1e-12:
+            end = span
+        yield tau, hk, end
+        tau = end
 
 
 def integrate(sys, x0, u, window, cfg=IntegrationConfig(), first_stages=None):
     """Integrate dx/dt = rhs(x, u(t - t0)) over window = (t0, t1).
 
-    The control's clock starts at 0 at the window's left edge. The final
-    grid point lands on t1 exactly (a shorter last step is taken when the
-    window is not an integer number of steps). When ``first_stages`` is a
-    list, each step's first RK4 stage rhs(x_k, u_k) is appended to it, so
-    entry k belongs to grid point k. A stage whose shape is not that of the
-    state raises ValueError.
+    The control's clock starts at 0 at the window's left edge; its inputs
+    are fetched one block of steps at a time, at the times tau + hk/2 and
+    tau + hk of each step (and 0 before the first). The final grid point
+    lands on t1 exactly (a shorter last step is taken when the window is not
+    an integer number of steps). When ``first_stages`` is a list, each
+    step's first RK4 stage rhs(x_k, u_k) is appended to it, so entry k
+    belongs to grid point k. A stage whose shape is not that of the state
+    raises ValueError.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0:
@@ -77,61 +110,57 @@ def integrate(sys, x0, u, window, cfg=IntegrationConfig(), first_stages=None):
     if x.size != sys.dim_state:
         raise ValueError("initial state dimension mismatch")
 
-    h = cfg.step
-    span = t1 - t0
-    n_steps = max(1, int(np.ceil(span / h - 1e-12)))
     record_u = u is not None
     rhs = sys.rhs
     blowup = cfg.blowup_norm
-    # The input at the end of one step is the input at the start of the
-    # next: value() clamps t to the horizon, and a clamped tau ends the loop.
-    u_start = u.value(0.0) if record_u else np.zeros(sys.dim_input)
+    steps = _steps(t1 - t0, cfg.step)
+    u_start = None if record_u else np.zeros(sys.dim_input)
 
     # x is never mutated (each step builds a new array), and np.array(states)
     # copies, so the grid keeps references rather than copies
     times = [t0]
     states = [x]
-    inputs = [u_start] if record_u else None
+    inputs = []
     escaped = False
     escape_time = None
 
-    tau = 0.0
     xs = x.tolist()
     # A product that overflows is an escape, which the test below reports:
     # NumPy's overflow and invalid-value warnings would only repeat it. The
     # context is entered once per call, not per step: entering it took about
     # 2 us on a 2-core x86-64 VM.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            hk = min(h, span - tau)
-            if hk <= 0:
-                break
-            k1 = rhs(x, u_start)
-            if first_stages is not None:
-                first_stages.append(k1)
+        while not escaped and (block := list(islice(steps, BLOCK_STEPS))):
             if record_u:
-                u_mid = u.value(tau + hk / 2)
-                u_end = u.value(tau + hk)
-            else:
-                u_mid = u_end = u_start
-            x_new, new = _rk4_step(rhs, xs, hk, k1, (u_mid,), (u_end,))
-            tau += hk
-            if tau >= span - 1e-12:
-                tau = span
-            # Escape unless every |x_i| and then the norm are within the
-            # threshold. A state the coordinate test rejects would fail the norm
-            # test too; testing it first keeps x.dot(x) from overflowing. NaN fails
-            # every comparison and so escapes.
-            if not (all(-blowup <= v <= blowup for v in new) and math.sqrt(x_new.dot(x_new)) <= blowup):
-                escaped = True
-                escape_time = t0 + tau
-                break
-            x, xs = x_new, new
-            times.append(t0 + tau)
-            states.append(x)
-            if record_u:
-                inputs.append(u_end)
-            u_start = u_end
+                ts = [tau + d for tau, hk, _ in block for d in (hk / 2, hk)]
+                # the first block also asks for the start input
+                rows = iter(u.values(ts if u_start is not None else [0.0] + ts))
+                if u_start is None:
+                    u_start = next(rows)
+                    inputs.append(u_start)
+            for tau, hk, end in block:
+                k1 = rhs(x, u_start)
+                if first_stages is not None:
+                    first_stages.append(k1)
+                if record_u:
+                    u_mid, u_end = next(rows), next(rows)
+                else:
+                    u_mid = u_end = u_start
+                x_new, new = _rk4_step(rhs, xs, hk, k1, (u_mid,), (u_end,))
+                # Escape unless every |x_i| and then the norm are within the
+                # threshold. A state the coordinate test rejects would fail the norm
+                # test too; testing it first keeps x.dot(x) from overflowing. NaN fails
+                # every comparison and so escapes.
+                if not (all(-blowup <= v <= blowup for v in new) and math.sqrt(x_new.dot(x_new)) <= blowup):
+                    escaped = True
+                    escape_time = t0 + end
+                    break
+                x, xs = x_new, new
+                times.append(t0 + end)
+                states.append(x)
+                if record_u:
+                    inputs.append(u_end)
+                u_start = u_end
 
     return Trajectory(
         times=np.array(times),
@@ -146,7 +175,10 @@ def rk4_autonomous_step(f, x, h, k1):
     """One classical RK4 step of size h for an autonomous field f.
 
     ``k1`` is the first stage f(x), computed earlier by the caller (for
-    instance collected through :func:`integrate`'s ``first_stages``).
+    instance collected through :func:`integrate`'s ``first_stages``). The
+    playback takes its substeps through :func:`rk4_stack_step`; this
+    single-state form is the reference the stacked one keeps the bits of,
+    and a name the benchmark's tracer wraps.
     """
     return _rk4_step(f, x.tolist(), h, k1)[0]
 
@@ -167,6 +199,30 @@ def _rk4_step(f, xs, h, k1, mid=(), end=()):
     w = h / 6
     new = [x + w * (((p + 2 * q) + 2 * r) + s) for x, p, q, r, s in zip(xs, a, b, c, d)]
     return np.array(new), new
+
+
+def rk4_stack_step(f, X, dt, K1):
+    """One classical RK4 step for each row of the (k, n) stack X, row i of size dt[i].
+
+    ``f`` maps a C-contiguous (k, n) stack of states to the stack of its
+    field values; ``K1`` is f(X), computed earlier by the caller. Row i has
+    the bits of ``rk4_autonomous_step(f, X[i], dt[i], K1[i])`` when f keeps
+    the bits of single states, as :meth:`StateLinearSystem.closed_loop_field`
+    does. Every stage must have the shape of X.
+    """
+    half = (dt / 2)[:, None]
+    K2 = _stage_stack(f(X + half * K1), X.shape)
+    K3 = _stage_stack(f(X + half * K2), X.shape)
+    K4 = _stage_stack(f(X + dt[:, None] * K3), X.shape)
+    return X + (dt / 6)[:, None] * (((K1 + 2 * K2) + 2 * K3) + K4)
+
+
+def _stage_stack(K, shape):
+    if K.shape != shape:
+        raise ValueError(
+            "the field returned shape %s for a stack of %d states of dimension %d" % (K.shape, *shape)
+        )
+    return K
 
 
 def _stage_list(k, shape):

@@ -4,24 +4,26 @@ The sampling instants are ``k*h`` for a step ``h``, made one at a time up
 to the horizon (see :func:`sampling_times`). At every instant the
 controller (any object with ``plan(xi, eps)``) sees only the sampled state
 and the length of the upcoming interval, and returns an open-loop signal
-for that interval. The frozen-gain controller synthesizes a stabilizing gain at the
-sample, simulates its own internal model of the frozen-gain closed loop, and
-plays back the gain applied to the *model* state (not a zero-order hold;
-a hold variant is available behind a flag for comparison runs). The plant
-may differ from the model; the decrease certificate quantifies the result.
+for that interval: a function of an array of times, which the plant's
+integration asks for one block of steps at a time. The frozen-gain
+controller synthesizes a stabilizing gain at the sample, simulates its own
+internal model of the frozen-gain closed loop, and plays back the gain
+applied to the *model* state, all queried times at once (not a zero-order
+hold; a hold variant is available behind a flag for comparison runs). The
+plant may differ from the model; the decrease certificate quantifies the
+result.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, count, pairwise, takewhile
 
 import numpy as np
 
 from .errors import ControllerError, NoCertifiedStepError, NotStabilizableError
-from .odeint import IntegrationConfig, integrate, max_excursion, rk4_autonomous_step
+from .odeint import IntegrationConfig, integrate, max_excursion, rk4_stack_step
 from .patchwork import DOUBLING, active_indices
-from .sysmodel import ControlSignal, product, state_vector, zero_signal
+from .sysmodel import ControlSignal, constant_signal, product, state_vector, zero_signal
 from .synth import synthesize_gain
 
 MARGINAL_TOL = 1e-10
@@ -63,6 +65,14 @@ class FrozenGainController:
     xh(t) is one RK4 substep from the grid point before t; its first stage
     is the one the model run computed at that point, so playback evaluates
     the model field three times per substep, not four.
+
+    The signal answers an array of times at once, as the plant asks for a
+    block of steps: the times within 1e-12 of their grid point read its
+    state, the others take their substeps together on (k, n) stacks
+    (:func:`rk4_stack_step` on the stacked closed-loop field), and
+    u = F xh is one stacked ``np.matmul``. Per row these are the operations
+    of one query at a time, in the same order, so the inputs keep their
+    bits; ``xh @ F.T`` would run gemm, whose bits differ.
     """
 
     def __init__(self, sys, cfg=IntegrationConfig(), zero_order_hold=False):
@@ -85,9 +95,7 @@ class FrozenGainController:
         F = synth.gain
 
         if self.zero_order_hold:
-            u_const = F @ xi
-            bound = float(np.linalg.norm(u_const))
-            sig = ControlSignal(eps, bound, m, lambda t: u_const)
+            sig = constant_signal(eps, F @ xi)
             sig.info.update({"xi": xi, "synthesis": synth})
             return sig
 
@@ -105,21 +113,27 @@ class FrozenGainController:
                 % (model.escape_time, xi, stiffness)
             )
 
-        grid = model.times.tolist()
+        grid = model.times
         states = model.states
-        last = max(len(grid) - 2, 0)
+        slopes = np.array(first_stage)
+        last = len(grid) - 2
 
-        def model_state(t):
-            idx = min(max(bisect_right(grid, t) - 1, 0), last)
-            dt = t - grid[idx]
-            if dt <= 1e-12:
-                return states[idx]
-            return rk4_autonomous_step(model_field, states[idx], dt, first_stage[idx])
+        def inputs(ts):
+            idx = np.searchsorted(grid, ts, side="right") - 1
+            np.clip(idx, 0, last, out=idx)
+            dt = ts - grid[idx]
+            X = states[idx]
+            # NaN fails the test and takes a substep, as a scalar comparison would
+            far = ~(dt <= 1e-12)
+            if far.any():
+                i = idx[far]
+                X[far] = rk4_stack_step(model_field, states[i], dt[far], slopes[i])
+            # per row the gemv of ndarray.dot; X @ F.T would run gemm, whose bits differ
+            return np.matmul(F, X[:, :, None])[:, :, 0]
 
         bound = float(np.linalg.norm(F, 2) * np.max(np.linalg.norm(states, axis=1)))
         bound *= 1.0 + 1e-6
-        times = product(self.sys.dim_state)
-        sig = ControlSignal(eps, bound, m, lambda t: times(F, model_state(t)))
+        sig = ControlSignal(eps, bound, m, inputs)
         sig.info.update({"xi": xi, "synthesis": synth, "model": model})
         return sig
 

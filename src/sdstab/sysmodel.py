@@ -2,8 +2,9 @@
 
 Every system has ``dim_state``, ``dim_input`` and ``rhs(x, u)``, so the
 integrator and the closed loop take any of them as the plant. Controls are
-closed-form time functions on [0, horizon] (the controller clock restarts
-at every sampling instant), so controllers can produce them lazily. Objects
+closed-form functions of arrays of times on [0, horizon] (the controller
+clock restarts at every sampling instant), so controllers can produce them
+lazily and the integrator fetches a block of inputs in one call. Objects
 are not frozen: a state-linear system's ``A`` may be replaced after
 construction, and a controller may add to a signal's ``info``.
 """
@@ -58,8 +59,10 @@ def _all_finite(M):
 class ControlSignal:
     """A bounded input signal t -> u(t) on [0, horizon].
 
-    ``func`` maps a local time in [0, horizon] to an input vector of
-    dimension ``dim_input``; ``bound`` is the declared sup-norm bound,
+    ``func`` maps an array of k local times in [0, horizon] to the k input
+    vectors, a (k, dim_input) array. :meth:`values` clamps the times to
+    [0, horizon] and makes one call of ``func``; so do :meth:`value`, for one
+    time, and :meth:`check_bound`. ``bound`` is the declared sup-norm bound,
     spot-checked on a 33-point grid at construction and checkable on a finer
     grid via :meth:`check_bound`. ``info`` carries controller metadata
     (synthesis results, internal-model trajectories) for certificates.
@@ -77,14 +80,23 @@ class ControlSignal:
         self.info = info or {}
         self.check_bound(33)
 
+    def values(self, ts):
+        """The inputs at the local times ts, clamped to [0, horizon], as a (k, dim_input) array."""
+        ts = np.minimum(np.maximum(np.asarray(ts, dtype=float), 0.0), self.horizon)
+        U = np.asarray(self._func(ts), dtype=float)
+        if U.shape != (len(ts), self.dim_input):
+            raise ValueError(
+                "the signal returned shape %s for %d times and %d inputs" % (U.shape, len(ts), self.dim_input)
+            )
+        return U
+
     def value(self, t):
-        t = min(max(float(t), 0.0), self.horizon)
-        return _vector(self._func(t))
+        return self.values([t])[0]
 
     def check_bound(self, n=1000):
         """Max |u(t)| over an n-point grid; raises if it exceeds the bound."""
-        grid = np.linspace(0.0, self.horizon, n)
-        worst = max(math.sqrt(u.dot(u)) for u in map(self.value, grid))
+        U = self.values(np.linspace(0.0, self.horizon, n))
+        worst = max(math.sqrt(u.dot(u)) for u in U)
         if worst > self.bound * (1.0 + 1e-9) + 1e-12:
             raise ValueError(
                 "signal exceeds its declared bound: %g > %g" % (worst, self.bound)
@@ -92,9 +104,15 @@ class ControlSignal:
         return worst
 
 
+def constant_signal(horizon, u):
+    """The signal that holds the input vector u on [0, horizon], with bound |u|."""
+    u = _vector(u)
+    m = len(u)
+    return ControlSignal(horizon, float(np.linalg.norm(u)), m, lambda ts: np.broadcast_to(u, (len(ts), m)))
+
+
 def zero_signal(horizon, dim_input):
-    u0 = np.zeros(dim_input)
-    return ControlSignal(horizon, 0.0, dim_input, lambda t: u0)
+    return constant_signal(horizon, np.zeros(dim_input))
 
 
 class GeneralSystem:
@@ -195,7 +213,17 @@ class StateLinearSystem:
         return self._times_x(A, x) + self._times_u(B, _vector(u))
 
     def closed_loop_field(self, F):
-        """The frozen-gain field x -> (A(x) + B(x) F) x; a constant B F is formed once."""
+        """The frozen-gain field x -> (A(x) + B(x) F) x; a constant B F is formed once.
+
+        The field also takes a C-contiguous (k, n) stack of states and returns
+        the (k, n) stack of their values, with the bits of one call per row.
+        It still evaluates ``A``, and a callable ``B``, once per row, so their
+        contract is unchanged, and checks the finiteness of each stack with the
+        single-state message. Its products are stacked ``np.matmul`` calls,
+        which run per row the BLAS routine :func:`product` runs (gemv for
+        (A + BF) x). One product over the whole stack, such as ``X @ M.T``,
+        would run gemm, whose fused multiply-adds round differently.
+        """
         times_x, times_u = self._times_x, self._times_u
         if self.constant_B:
             # B(x) F is this same product at every x, so the field keeps its bits
@@ -203,15 +231,29 @@ class StateLinearSystem:
             state_matrix = self.state_matrix
 
             def field(x):
-                return times_x(state_matrix(x) + BF, x)
+                if x.ndim == 1:
+                    return times_x(state_matrix(x) + BF, x)
+                return np.matmul(self._stacked(self.A, x) + BF, x[:, :, None])[:, :, 0]
 
         else:
 
             def field(x):
-                Ax, Bx = self.matrices_at(x)
-                return times_x(Ax + times_u(Bx, F), x)
+                if x.ndim == 1:
+                    Ax, Bx = self.matrices_at(x)
+                    return times_x(Ax + times_u(Bx, F), x)
+                Ax = self._stacked(self.A, x)
+                return np.matmul(Ax + np.matmul(self._stacked(self.B, x), F), x[:, :, None])[:, :, 0]
 
         return field
+
+    @staticmethod
+    def _stacked(matrix, X):
+        """matrix(x) for every row x of X, stacked; raises unless every entry is finite."""
+        M = np.array(list(map(matrix, X)), dtype=float)
+        # on a stack of hundreds of entries np.isfinite is the faster test
+        if not np.isfinite(M).all():
+            raise ValueError("system matrices must be finite at finite states")
+        return M
 
 
 @dataclass

@@ -197,6 +197,14 @@ README_SYNTHESIZE_STDOUT = (
 )
 
 
+def outcome(evaluate):
+    """The bits of a float result, or the overflow it raised (exp past the float range)."""
+    try:
+        return float.hex(float(evaluate()))
+    except OverflowError as exc:
+        return repr(exc)
+
+
 class TestInlineStateLinear:
     def build(self, tmp_path, text):
         return _build_system(Config.load(write(tmp_path / "s.ini", text)))
@@ -316,6 +324,24 @@ horizon = 0.2
             code = main([command, "--config", cfg, "--out", str(tmp_path)])
         assert code == 2
         assert "finite at the origin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry", ["sin(x1)*0.3 + x2^2", "exp(x1) - cos(x2)", "x1/(1+x2^2)", "x1^3 - 2*x1*x2 + 1/3"]
+    )
+    def test_inline_entries_on_floats_keep_the_bits(self, tmp_path, entry):
+        # the entries are evaluated on x.tolist(): the bits of NumPy scalars, without their warnings
+        sys_obj = self.build(tmp_path, readme_ini("synthesize").replace("sin(x1), x2^2", entry + ", x2^2"))
+        tree = parse_scalar(entry, coord_names(2))
+        rng = np.random.default_rng(15)
+        states = rng.normal(size=(2000, 2)) * np.exp(rng.uniform(-8.0, 5.0, (2000, 1)))
+        # x1^3 and x1*x2 overflow at 1e200, exp at 1e3: NumPy scalars would warn there
+        for x in list(states) + [np.array([1e200, -1e200]), np.array([1e3, 1.0]), np.array([-0.0, 5e-324])]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = outcome(lambda: sys_obj.A(x)[1, 0])
+            with np.errstate(all="ignore"):
+                want = outcome(lambda: tree.eval(list(x)))  # on NumPy scalars
+            assert got == want, (entry, x.tolist())
 
     def test_constant_A_stays_a_function(self, tmp_path):
         text = readme_ini("synthesize").replace("sin(x1), x2^2", "0, 0")
@@ -766,11 +792,13 @@ horizon = 1
             ("simulate", SIM_SCALAR.replace("h = 0.1", "h = inf"), "[partition] h"),
             ("simulate", SIM_SCALAR.replace("h = 0.1", "h = nan"), "[partition] h"),
             ("simulate", SIM_SCALAR.replace("horizon = 5", "horizon = inf"), "[run] horizon"),
+            ("simulate", SIM_SCALAR + "[integrator]\nstep = nan\n", "[integrator] step"),
+            ("simulate", SIM_SCALAR + "[integrator]\nstep = inf\n", "[integrator] step"),
             ("synthesize", None, "[synthesize] radius"),
             ("check-patchwork", "[experiment]\nkind = check-patchwork\n[patchwork]\n"
              "registry = patchwork-halfplanes\nradius = inf\n", "[patchwork] radius"),
         ],
-        ids=["h-inf", "h-nan", "horizon-inf", "synthesize-radius-inf", "patchwork-radius-inf"],
+        ids=["h-inf", "h-nan", "horizon-inf", "step-nan", "step-inf", "synthesize-radius-inf", "patchwork-radius-inf"],
     )
     def test_non_finite_positive_key(self, tmp_path, capsys, command, text, key):
         if text is None:
@@ -785,6 +813,26 @@ horizon = 1
     def test_blowup_past_overflow_range(self, tmp_path):
         cfg = write(tmp_path / "b.ini", SIM_SCALAR + "[integrator]\nblowup = 1e300\n")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1"])
+    def test_blowup_that_is_not_a_threshold(self, tmp_path, capsys, value):
+        cfg = write(tmp_path / "b.ini", SIM_SCALAR + "[integrator]\nblowup = %s\n" % value)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert "[integrator] blowup: blow-up threshold must exceed 1" in captured.err
+        assert "RESULT" not in captured.out
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_non_finite_grid_extent(self, tmp_path, capsys, value):
+        cfg = write(
+            tmp_path / "lie.ini",
+            "[experiment]\nkind = check-lie\n[system]\nregistry = double-integrator\n"
+            "[grid]\nextent = %s\n" % value,
+        )
+        assert main(["check-lie", "--config", cfg, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "[grid] extent must be finite" in captured.err
+        assert "RESULT" not in captured.out
 
     @pytest.mark.parametrize("value", ["-1", "0"])
     @pytest.mark.parametrize("key", ["radius", "samples"])

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sdstab.odeint import IntegrationConfig, integrate, max_excursion, rk4_autonomous_step
+from sdstab.odeint import BLOCK_STEPS, IntegrationConfig, integrate, max_excursion, rk4_autonomous_step, rk4_stack_step
 from sdstab.sysmodel import ControlSignal, GeneralSystem, StateLinearSystem
 
 
@@ -110,9 +110,9 @@ def test_window_below_step_rounding_takes_one_step():
 def test_window_offset_resets_controller_clock():
     seen = []
 
-    def func(t):
-        seen.append(t)
-        return np.array([0.0])
+    def func(ts):
+        seen.extend(ts.tolist())
+        return np.zeros((len(ts), 1))
 
     sig = ControlSignal(1.0, 0.0, 1, func)
     integrate(decay(), [1.0], sig, (5.0, 6.0), IntegrationConfig(step=0.25))
@@ -159,6 +159,18 @@ def test_config_validation():
         IntegrationConfig(blowup_norm=1e300)
 
 
+@pytest.mark.parametrize("step", [np.nan, np.inf, -np.inf])
+def test_config_rejects_a_non_finite_step(step):
+    with pytest.raises(ValueError, match="integration step must be positive and finite"):
+        IntegrationConfig(step=step)
+
+
+@pytest.mark.parametrize("blowup", [np.nan, np.inf])
+def test_config_rejects_a_non_finite_threshold(blowup):
+    with pytest.raises(ValueError, match="blow-up threshold must exceed 1 and not exceed 1e150"):
+        IntegrationConfig(blowup_norm=blowup)
+
+
 def test_stage_of_the_wrong_length_raises():
     # a 2-D system whose field returns one value: NumPy would broadcast it
     short = GeneralSystem(2, 1, lambda x, u: -x[:1])
@@ -168,6 +180,8 @@ def test_stage_of_the_wrong_length_raises():
         rk4_autonomous_step(lambda y: np.ones(3), np.ones(2), 0.1, np.ones(2))
     with pytest.raises(ValueError, match=r"shape \(2, 1\) for a state of dimension 2"):
         rk4_autonomous_step(lambda y: y, np.ones(2), 0.1, np.ones((2, 1)))
+    with pytest.raises(ValueError, match=r"shape \(3, 1\) for a stack of 3 states of dimension 2"):
+        rk4_stack_step(lambda Y: Y[:, :1], np.ones((3, 2)), np.full(3, 0.1), np.ones((3, 2)))
 
 
 # -- the RK4 kernel against NumPy, bit for bit -----------------------------------
@@ -268,7 +282,7 @@ def test_autonomous_step_keeps_numpys_bits(n):
 @pytest.mark.parametrize("controlled", [False, True])
 def test_integrate_keeps_numpys_bits(n, controlled):
     rng = np.random.default_rng(200 + n)
-    u = ControlSignal(0.3, 0.5, 1, lambda t: np.array([0.5 * np.cos(7.0 * t)])) if controlled else None
+    u = ControlSignal(0.3, 0.5, 1, lambda ts: 0.5 * np.cos(7.0 * ts)[:, None]) if controlled else None
     finite = [v for v in SPECIAL if np.isfinite(v) and abs(v) < 1e150]
     for case in range(12):
         scale = (1.0, 1e-300, 1e140, -3.0)[case % 4]
@@ -287,3 +301,72 @@ def test_integrate_keeps_numpys_bits(n, controlled):
         assert hexes(traj.states) == hexes(states), (n, case)
         assert ours.log == theirs.log, (n, case)
         assert [hexes(k) for k in stages] == [hexes(k) for k in want_stages], (n, case)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stack_step_keeps_the_bits_of_one_step_per_row(n):
+    # the frozen-gain playback's substeps: each row as rk4_autonomous_step takes it
+    rng = np.random.default_rng(500 + n)
+    for case in range(40):
+        k = int(rng.integers(1, 40))
+        # half the cases without special values, where rounding decides the bits
+        draw = special_vector if case % 2 else (lambda rng, n: rng.normal(size=n))
+        X = np.array([draw(rng, n) for _ in range(k)])
+        K1 = np.array([draw(rng, n) for _ in range(k)])
+        dt = rng.choice([1e-3, 0.37, 2.0, 1e-310, 0.05, 5e-4], k)
+        ours = LoggedField(np.random.default_rng(case), n, (1.0, 1e-300, 1e160, -2.0)[case % 4])
+        theirs = LoggedField(np.random.default_rng(case), n, ours.scale)
+        with np.errstate(all="ignore"):
+            got = rk4_stack_step(lambda Y: np.array([ours.field(y) for y in Y]), X, dt, K1)
+            want = [rk4_autonomous_step(theirs.field, x, h, k1) for x, h, k1 in zip(X, dt, K1)]
+        assert got.shape == (k, n)
+        assert hexes(got) == hexes(want), (n, case)
+        # the stack takes each stage for all rows before the next stage
+        assert sorted(ours.log) == sorted(theirs.log), (n, case)
+
+
+class CountedSignal(ControlSignal):
+    """A seeded smooth signal that records the length of every call of its function."""
+
+    def __init__(self, horizon):
+        self.calls = []
+        super().__init__(horizon, 1.0, 1, self._inputs)
+        del self.calls[:]
+
+    def _inputs(self, ts):
+        self.calls.append(len(ts))
+        return 0.5 * np.cos(7.0 * ts)[:, None]
+
+
+@pytest.mark.parametrize(
+    "window, h",
+    [(0.3, 0.01), (0.3005, 1e-3), (0.5123, 1e-3), (2 * BLOCK_STEPS * 1e-3, 1e-3)],
+    ids=["one-block", "past-a-block-partial-step", "three-blocks-partial-step", "two-whole-blocks"],
+)
+@pytest.mark.parametrize("n", [1, 2])
+def test_block_fetching_matches_the_per_query_loop(n, window, h):
+    rng = np.random.default_rng(700 + n)
+    steps = int(np.ceil(window / h - 1e-12))
+    for case in range(3):
+        x0 = rng.normal(size=n)
+        u = CountedSignal(window)
+        ours, theirs = LoggedField(np.random.default_rng(case), n, -1.0), LoggedField(np.random.default_rng(case), n, -1.0)
+        stages, want_stages = [], []
+        traj = integrate(ours, x0, u, (0.0, window), IntegrationConfig(step=h), stages)
+        fetched = list(u.calls)
+        with np.errstate(all="ignore"):
+            states, escaped = numpy_integrate(theirs.rhs, x0, u, window, h, 1e6, want_stages)
+        assert not traj.escaped and not escaped
+        assert hexes(traj.states) == hexes(states)
+        assert ours.log == theirs.log
+        assert [hexes(k) for k in stages] == [hexes(k) for k in want_stages]
+        tau, want_inputs = 0.0, [u.value(0.0)]
+        for _ in range(steps):
+            hk = min(h, window - tau)
+            want_inputs.append(u.value(tau + hk))
+            tau = window if tau + hk >= window - 1e-12 else tau + hk
+        assert len(traj) == steps + 1
+        assert hexes(traj.inputs) == hexes(want_inputs)
+        # one call per block: the start input, then a midpoint and an end per step
+        blocks = [min(BLOCK_STEPS, steps - b) for b in range(0, steps, BLOCK_STEPS)]
+        assert fetched == [2 * blocks[0] + 1] + [2 * b for b in blocks[1:]]

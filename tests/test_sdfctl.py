@@ -1,5 +1,7 @@
 """Sampled-data loops: planning, dispatch, certificates, step adaptation."""
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -7,7 +9,7 @@ from scipy.linalg import expm
 from sdstab import registry
 from sdstab.errors import ControllerError, NoCertifiedStepError
 from sdstab.liecalc import ExprScalarField
-from sdstab.odeint import IntegrationConfig, integrate
+from sdstab.odeint import IntegrationConfig, integrate, rk4_autonomous_step
 from sdstab.patchwork import ClassK, LyapunovPiece, PatchworkFamily, PatchworkW, Region
 from sdstab.sdfctl import (
     FrozenGainController,
@@ -18,7 +20,7 @@ from sdstab.sdfctl import (
     certify_decrease,
     run_closed_loop,
 )
-from sdstab.sysmodel import GeneralSystem, StateLinearSystem, zero_signal
+from sdstab.sysmodel import ControlSignal, GeneralSystem, StateLinearSystem, product, zero_signal
 
 DOUBLING = lambda s: 2 * s  # noqa: E731
 
@@ -119,6 +121,21 @@ class TestClosedLoopRuns:
         run = run_closed_loop(plant, ZeroController(), 0.5, [1.0], 2.0)
         assert run.escaped
         assert run.escape_time == pytest.approx(1.0, abs=0.1)
+
+    def test_long_interval_escape_returns_within_a_block(self):
+        # one interval of length 1e6 (a billion integration steps) that escapes near
+        # t = ln(1e6) = 13.8: the inputs are asked for one block of steps at a time
+        asked = []
+
+        class Zero(ZeroController):
+            def plan(self, xi, eps):
+                return ControlSignal(eps, 0.0, 1, lambda ts: asked.append(ts.max()) or np.zeros((len(ts), 1)))
+
+        run = run_closed_loop(registry.scalar_unstable(), Zero(), 1e6, [1.0], 1e6)
+        assert run.escaped and len(run.records) == 1
+        assert 13.8 < run.escape_time < 13.9
+        # asked[0] is the spot-check of the bound, at construction
+        assert max(asked[1:]) < run.escape_time + 256e-3
 
     def test_escape_ends_a_run_long_before_its_horizon(self):
         # the instants are made one at a time, so none is made after the escape
@@ -396,3 +413,84 @@ class TestConstantInputMatrix:
         sig2 = FrozenGainController(system).plan([0.5, 0.5], 0.05)
         assert np.array_equal(sig2.info["synthesis"].gain, sig.info["synthesis"].gain)
         assert not np.array_equal(sig2.info["model"].states, sig.info["model"].states)
+
+
+# -- the batch playback against one RK4 substep per query -------------------------
+
+
+def playback_reference(system, sig):
+    """u(t) = F x(t) one query at a time, as the playback made it before it took stacks."""
+    F = sig.info["synthesis"].gain
+    model = sig.info["model"]
+    field = system.closed_loop_field(F)
+    grid = model.times.tolist()
+    last = len(grid) - 2
+    times = product(system.dim_state)
+
+    def u(t):
+        t = min(max(t, 0.0), sig.horizon)
+        idx = min(max(bisect_right(grid, t) - 1, 0), last)
+        dt = t - grid[idx]
+        x = model.states[idx]
+        if dt > 1e-12:
+            # the first stage the model run recorded at grid point idx
+            x = rk4_autonomous_step(field, x, dt, field(x))
+        return times(F, x)
+
+    return u
+
+
+def plant_query_times(eps, h):
+    """The midpoint and end of every plant step over an interval of length eps."""
+    tau, out = 0.0, []
+    while tau < eps - 1e-12:
+        hk = min(h, eps - tau)
+        out += [tau + hk / 2, tau + hk]
+        tau = eps if tau + hk >= eps - 1e-12 else tau + hk
+    return out
+
+
+def two_input_system():
+    A = registry.statedep_2d().A
+    return StateLinearSystem(A, lambda x: np.array([[1.0, 0.0], [np.cos(x[0]), 1.0 + x[1] ** 2]]), 2, 2)
+
+
+@pytest.mark.parametrize(
+    "build, samples",
+    [
+        (registry.statedep_2d, [(2.0, -1.0), (-1.5, 1.5), (0.5, 2.0), (1e-3, -2e-3)]),
+        (scalar_unstable, [(1.0,), (-3.0,), (1e-7,)]),
+        (two_input_system, [(2.0, -1.0), (0.3, 0.7)]),
+    ],
+    ids=["statedep-2d", "scalar-callable-B", "two-inputs"],
+)
+@pytest.mark.parametrize("eps", [0.05, 0.0123])
+def test_batch_playback_keeps_the_bits_of_one_substep_per_query(build, samples, eps):
+    system = build()
+    cfg = IntegrationConfig()
+    for xi in samples:
+        sig = FrozenGainController(system, cfg).plan(np.array(xi), eps)
+        u = playback_reference(system, sig)
+        spot = np.linspace(0.0, eps, 33).tolist()
+        plant = plant_query_times(eps, cfg.step)
+        # grid times, and times a hair off the grid on either side of the 1e-12 test
+        grid = sig.info["model"].times.tolist()
+        near = [t + d for t in grid[1:4] for d in (5e-13, 2e-12, -2e-12)] + [-1.0, eps + 1.0]
+        for ts in (spot, plant, grid, near):
+            got = sig.values(ts)
+            want = np.array([u(t) for t in ts])
+            assert got.shape == (len(ts), system.dim_input)
+            assert got.tobytes() == want.tobytes(), (xi, eps)
+        assert sig.value(plant[0]).tobytes() == u(plant[0]).tobytes()
+
+
+def test_playback_stage_with_a_non_finite_A_raises():
+    system = registry.statedep_2d()
+    sig = FrozenGainController(system).plan(np.array([1.0, -1.0]), 0.05)
+    system.A = lambda x: np.full((2, 2), np.inf)
+    # a grid time reads the model state; a midpoint takes a substep through A
+    assert np.isfinite(sig.value(0.002)).all()
+    with pytest.raises(ValueError, match="system matrices must be finite at finite states"):
+        sig.value(0.0015)
+    with pytest.raises(ValueError, match="system matrices must be finite at finite states"):
+        sig.values([0.0, 0.0015, 0.002])

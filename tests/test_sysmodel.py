@@ -52,12 +52,12 @@ class TestPartitions:
 
 class TestControlSignal:
     def test_bound_check_on_grid(self):
-        sig = ControlSignal(1.0, 1.0, 1, lambda t: np.array([np.sin(3 * t)]))
+        sig = ControlSignal(1.0, 1.0, 1, lambda ts: np.sin(3 * ts)[:, None])
         assert sig.check_bound(1000) <= 1.0
 
     def test_violating_bound_raises(self):
         with pytest.raises(ValueError):
-            ControlSignal(1.0, 0.5, 1, lambda t: np.array([1.0]))
+            ControlSignal(1.0, 0.5, 1, lambda ts: np.ones((len(ts), 1)))
 
     def test_zero_signal(self):
         z = zero_signal(2.0, 3)
@@ -65,7 +65,7 @@ class TestControlSignal:
         assert z.bound == 0.0
 
     def test_clamps_outside_domain(self):
-        sig = ControlSignal(1.0, 2.0, 1, lambda t: np.array([t]))
+        sig = ControlSignal(1.0, 2.0, 1, lambda ts: ts[:, None])
         assert sig.value(5.0)[0] == 1.0
         assert sig.value(-1.0)[0] == 0.0
 
@@ -269,3 +269,88 @@ def test_all_finite_matches_isfinite_on_draws():
     for _ in range(2000):
         M = rng.choice(pool, rng.integers(1, 5, 2))
         assert _all_finite(M) == bool(np.isfinite(M).all()), M.tolist()
+
+
+# -- the closed-loop field on stacks of states ------------------------------------
+
+
+def lookup_matrix(rng, shape):
+    """A seeded function of the state: a drawn matrix per state, zeros elsewhere.
+
+    States are keyed by their bytes, so +0.0 and -0.0 get matrices of their own.
+    """
+    table = {}
+    calls = []
+
+    def matrix(x):
+        calls.append(x.tobytes())
+        return table.get(x.tobytes(), np.zeros(shape))
+
+    def fill(X):
+        for x in X:
+            table[x.tobytes()] = draw_operand(rng, shape)
+
+    matrix.fill, matrix.calls = fill, calls
+    return matrix
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("callable_B", [False, True], ids=["constant-B", "callable-B"])
+def test_stacked_closed_loop_field_keeps_the_per_state_bits(n, m, callable_B):
+    rng = np.random.default_rng(300 + 10 * n + 2 * m + callable_B)
+    A = lookup_matrix(rng, (n, n))
+    B = lookup_matrix(rng, (n, m)) if callable_B else draw_operand(rng, (n, m))
+    sys = StateLinearSystem(A, B, n, m)
+    for _ in range(150):
+        X = draw_operand(rng, (int(rng.integers(1, 40)), n))
+        A.fill(X)
+        if callable_B:
+            B.fill(X)
+        field = sys.closed_loop_field(draw_operand(rng, (m, n)))
+        with np.errstate(all="ignore"):
+            want = np.array([field(x.copy()) for x in X])
+            del A.calls[:]
+            got = field(X)
+        assert got.shape == X.shape and got.tobytes() == want.tobytes(), X.tolist()
+        # A is evaluated once per row, in row order
+        assert A.calls == [x.tobytes() for x in X]
+
+
+@pytest.mark.parametrize(
+    "callable_B, which", [(False, "A"), (True, "A"), (True, "B")], ids=["A-constant-B", "A-callable-B", "B"]
+)
+def test_stacked_closed_loop_field_checks_finiteness(callable_B, which):
+    def spoiled(x, shape):
+        return np.full(shape, np.inf) if x[0] > 1.0 else np.ones(shape)
+
+    A = (lambda x: spoiled(x, (2, 2))) if which == "A" else (lambda x: np.ones((2, 2)))
+    B = (lambda x: spoiled(x, (2, 1))) if which == "B" else (lambda x: np.ones((2, 1)))
+    sys = StateLinearSystem(A, B if callable_B else np.ones((2, 1)), 2, 1)
+    field = sys.closed_loop_field(np.array([[-1.0, -2.0]]))
+    assert field(np.array([[0.5, 0.0], [1.0, 1.0]])).shape == (2, 2)
+    with pytest.raises(ValueError, match="system matrices must be finite at finite states"):
+        field(np.array([[0.5, 0.0], [2.0, 1.0], [0.1, 0.0]]))
+
+
+class TestVectorizedSignal:
+    def test_values_clamp_and_stack(self):
+        sig = ControlSignal(1.0, 2.0, 2, lambda ts: np.column_stack([ts, -ts]))
+        np.testing.assert_array_equal(sig.values([-1.0, 0.25, 5.0]), [[0.0, -0.0], [0.25, -0.25], [1.0, -1.0]])
+        np.testing.assert_array_equal(sig.value(0.5), [0.5, -0.5])
+
+    def test_each_read_is_one_call(self):
+        calls = []
+
+        def func(ts):
+            calls.append(len(ts))
+            return np.zeros((len(ts), 1))
+
+        sig = ControlSignal(1.0, 0.0, 1, func)
+        sig.value(0.3)
+        sig.check_bound(1000)
+        assert calls == [33, 1, 1000]
+
+    def test_a_scalar_shaped_func_is_refused(self):
+        with pytest.raises(ValueError, match=r"returned shape \(1,\) for 33 times and 1 inputs"):
+            ControlSignal(1.0, 1.0, 1, lambda t: np.array([0.0]))
