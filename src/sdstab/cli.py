@@ -78,31 +78,19 @@ class Config:
             raise ConfigError("missing [%s] %s" % (section, key))
         return default
 
-    def get_float(self, section, key, default=None, required=False):
-        raw = self.get(section, key, required=required)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError("[%s] %s must be a number, got %r" % (section, key, raw)) from None
-
-    def get_int(self, section, key, default=None, required=False):
-        raw = self.get(section, key, required=required)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError("[%s] %s must be an integer, got %r" % (section, key, raw)) from None
-
-
-def _positive(cfg, section, key, default=None, kind=Config.get_float):
-    """A positive finite number; without a default the key is required."""
-    value = kind(cfg, section, key, default=default, required=default is None)
-    if not 0 < value < math.inf:
-        raise ConfigError("[%s] %s must be positive and finite, got %r" % (section, key, value))
-    return value
+    def number(self, section, key, default=None, kind=float, positive=False):
+        """The key as ``kind`` (float or int), required without a default; positive and finite if asked."""
+        raw = self.get(section, key, required=default is None)
+        value = default
+        if raw is not None:
+            try:
+                value = kind(raw)
+            except ValueError:
+                what = "an integer" if kind is int else "a number"
+                raise ConfigError("[%s] %s must be %s, got %r" % (section, key, what, raw)) from None
+        if positive and not 0 < value < math.inf:
+            raise ConfigError("[%s] %s must be positive and finite, got %r" % (section, key, value))
+        return value
 
 
 def _parse_vector(text):
@@ -174,9 +162,9 @@ def _build_system(cfg):
             % (name, ", ".join(sorted(list(registry.SYSTEM_BUILDERS) + list(registry.AFFINE_BUILDERS))))
         )
     kind = cfg.get("system", "type", required=True)
-    dim = cfg.get_int("system", "dim", required=True)
+    dim = cfg.number("system", "dim", kind=int)
     if kind == "state-linear":
-        m = cfg.get_int("system", "inputs", default=1)
+        m = cfg.number("system", "inputs", default=1, kind=int)
         A = _expr_matrix(cfg.get("system", "A", required=True), dim, dim, dim)
         B = _expr_matrix(cfg.get("system", "B", required=True), dim, dim, m, constant_ok=True)
         return StateLinearSystem(A, B, dim, m)
@@ -194,8 +182,8 @@ def _build_system(cfg):
 
 
 def _integration_config(cfg):
-    step = _positive(cfg, "integrator", "step", default=1e-3)
-    blowup = cfg.get_float("integrator", "blowup", default=1e6)
+    step = cfg.number("integrator", "step", default=1e-3, positive=True)
+    blowup = cfg.number("integrator", "blowup", default=1e6)
     try:
         return IntegrationConfig(step=step, blowup_norm=blowup)
     except ValueError as exc:  # the step is valid, so it is the threshold
@@ -224,8 +212,8 @@ def cmd_synthesize(cfg, out_dir, seed, quiet):
     if pts_raw is not None:
         points = _parse_vectors(pts_raw)
     else:
-        radius = _positive(cfg, "synthesize", "radius", default=1.0)
-        samples = _positive(cfg, "synthesize", "samples", default=32, kind=Config.get_int)
+        radius = cfg.number("synthesize", "radius", default=1.0, positive=True)
+        samples = cfg.number("synthesize", "samples", default=32, kind=int, positive=True)
         points = [np.zeros(sys_obj.dim_state)] + list(
             ball_points(sys_obj.dim_state, samples, radius, seed=seed)
         )
@@ -263,6 +251,14 @@ def cmd_synthesize(cfg, out_dir, seed, quiet):
 # -- simulate -------------------------------------------------------------------
 
 
+def _write_csv(path, header, rows):
+    """One line per row of Python numbers, whose repr is _fmt's text (not so for NumPy scalars)."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
+
+
 def _write_trajectory_csv(path, run, cert, n, m, W=None):
     """One row per point of the run; the V column is read from the certificate's
     values, the W column from one glue pass over the states (NaN where uncovered)."""
@@ -270,31 +266,14 @@ def _write_trajectory_csv(path, run, cert, n, m, W=None):
     columns = [times, states, inputs, cert.values()] + ([] if W is None else [W.glue(states)[0]])
     header = ["t"] + ["x%d" % (i + 1) for i in range(n)] + ["u%d" % (j + 1) for j in range(m)]
     header += ["V"] + ([] if W is None else ["W"])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        # repr of a Python float is _fmt's text; converting one row at a time
-        # never holds the whole table as Python floats
-        for row in np.column_stack(columns):
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+    # converting one row at a time never holds the whole table as Python floats
+    _write_csv(path, header, (row.tolist() for row in np.column_stack(columns)))
 
 
 def _write_certificate_csv(path, cert):
-    with open(path, "w", newline="") as fh:
-        fh.write("k,T_k,V_start,V_end,L_k,Vmax,bound_ok,C_k\n")
-        for ic in cert.intervals:
-            fh.write(
-                "%d,%s,%s,%s,%s,%s,%d,%s\n"
-                % (
-                    ic.index,
-                    _fmt(ic.t_start),
-                    _fmt(ic.v_start),
-                    _fmt(ic.v_end),
-                    _fmt(ic.margin),
-                    _fmt(ic.v_max),
-                    1 if ic.bound_ok else 0,
-                    _fmt(ic.excursion_ratio),
-                )
-            )
+    rows = ([ic.index, ic.t_start, ic.v_start, ic.v_end, ic.margin, ic.v_max, int(ic.bound_ok),
+             ic.excursion_ratio] for ic in cert.intervals)
+    _write_csv(path, "k,T_k,V_start,V_end,L_k,Vmax,bound_ok,C_k".split(","), rows)
 
 
 def cmd_simulate(cfg, out_dir, seed, quiet):
@@ -319,10 +298,10 @@ def cmd_simulate(cfg, out_dir, seed, quiet):
     else:
         raise ConfigError("unknown controller type %r" % ctrl_type)
 
-    h = _positive(cfg, "partition", "h")
-    horizon = _positive(cfg, "run", "horizon")
+    h = cfg.number("partition", "h", positive=True)
+    horizon = cfg.number("run", "horizon", positive=True)
     x0s = _parse_vectors(cfg.get("run", "x0", required=True))
-    final_norm = cfg.get_float("run", "final_norm", default=1e-2)
+    final_norm = cfg.number("run", "final_norm", default=1e-2, positive=True)
 
     cert_kind = cfg.get("run", "certificate", default="per-sample-quadratic")
     if cert_kind == "per-sample-quadratic":
@@ -366,7 +345,7 @@ def cmd_simulate(cfg, out_dir, seed, quiet):
         ok_norm = final <= final_norm and not run.escaped
         n_checks += len(cert.intervals) + 1
         # an escape fails its interval and the final-norm check, and ends the run
-        n_failures += sum(1 for ic in cert.intervals if not ic.ok) + (0 if ok_norm else 1)
+        n_failures += len(cert.failures) + (0 if ok_norm else 1)
 
         traj_path = write_trajectory(run, cert, i)
         cert_path = os.path.join(out_dir, "cert_%d.csv" % i)
@@ -402,11 +381,11 @@ def _grid_points(extent, count):
 
 
 def cmd_check_lie(cfg, out_dir, seed, quiet):
-    # not _positive: extent 0 is a grid of the origin alone, which checks nothing
-    extent = cfg.get_float("grid", "extent", default=2.0)
+    # not positive: extent 0 is a grid of the origin alone, which checks nothing
+    extent = cfg.number("grid", "extent", default=2.0)
     if not math.isfinite(extent):
         raise ConfigError("[grid] extent must be finite, got %r" % extent)
-    count = cfg.get_int("grid", "points", default=41)
+    count = cfg.number("grid", "points", default=41, kind=int, positive=True)
     pts = _grid_points(extent, count)
     name = cfg.get("system", "registry")
 
@@ -455,8 +434,8 @@ def cmd_check_lie(cfg, out_dir, seed, quiet):
 
 
 def cmd_check_patchwork(cfg, out_dir, seed, quiet):
-    samples = _positive(cfg, "patchwork", "samples", default=10_000, kind=Config.get_int)
-    radius = _positive(cfg, "patchwork", "radius", default=2.0)
+    samples = cfg.number("patchwork", "samples", default=10_000, kind=int, positive=True)
+    radius = cfg.number("patchwork", "radius", default=2.0, positive=True)
     try:
         W, sel = _build_patchwork(cfg, seed)
     except OffsetSelectionError as exc:
@@ -498,7 +477,7 @@ def main(argv=None):
 
     try:
         cfg = Config.load(args.config)
-        seed = args.seed if args.seed is not None else cfg.get_int("experiment", "seed", default=0)
+        seed = args.seed if args.seed is not None else cfg.number("experiment", "seed", default=0, kind=int)
         os.makedirs(args.out, exist_ok=True)
         kind = cfg.get("experiment", "kind", default=args.command)
         if kind != args.command:

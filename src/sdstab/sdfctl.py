@@ -11,7 +11,8 @@ internal model of the frozen-gain closed loop, and plays back the gain
 applied to the *model* state, all queried times at once (not a zero-order
 hold; a hold variant is available behind a flag for comparison runs). The
 plant may differ from the model; the decrease certificate quantifies the
-result.
+result. Each interval's verdict lives in its :class:`IntervalCertificate`,
+decided once when the certificate is built; everything else reads it.
 """
 
 import math
@@ -288,13 +289,33 @@ class PerSampleQuadratic:
 
 @dataclass
 class IntervalCertificate:
+    """One interval's verdict, decided once when it is built: ``reasons`` (empty when it
+    passes) names a NaN value of V, V above the cap a(V_start), an escape or else no
+    strict decrease; ``ok``, ``bound_ok`` and the certificate's failures read them."""
+
     index: int
     t_start: float
     values: list  # V at each grid state of the interval, start to end
-    bound_ok: bool
+    cap: float  # the growth cap a(V_start)
     excursion_ratio: float
     waived: bool = False
     escape_time: float | None = None  # set when the plant escaped on the interval
+    bound_ok: bool = field(init=False)
+    reasons: list = field(init=False)
+
+    def __post_init__(self):
+        reasons = []
+        nan_at = next((j for j, v in enumerate(self.values) if math.isnan(v)), None)
+        if nan_at is not None:
+            reasons.append("V is NaN at grid point %d" % nan_at)
+        elif not self.v_max <= self.cap + 1e-12 * (1.0 + abs(self.cap)):
+            reasons.append("growth bound exceeded (%g > %g)" % (self.v_max, self.cap))
+        self.bound_ok = not reasons
+        if self.escape_time is not None:
+            reasons.append("trajectory escaped at t=%g" % self.escape_time)
+        elif not (self.waived or self.margin > 0.0):  # a NaN margin (inf - inf included) fails
+            reasons.append("no strict decrease (margin %g)" % self.margin)
+        self.reasons = reasons
 
     @property
     def v_start(self):
@@ -306,7 +327,8 @@ class IntervalCertificate:
 
     @property
     def v_max(self):
-        return max(self.values)
+        """The interval maximum of V, NaN when a value is (``max`` skips a NaN that is not first)."""
+        return math.nan if any(map(math.isnan, self.values)) else max(self.values)
 
     @property
     def margin(self):
@@ -318,22 +340,27 @@ class IntervalCertificate:
 
     @property
     def ok(self):
-        return self.bound_ok and self.escape_time is None and (self.waived or self.margin > 0.0)
+        return not self.reasons
 
 
 @dataclass
 class DecreaseCertificate:
     intervals: list
-    failures: list
+
+    @property
+    def failures(self):
+        """One line per failed interval, with its reasons."""
+        return ["interval %d: %s" % (ic.index, "; ".join(ic.reasons)) for ic in self.intervals if ic.reasons]
 
     @property
     def passed(self):
-        return not self.failures
+        return all(ic.ok for ic in self.intervals)
 
     @property
     def uniform_margin(self):
-        """The smallest margin over the intervals whose decrease is not waived."""
-        return min((ic.margin for ic in self.intervals if not ic.waived), default=0.0)
+        """The smallest margin over the intervals whose decrease is not waived, NaN when one is."""
+        margins = [ic.margin for ic in self.intervals if not ic.waived]
+        return math.nan if any(map(math.isnan, margins)) else min(margins, default=0.0)
 
     def values(self):
         """V at every point of the run's ``trajectory()``."""
@@ -353,45 +380,29 @@ def certify_decrease(run, V, a=DOUBLING):
 
     V is either a plain callable on states (a fixed Lyapunov function or a
     patchwork glued function) or a per-interval provider such as
-    :class:`PerSampleQuadratic`, evaluated once per grid state. Each interval
-    certificate keeps the values and reads V(start), V(end), the margin and
-    the interval maximum from them. For each completed interval the margin
-    V(start) - V(end) must be strictly positive (waived at the origin), the
-    interval maximum of V must stay below a(V(start)), and the excursion
-    from the sample per unit time is reported as the interval's excursion
-    constant. An interval whose plant escaped fails, whatever its values;
-    the certificate passes when nothing failed.
+    :class:`PerSampleQuadratic`, evaluated once per grid state. Each
+    :class:`IntervalCertificate` keeps the values and the cap a(V(start)),
+    and decides its own verdict from them. The excursion from the sample per
+    unit time is reported as the interval's excursion constant.
     """
     if not run.records:
         raise ValueError("run has no completed intervals")
     per_interval = hasattr(V, "for_interval")
     intervals = []
-    failures = []
     for k, rec in enumerate(run.records):
         Vk = V.for_interval(rec) if per_interval else V
         values = [float(Vk(s)) for s in rec.traj.states]
-        cap = a(values[0])
-        v_max = max(values)
         cert = IntervalCertificate(
             index=k,
             t_start=rec.t_start,
             values=values,
-            bound_ok=v_max <= cap + 1e-12 * (1.0 + abs(cap)),
+            cap=a(values[0]),
             excursion_ratio=max_excursion(rec.traj, rec.xi) / rec.eps,
             waived=float(np.max(np.abs(rec.xi))) == 0.0,
             escape_time=rec.traj.escape_time,
         )
         intervals.append(cert)
-        if not cert.ok:
-            reasons = []
-            if not cert.bound_ok:
-                reasons.append("growth bound exceeded (%g > %g)" % (v_max, cap))
-            if cert.escape_time is not None:
-                reasons.append("trajectory escaped at t=%g" % cert.escape_time)
-            elif not cert.waived and cert.margin <= 0.0:
-                reasons.append("no strict decrease (margin %g)" % cert.margin)
-            failures.append("interval %d: %s" % (k, "; ".join(reasons)))
-    return DecreaseCertificate(intervals=intervals, failures=failures)
+    return DecreaseCertificate(intervals=intervals)
 
 
 def adapt_epsilon(plant, ctrl, xi, V, a, eps0, cfg=IntegrationConfig(), max_halvings=20):

@@ -94,10 +94,12 @@ class ControlSignal:
         return self.values([t])[0]
 
     def check_bound(self, n=1000):
-        """Max |u(t)| over an n-point grid; raises if it exceeds the bound."""
+        """Max |u(t)| over an n-point grid, NaN when an input is; raises unless it is within the bound."""
         U = self.values(np.linspace(0.0, self.horizon, n))
-        worst = max(math.sqrt(u.dot(u)) for u in U)
-        if worst > self.bound * (1.0 + 1e-9) + 1e-12:
+        norms = [math.sqrt(u.dot(u)) for u in U]
+        # max() skips a NaN that is not first
+        worst = math.nan if any(map(math.isnan, norms)) else max(norms)
+        if not worst <= self.bound * (1.0 + 1e-9) + 1e-12:
             raise ValueError(
                 "signal exceeds its declared bound: %g > %g" % (worst, self.bound)
             )

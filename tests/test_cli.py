@@ -484,6 +484,51 @@ V = x1^2 + 1e-30*x2^2
     assert float(row[4]) > 0 and row[6] == "1"  # L_k and bound_ok as recorded
 
 
+SIM_NAN_V = """
+[experiment]
+kind = simulate
+[system]
+type = state-linear
+dim = 2
+A = 0, 0; -1, 0
+B = 0; 1
+[controller]
+type = zero
+[partition]
+h = {h}
+[integrator]
+step = 0.25
+[run]
+x0 = 1, 1
+horizon = {h}
+final_norm = 10
+certificate = expression
+V = x2^2 + 0/x2
+"""
+
+
+@pytest.mark.parametrize(
+    "h, row, reasons",
+    [
+        ("1.5", "0,0.0,1.0,0.25,0.75,nan,0,1.0", "V is NaN at grid point 4"),
+        ("1.0", "0,0.0,1.0,nan,nan,nan,0,1.0", "V is NaN at grid point 4; no strict decrease (margin nan)"),
+    ],
+    ids=["interior", "end"],
+)
+def test_simulate_nan_value_of_V_fails(tmp_path, capsys, h, row, reasons):
+    # x2 = 1 - t, so 0/x2 makes V NaN at t = 1, grid point 4 of step 0.25; the
+    # interior NaN falls between two finite values and max() alone would skip it
+    cfg = write(tmp_path / "n.ini", SIM_NAN_V.format(h=h))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # 0/0 on a NumPy scalar
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "    interval 0: %s\n" % reasons in out
+    assert out.splitlines()[-1] == "RESULT fail 2 1"
+    assert (tmp_path / "traj_0.csv").read_text().splitlines()[5].endswith(",nan")
+    assert (tmp_path / "cert_0.csv").read_text().splitlines()[1] == row
+
+
 def test_simulate_escape_ends_an_unreachable_horizon(tmp_path, capsys):
     # the escape near t = 14 ends the run; no instant up to 1e9 is made
     cfg = write(tmp_path / "u.ini", SIM_SCALAR.replace("frozen-gain", "zero").replace("horizon = 5", "horizon = 1e9"))
@@ -794,11 +839,14 @@ horizon = 1
             ("simulate", SIM_SCALAR.replace("horizon = 5", "horizon = inf"), "[run] horizon"),
             ("simulate", SIM_SCALAR + "[integrator]\nstep = nan\n", "[integrator] step"),
             ("simulate", SIM_SCALAR + "[integrator]\nstep = inf\n", "[integrator] step"),
+            ("simulate", SIM_SCALAR.replace("final_norm = 0.001", "final_norm = nan"), "[run] final_norm"),
+            ("simulate", SIM_SCALAR.replace("final_norm = 0.001", "final_norm = inf"), "[run] final_norm"),
             ("synthesize", None, "[synthesize] radius"),
             ("check-patchwork", "[experiment]\nkind = check-patchwork\n[patchwork]\n"
              "registry = patchwork-halfplanes\nradius = inf\n", "[patchwork] radius"),
         ],
-        ids=["h-inf", "h-nan", "horizon-inf", "step-nan", "step-inf", "synthesize-radius-inf", "patchwork-radius-inf"],
+        ids=["h-inf", "h-nan", "horizon-inf", "step-nan", "step-inf", "final-norm-nan", "final-norm-inf",
+             "synthesize-radius-inf", "patchwork-radius-inf"],
     )
     def test_non_finite_positive_key(self, tmp_path, capsys, command, text, key):
         if text is None:
@@ -809,6 +857,34 @@ horizon = 1
         captured = capsys.readouterr()
         assert "%s must be positive and finite" % key in captured.err
         assert "RESULT" not in captured.out
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [("simulate", SIM_SCALAR.replace("final_norm = 0.001", "final_norm = %s" % v), "[run] final_norm")
+         for v in ("-1", "0")]
+        + [("check-lie", "[experiment]\nkind = check-lie\n[system]\nregistry = double-integrator\n"
+            "[grid]\npoints = %s\n" % v, "[grid] points") for v in ("-3", "0")],
+        ids=["final-norm-negative", "final-norm-zero", "grid-points-negative", "grid-points-zero"],
+    )
+    def test_non_positive_key(self, tmp_path, capsys, command, text, key):
+        cfg = write(tmp_path / "f.ini", text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "%s must be positive and finite" % key in captured.err
+        assert "RESULT" not in captured.out
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [(SIM_SCALAR.replace("final_norm = 0.001", "final_norm = small"), "[run] final_norm must be a number"),
+         (SIM_SCALAR.replace("[run]", "[integrator]\nstep = \n[run]"), "[integrator] step must be a number"),
+         (SIM_SCALAR.replace("registry = scalar-unstable", "type = state-linear\ndim = 1.5"),
+          "[system] dim must be an integer")],
+        ids=["final-norm", "step-empty", "dim"],
+    )
+    def test_unreadable_number_names_the_key(self, tmp_path, capsys, text, message):
+        cfg = write(tmp_path / "f.ini", text)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_blowup_past_overflow_range(self, tmp_path):
         cfg = write(tmp_path / "b.ini", SIM_SCALAR + "[integrator]\nblowup = 1e300\n")

@@ -12,7 +12,9 @@ from sdstab.liecalc import ExprScalarField
 from sdstab.odeint import IntegrationConfig, integrate, rk4_autonomous_step
 from sdstab.patchwork import ClassK, LyapunovPiece, PatchworkFamily, PatchworkW, Region
 from sdstab.sdfctl import (
+    ClosedLoopRun,
     FrozenGainController,
+    IntervalRecord,
     PatchworkController,
     PerSampleQuadratic,
     ZeroController,
@@ -20,7 +22,7 @@ from sdstab.sdfctl import (
     certify_decrease,
     run_closed_loop,
 )
-from sdstab.sysmodel import ControlSignal, GeneralSystem, StateLinearSystem, product, zero_signal
+from sdstab.sysmodel import ControlSignal, GeneralSystem, StateLinearSystem, Trajectory, product, zero_signal
 
 DOUBLING = lambda s: 2 * s  # noqa: E731
 
@@ -245,6 +247,69 @@ class TestCertificates:
         assert ic.escape_time == run.escape_time
         assert not ic.ok
         assert cert.failures == ["interval 0: trajectory escaped at t=%g" % run.escape_time]
+
+
+
+def one_interval_run(x1s):
+    """A hand-built one-interval run of the scalar states x1s on [0, 1]."""
+    times = np.linspace(0.0, 1.0, len(x1s))
+    traj = Trajectory(times=times, states=np.array(x1s, dtype=float)[:, None])
+    return ClosedLoopRun(records=[IntervalRecord(t_start=0.0, t_end=1.0, traj=traj)])
+
+
+def nan_at(x_nan):
+    """V = x1^2, NaN at the state x_nan."""
+    return lambda x: np.nan if x[0] == x_nan else x[0] ** 2
+
+
+class TestOneVerdict:
+    STATES = [1.0, 0.8, 0.6, 0.4]
+
+    def assert_consistent(self, cert):
+        assert cert.passed == all(ic.ok for ic in cert.intervals)
+        assert len(cert.failures) == sum(not ic.ok for ic in cert.intervals)
+
+    def test_nan_at_an_interior_state_fails(self):
+        # max() over [1.0, 0.64, nan, 0.16] is 1.0: the NaN must not pass unseen
+        cert = certify_decrease(one_interval_run(self.STATES), nan_at(0.6))
+        ic = cert.intervals[0]
+        assert not ic.ok and not cert.passed
+        assert ic.margin > 0
+        assert np.isnan(ic.v_max) and not ic.bound_ok
+        assert cert.failures == ["interval 0: V is NaN at grid point 2"]
+        self.assert_consistent(cert)
+
+    def test_nan_at_the_end_gives_a_reason(self):
+        cert = certify_decrease(one_interval_run(self.STATES), nan_at(0.4))
+        ic = cert.intervals[0]
+        assert not ic.ok and ic.reasons
+        assert np.isnan(ic.v_max) and not ic.bound_ok
+        assert np.isnan(ic.margin) and np.isnan(cert.uniform_margin)
+        assert cert.failures == ["interval 0: V is NaN at grid point 3; no strict decrease (margin nan)"]
+        self.assert_consistent(cert)
+
+    def test_ordinary_runs_agree(self):
+        rising = certify_decrease(one_interval_run([1.0, 1.2, 1.1]), lambda x: x[0] ** 2)
+        assert rising.failures == ["interval 0: no strict decrease (margin -0.21)"]
+        assert rising.intervals[0].bound_ok and not rising.intervals[0].ok
+        falling = certify_decrease(one_interval_run(self.STATES), lambda x: x[0] ** 2)
+        assert falling.passed and falling.failures == []
+        assert falling.uniform_margin == falling.intervals[0].margin
+        for cert in (rising, falling):
+            self.assert_consistent(cert)
+
+    def test_an_infinite_value_at_both_ends_fails(self):
+        # the margin inf - inf is NaN, which is no decrease
+        cert = certify_decrease(one_interval_run([2.0, 1.5, 1.0]), lambda x: np.inf)
+        assert cert.failures == ["interval 0: no strict decrease (margin nan)"]
+        self.assert_consistent(cert)
+
+    def test_growth_bound_reason(self):
+        cert = certify_decrease(one_interval_run([1.0, 1.5, 0.5]), lambda x: x[0] ** 2)
+        ic = cert.intervals[0]
+        assert (ic.cap, ic.v_max, ic.bound_ok) == (2.0, 2.25, False)
+        assert cert.failures == ["interval 0: growth bound exceeded (2.25 > 2)"]
+        self.assert_consistent(cert)
 
 
 def one_d_patchwork():

@@ -59,6 +59,22 @@ class TestControlSignal:
         with pytest.raises(ValueError):
             ControlSignal(1.0, 0.5, 1, lambda ts: np.ones((len(ts), 1)))
 
+    @pytest.mark.parametrize("nan_times", [lambda ts: ts == 0.5, lambda ts: ts >= 0.0], ids=["one", "all"])
+    def test_nan_at_a_spot_check_time_fails_the_bound(self, nan_times):
+        # t = 0.5 is one of the 33 spot-check times; max() would skip its NaN
+        def func(ts):
+            return np.where(nan_times(ts), np.nan, 0.5)[:, None]
+
+        with pytest.raises(ValueError, match="exceeds its declared bound: nan > 1000"):
+            ControlSignal(1.0, 1000.0, 1, func)
+
+    def test_nan_between_spot_check_times_fails_the_finer_check(self):
+        # NaN only near t = 0.5005, which the 1000-point grid hits and the 33-point grid does not
+        sig = ControlSignal(1.0, 1000.0, 1, lambda ts: np.where(abs(ts - 0.5005) < 1e-4, np.nan, 0.5)[:, None])
+        assert sig.check_bound(33) == 0.5
+        with pytest.raises(ValueError, match="exceeds its declared bound: nan > 1000"):
+            sig.check_bound(1000)
+
     def test_zero_signal(self):
         z = zero_signal(2.0, 3)
         np.testing.assert_array_equal(z.value(1.0), np.zeros(3))
