@@ -15,6 +15,7 @@ Both state-linear entries pass their input matrix as a constant, so it is
 never re-evaluated; their ``A`` stays a function of the state.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,15 @@ def scalar_unstable():
 
 
 def statedep_2d():
+    # On Python floats: math.sin and ** give NumPy's bits here, in less time.
+    # Where floats raise (|x2| > 1.3e154 overflows, sin(inf)) NumPy gives inf
+    # or NaN, and that entry is kept for state_matrix to refuse.
     def A(x):
-        return np.array([[0.0, 1.0], [np.sin(x[0]), x[1] ** 2]])
+        x1, x2 = x.tolist()
+        try:
+            return np.array([[0.0, 1.0], [math.sin(x1), x2 ** 2]])
+        except (OverflowError, ValueError):
+            return np.array([[0.0, 1.0], [np.sin(x[0]), x[1] ** 2]])
 
     return StateLinearSystem(A, np.array([[0.0], [1.0]]), 2, 1)
 

@@ -290,8 +290,9 @@ class PerSampleQuadratic:
 @dataclass
 class IntervalCertificate:
     """One interval's verdict, decided once when it is built: ``reasons`` (empty when it
-    passes) names a NaN value of V, V above the cap a(V_start), an escape or else no
-    strict decrease; ``ok``, ``bound_ok`` and the certificate's failures read them."""
+    passes) names a NaN value of V or V above the cap a(V_start), then an escape, no
+    strict decrease or an infinite V_start; ``ok``, ``bound_ok`` and the certificate's
+    failures read them."""
 
     index: int
     t_start: float
@@ -315,6 +316,8 @@ class IntervalCertificate:
             reasons.append("trajectory escaped at t=%g" % self.escape_time)
         elif not (self.waived or self.margin > 0.0):  # a NaN margin (inf - inf included) fails
             reasons.append("no strict decrease (margin %g)" % self.margin)
+        elif math.isinf(self.v_start):  # its cap and margin are infinite and bound nothing
+            reasons.append("V is %g at the sample" % self.v_start)
         self.reasons = reasons
 
     @property
@@ -389,19 +392,22 @@ def certify_decrease(run, V, a=DOUBLING):
         raise ValueError("run has no completed intervals")
     per_interval = hasattr(V, "for_interval")
     intervals = []
-    for k, rec in enumerate(run.records):
-        Vk = V.for_interval(rec) if per_interval else V
-        values = [float(Vk(s)) for s in rec.traj.states]
-        cert = IntervalCertificate(
-            index=k,
-            t_start=rec.t_start,
-            values=values,
-            cap=a(values[0]),
-            excursion_ratio=max_excursion(rec.traj, rec.xi) / rec.eps,
-            waived=float(np.max(np.abs(rec.xi))) == 0.0,
-            escape_time=rec.traj.escape_time,
-        )
-        intervals.append(cert)
+    # a division by zero in V gives a NaN or infinite value, which its interval
+    # reports as a reason; NumPy's warning would only repeat it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, rec in enumerate(run.records):
+            Vk = V.for_interval(rec) if per_interval else V
+            values = [float(Vk(s)) for s in rec.traj.states]
+            cert = IntervalCertificate(
+                index=k,
+                t_start=rec.t_start,
+                values=values,
+                cap=a(values[0]),
+                excursion_ratio=max_excursion(rec.traj, rec.xi) / rec.eps,
+                waived=float(np.max(np.abs(rec.xi))) == 0.0,
+                escape_time=rec.traj.escape_time,
+            )
+            intervals.append(cert)
     return DecreaseCertificate(intervals=intervals)
 
 

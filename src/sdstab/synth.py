@@ -20,13 +20,18 @@ solve_lyapunov's solve and acceptance without its input checks, which
 would repeat that eigenvalue computation and test Q = I; the n <= 20 cap
 and the acceptance tests stay.
 
-Controllability is checked first with the PBH rank test: one batched SVD
-over the pencils [A - lam I, B] of the modes with Re lam >= -AXIS_TOL,
-skipped when there is none. Each column of B larger than 1 + max|A| is
-scaled down to that size first. Column scaling keeps the rank. Unscaled,
-the tolerance AXIS_TOL (1 + max|A| + max|B|) grows with |B| while the
-smallest singular value stays of the size of A, and a stabilizable pair
-such as A = [[0, 1], [1, 0]], B = [0; 1e9] would be called uncontrollable.
+The construction proves stabilizability by its result: only a stabilizable
+pair has a Hurwitz A + BF with a verified Lyapunov certificate. So the PBH
+rank test is not a precondition. It runs only when the construction fails,
+to tell an unstabilizable pair (NotStabilizableError, naming the mode) from
+a numerical failure, which is re-raised as it came. It takes one batched
+SVD over the pencils [A - lam I, B] of the modes with Re lam >= -AXIS_TOL.
+Each column of B larger than 1 + max|A| is scaled down to that size first.
+Column scaling keeps the rank. Unscaled, the tolerance
+AXIS_TOL (1 + max|A| + max|B|) grows with |B| while the smallest singular
+value stays of the size of A, and a stabilizable pair such as
+A = [[0, 1], [1, 0]], B = [0; 1e9] would be called uncontrollable if its
+construction failed.
 A smaller column is left as it is, so a mode that only a negligible column
 reaches is still named uncontrollable. For a real pair,
 [A - conj(lam) I, B] is the conjugate of [A - lam I, B] and has its
@@ -202,9 +207,20 @@ class GainSynthesisResult:
 def synthesize_gain(A, B):
     """LQR-style stabilizing gain for the pair (A, B); detects unstabilizability.
 
-    Raises NotStabilizableError when an eigenvalue with nonnegative real
-    part is uncontrollable (rank test) or when the Hamiltonian has
-    eigenvalues on the imaginary axis beyond tolerance.
+    A gain is returned when its closed loop is verified: a Hurwitz A + BF
+    and an accepted Lyapunov matrix P > 0. When that construction fails,
+    the PBH rank test runs: NotStabilizableError names the first
+    uncontrollable mode with Re lam >= -AXIS_TOL if there is one, and the
+    construction's own error is raised otherwise (NotStabilizableError
+    when the Hamiltonian has an eigenvalue within AXIS_TOL of the
+    imaginary axis).
+
+    A verified gain is returned even when the PBH test, at its tolerance,
+    would call a mode uncontrollable. A = [[0, 1], [-0.6016, 11588.3]],
+    B = e2 is controllable ([B, AB] has rank 2, condition number 1.3e8),
+    and its gain has a closed-loop abscissa of about -1.0e-4. Whether so
+    small a decay is enough over a sampling interval is for the
+    certificate layer to judge, not for synthesis.
     """
     A = _square(A, "A")
     n = A.shape[0]
@@ -216,21 +232,39 @@ def synthesize_gain(A, B):
     if B.shape[0] != n or not np.isfinite(B).all():
         raise ValueError("B must be n x m with finite entries")
     eye = np.eye(n)
+    try:
+        return _certified_lqr(A, B, eye)
+    except Exception:
+        # the construction failed: the PBH test names the mode to blame, if there is one
+        lam = _uncontrollable_mode(A, B, eye)
+        if lam is None:
+            raise
+    raise NotStabilizableError("uncontrollable mode with eigenvalue %s" % np.round(lam, 6))
 
-    # PBH rank test on the modes with Re lam >= -AXIS_TOL, in eigenvalue
-    # order, so the first uncontrollable one is named; columns of B larger
-    # than A are scaled down to its size, and of a conjugate pair only the
-    # first mode is tested (see the module docstring)
+
+def _uncontrollable_mode(A, B, eye):
+    """The first mode with Re lam >= -AXIS_TOL that fails the PBH rank test, or None.
+
+    Modes are tested in eigenvalue order, columns of B larger than A are
+    scaled down to its size, and of a conjugate pair only the first mode is
+    tested (see the module docstring).
+    """
     w = np.linalg.eigvals(A)
     modes = w[(w.real >= -AXIS_TOL) & (w.imag >= 0)]
-    if modes.size:
-        size = 1.0 + float(abs(A).max())
-        Bs = B * (size / np.maximum(abs(B).max(axis=0), size))
-        scale = size + float(abs(Bs).max())
-        for lam, s in zip(modes, _smallest_singular_values(A, Bs, modes, eye)):
-            if s <= AXIS_TOL * scale:
-                raise NotStabilizableError("uncontrollable mode with eigenvalue %s" % np.round(lam, 6))
+    if not modes.size:
+        return None
+    size = 1.0 + float(abs(A).max())
+    Bs = B * (size / np.maximum(abs(B).max(axis=0), size))
+    scale = size + float(abs(Bs).max())
+    for lam, s in zip(modes, _smallest_singular_values(A, Bs, modes, eye)):
+        if s <= AXIS_TOL * scale:
+            return lam
+    return None
 
+
+def _certified_lqr(A, B, eye):
+    """The Riccati gain of a checked pair (A, B) with its verified Lyapunov certificate."""
+    n = A.shape[0]
     BBt = B @ B.T
     try:
         w, V = np.linalg.eig(_hamiltonian(A, BBt, eye))

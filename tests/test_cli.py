@@ -529,6 +529,48 @@ def test_simulate_nan_value_of_V_fails(tmp_path, capsys, h, row, reasons):
     assert (tmp_path / "cert_0.csv").read_text().splitlines()[1] == row
 
 
+SIM_INF_V = """
+[experiment]
+kind = simulate
+[system]
+type = state-linear
+dim = 2
+A = 0, 1; 0, 0
+B = 0; 1
+[controller]
+type = zero
+[partition]
+h = 0.5
+[run]
+x0 = 0, 1
+horizon = 0.5
+final_norm = 10
+certificate = expression
+V = x2^2 + 1/x1^2
+"""
+
+
+@pytest.mark.parametrize(
+    "text, reasons",
+    [
+        (SIM_INF_V, "V is inf at the sample"),
+        (SIM_NAN_V.format(h="1.5"), "V is NaN at grid point 4"),
+    ],
+    ids=["inf-at-the-sample", "nan-inside"],
+)
+def test_simulate_non_finite_V_reports_only_its_failure(tmp_path, capsys, text, reasons):
+    # 1/x1^2 is inf at x0 = (0, 1): its cap and margin are inf, which bound nothing.
+    # A division by zero in V is reported by the failure line, not by a NumPy warning
+    cfg = write(tmp_path / "v.ini", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [line for line in out.splitlines() if line.startswith("    ")] == ["    interval 0: %s" % reasons]
+    assert out.splitlines()[-1] == "RESULT fail 2 1"
+
+
 def test_simulate_escape_ends_an_unreachable_horizon(tmp_path, capsys):
     # the escape near t = 14 ends the run; no instant up to 1e9 is made
     cfg = write(tmp_path / "u.ini", SIM_SCALAR.replace("frozen-gain", "zero").replace("horizon = 5", "horizon = 1e9"))

@@ -22,6 +22,18 @@ def test_statedep_matrices():
     np.testing.assert_allclose(rhs, [2.0, np.pi / 2 + 8.0 + 0.5])
 
 
+def test_statedep_matrix_keeps_the_numpy_formulas_bits():
+    # A(x) runs on Python floats; where they would raise it falls back to NumPy's inf or NaN
+    A = registry.statedep_2d().A
+    states = list(np.random.default_rng(26).uniform(-3.0, 3.0, (2000, 2)))
+    edges = [0.0, -0.0, 1e200, np.inf, -np.inf, np.nan]
+    states += [np.array([a, b]) for a in edges for b in edges]
+    with np.errstate(all="ignore"):
+        for x in states:
+            want = np.array([[0.0, 1.0], [np.sin(x[0]), x[1] ** 2]])
+            assert A(x).tobytes() == want.tobytes(), x
+
+
 def test_double_integrator_classifications():
     entry = registry.double_integrator()
     assert entry.classify([1.0, -0.5]).classification == FV_NEGATIVE

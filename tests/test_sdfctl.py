@@ -304,6 +304,14 @@ class TestOneVerdict:
         assert cert.failures == ["interval 0: no strict decrease (margin nan)"]
         self.assert_consistent(cert)
 
+    def test_an_infinite_value_at_the_sample_fails(self):
+        # the cap a(inf) and the margin inf - 0.16 are inf: every later value would pass
+        cert = certify_decrease(one_interval_run(self.STATES), lambda x: np.inf if x[0] == 1.0 else x[0] ** 2)
+        ic = cert.intervals[0]
+        assert ic.margin == np.inf and ic.bound_ok and not ic.ok
+        assert cert.failures == ["interval 0: V is inf at the sample"]
+        self.assert_consistent(cert)
+
     def test_growth_bound_reason(self):
         cert = certify_decrease(one_interval_run([1.0, 1.5, 0.5]), lambda x: x[0] ** 2)
         ic = cert.intervals[0]

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_continuous_are
+from scipy.linalg import eigvals, solve_continuous_are
 
-from sdstab.errors import NotStabilizableError
+from sdstab import synth
+from sdstab.errors import NotStabilizableError, NumericalFailure
 from sdstab.synth import (
     UniformBounds,
+    _certified_lqr,
     _hamiltonian,
     _lyapunov_operator,
     _smallest_singular_values,
@@ -192,6 +194,34 @@ class TestGainSynthesis:
     def test_badly_scaled_input_misses_the_unstable_mode(self, big):
         with pytest.raises(NotStabilizableError, match=r"uncontrollable mode with eigenvalue 1\.0$"):
             synthesize_gain(np.diag([1.0, -1.0]), [[0.0], [big]])
+
+    def test_verified_gain_where_the_rank_test_sees_a_tiny_singular_value(self):
+        # [B, AB] has rank 2 (condition number 1.3e8), but the pencil at the mode
+        # 5.2e-05 has smallest singular value 8.6e-5, under the PBH tolerance 1.16e-4:
+        # the verified gain is returned, and its small decay is the certificates' to judge
+        A = np.array([[0.0, 1.0], [-0.6016, 11588.3]])
+        B = np.array([[0.0], [1.0]])
+        res = synthesize_gain(A, B)
+        poles = eigvals(res.closed_loop(A, B))
+        assert np.all(poles.real < 0)
+        assert res.abscissa == pytest.approx(-1.0e-4, rel=0.05)
+
+    def test_a_stabilizable_pair_needs_no_rank_test(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the PBH test ran on a pair the construction verifies")
+
+        monkeypatch.setattr(synth, "_smallest_singular_values", refuse)
+        A = np.array([[1.0, 2.0], [0.0, 0.5]])  # both modes unstable
+        res = synthesize_gain(A, [[0.0], [1.0]])
+        assert spectral_abscissa(res.closed_loop(A, [[0.0], [1.0]])) < 0
+
+    def test_a_failed_construction_names_the_uncontrollable_mode(self):
+        # the Schur Riccati solve fails first; the PBH test then names the mode
+        A, B = np.diag([1.0, -1.0]), np.array([[0.0], [1.0]])
+        with pytest.raises(NumericalFailure, match="Schur Riccati solve failed"):
+            _certified_lqr(A, B, np.eye(2))
+        with pytest.raises(NotStabilizableError, match=r"uncontrollable mode with eigenvalue 1\.0$"):
+            synthesize_gain(A, B)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="n <= 20"):
