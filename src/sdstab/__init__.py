@@ -25,6 +25,7 @@ from .errors import (
     ConfigError,
     ControllerError,
     NoCertifiedStepError,
+    NonFiniteMatrixError,
     NotStabilizableError,
     NumericalFailure,
     OffsetSelectionError,
@@ -60,6 +61,7 @@ __all__ = [
     "GeneralSystem",
     "IntegrationConfig",
     "NoCertifiedStepError",
+    "NonFiniteMatrixError",
     "NotStabilizableError",
     "NumericalFailure",
     "OffsetSelectionError",

@@ -8,7 +8,8 @@ Each command returns its check and failure counts; :func:`main` prints
 the ``RESULT`` line. Exit codes: 0 all checks passed; 1 certificate or
 verification failure; 2 configuration error, including a config that
 leaves nothing to check; 3 numerical failure, including arithmetic
-overflow.
+overflow and a system matrix that is not finite at a state the run
+reaches.
 """
 
 import argparse
@@ -487,12 +488,13 @@ def main(argv=None):
         n_checks, n_failures = COMMANDS[args.command](cfg, args.out, seed, args.quiet)
         if n_checks == 0:
             raise ConfigError("%s: the config leaves nothing to check" % args.command)
-    except (ConfigError, ExprSyntaxError, ValueError) as exc:
-        print("configuration error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
+    # before ValueError: a non-finite A(x) met at run time is both
     except (NumericalFailure, ArithmeticError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ConfigError, ExprSyntaxError, ValueError) as exc:
+        print("configuration error: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
     except (NotStabilizableError, NoCertifiedStepError) as exc:
         print("verification failure: %s" % exc, file=sys.stderr)
         return EXIT_FAILED

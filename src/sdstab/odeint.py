@@ -37,9 +37,11 @@ calls the BLAS routine ``@`` calls (gemv, or ddot for a single row): the
 same bits with half the dispatch. That is every product with an inner
 dimension of two or more (see :func:`sdstab.sysmodel.product`), and the
 escape test's x.x at any dimension, since a sum of squares has no negative
-product to round. A product with one inner coordinate, such as B u with one
+product to round. A product with one inner coordinate, such as B F with one
 input, stays on ``@``: there dot multiplies through BLAS axpy or ger, and a
-negative product that underflows comes out -0.0 where ``@`` gives +0.0.
+negative product that underflows comes out -0.0 where ``@`` gives +0.0. A
+constant B's products B u are formed for a whole block of inputs by one
+stacked ``np.matmul``, which runs per row the routine ``B @ u`` runs.
 
 :func:`rk4_stack_step` takes one substep for each row of a (k, n) stack,
 with the same elementwise operations in the same order on arrays; each row
@@ -102,6 +104,13 @@ def integrate(sys, x0, u, window, cfg=IntegrationConfig(), first_stages=None):
     step's first RK4 stage rhs(x_k, u_k) is appended to it, so entry k
     belongs to grid point k. A stage whose shape is not that of the state
     raises ValueError.
+
+    A system with ``input_terms`` (a :class:`~sdstab.sysmodel.StateLinearSystem`)
+    turns each block of inputs into the terms its ``rhs_term(x, w)`` adds
+    at a stage, in one call: ``B u`` for every row when ``B`` is constant,
+    so the stages do not form it. ``rhs_term(x, w)`` has the bits of
+    ``rhs(x, u)``. Without a signal, and for any other system, the stages
+    call ``rhs(x, u)``.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0:
@@ -111,13 +120,15 @@ def integrate(sys, x0, u, window, cfg=IntegrationConfig(), first_stages=None):
         raise ValueError("initial state dimension mismatch")
 
     record_u = u is not None
-    rhs = sys.rhs
+    terms =getattr(sys, "input_terms", None) if record_u else None
+    rhs = sys.rhs if terms is None else sys.rhs_term
     blowup = cfg.blowup_norm
     steps = _steps(t1 - t0, cfg.step)
-    u_start = None if record_u else np.zeros(sys.dim_input)
+    w_start = None if record_u else np.zeros(sys.dim_input)
 
     # x is never mutated (each step builds a new array), and np.array(states)
-    # copies, so the grid keeps references rather than copies
+    # copies, so the grid keeps references rather than copies; the inputs are
+    # kept as one slice of each block's stack
     times = [t0]
     states = [x]
     inputs = []
@@ -134,19 +145,23 @@ def integrate(sys, x0, u, window, cfg=IntegrationConfig(), first_stages=None):
             if record_u:
                 ts = [tau + d for tau, hk, _ in block for d in (hk / 2, hk)]
                 # the first block also asks for the start input
-                rows = iter(u.values(ts if u_start is not None else [0.0] + ts))
-                if u_start is None:
-                    u_start = next(rows)
-                    inputs.append(u_start)
+                first = w_start is None
+                U = u.values([0.0] + ts if first else ts)
+                rows = iter(U if terms is None else terms(U))
+                if first:
+                    w_start = next(rows)
+                    inputs.append(U[:1])
+                    U = U[1:]
+                stepped = len(times)
             for tau, hk, end in block:
-                k1 = rhs(x, u_start)
+                k1 = rhs(x, w_start)
                 if first_stages is not None:
                     first_stages.append(k1)
                 if record_u:
-                    u_mid, u_end = next(rows), next(rows)
+                    w_mid, w_end = next(rows), next(rows)
                 else:
-                    u_mid = u_end = u_start
-                x_new, new = _rk4_step(rhs, xs, hk, k1, (u_mid,), (u_end,))
+                    w_mid = w_end = w_start
+                x_new, new = _rk4_step(rhs, xs, hk, k1, (w_mid,), (w_end,))
                 # Escape unless every |x_i| and then the norm are within the
                 # threshold. A state the coordinate test rejects would fail the norm
                 # test too; testing it first keeps x.dot(x) from overflowing. NaN fails
@@ -158,14 +173,15 @@ def integrate(sys, x0, u, window, cfg=IntegrationConfig(), first_stages=None):
                 x, xs = x_new, new
                 times.append(t0 + end)
                 states.append(x)
-                if record_u:
-                    inputs.append(u_end)
-                u_start = u_end
+                w_start = w_end
+            if record_u:
+                # the end input of every step taken in the block
+                inputs.append(U[1::2][: len(times) - stepped])
 
     return Trajectory(
         times=np.array(times),
         states=np.array(states),
-        inputs=np.array(inputs) if record_u else None,
+        inputs=np.concatenate(inputs) if record_u else None,
         escaped=escaped,
         escape_time=escape_time,
     )

@@ -12,7 +12,9 @@ Entries:
   boundary, equal quadratic pieces forced apart by distinct offsets.
 
 Both state-linear entries pass their input matrix as a constant, so it is
-never re-evaluated; their ``A`` stays a function of the state.
+never re-evaluated; their ``A`` stays a function of the state, and carries
+a stacked form ``A.stack(X)``: the (k, n, n) stack of ``A`` at the rows of a
+(k, n) stack of states, with the bits of one call per row.
 """
 
 import math
@@ -26,7 +28,11 @@ from .sysmodel import AffineSystem, StateLinearSystem
 
 
 def scalar_unstable():
-    return StateLinearSystem(lambda x: np.array([[1.0]]), np.array([[1.0]]), 1, 1)
+    def A(x):
+        return np.array([[1.0]])
+
+    A.stack = lambda X: np.ones((len(X), 1, 1))
+    return StateLinearSystem(A, np.array([[1.0]]), 1, 1)
 
 
 def statedep_2d():
@@ -40,6 +46,24 @@ def statedep_2d():
         except (OverflowError, ValueError):
             return np.array([[0.0, 1.0], [np.sin(x[0]), x[1] ** 2]])
 
+    # The same floats for a (k, 2) stack, column by column; where they raise,
+    # the rows go through A one at a time. x2 * x2 would differ from x2 ** 2
+    # in the last bit on some states.
+    def stack(X):
+        x1s, x2s = X.T.tolist()
+        try:
+            sins = list(map(math.sin, x1s))
+            squares = [v ** 2 for v in x2s]
+        except (OverflowError, ValueError):
+            return np.array(list(map(A, X)))
+        M = np.empty((len(X), 2, 2))
+        M[:, 0, 0] = 0.0
+        M[:, 0, 1] = 1.0
+        M[:, 1, 0] = sins
+        M[:, 1, 1] = squares
+        return M
+
+    A.stack = stack
     return StateLinearSystem(A, np.array([[0.0], [1.0]]), 2, 1)
 
 

@@ -73,7 +73,10 @@ class FrozenGainController:
     (:func:`rk4_stack_step` on the stacked closed-loop field), and
     u = F xh is one stacked ``np.matmul``. Per row these are the operations
     of one query at a time, in the same order, so the inputs keep their
-    bits; ``xh @ F.T`` would run gemm, whose bits differ.
+    bits; ``xh @ F.T`` would run gemm, whose bits differ. The field
+    evaluates ``A`` at each stage of the stack in one call of its stacked
+    form, ``A.stack``, when it has one (the registry systems), and row by
+    row otherwise, as after ``A`` is replaced by a plain function.
     """
 
     def __init__(self, sys, cfg=IntegrationConfig(), zero_order_hold=False):
@@ -361,9 +364,10 @@ class DecreaseCertificate:
 
     @property
     def uniform_margin(self):
-        """The smallest margin over the intervals whose decrease is not waived, NaN when one is."""
+        """The smallest margin over the intervals whose decrease is not waived, NaN when one
+        is not finite: an infinite margin bounds nothing."""
         margins = [ic.margin for ic in self.intervals if not ic.waived]
-        return math.nan if any(map(math.isnan, margins)) else min(margins, default=0.0)
+        return min(margins, default=0.0) if all(map(math.isfinite, margins)) else math.nan
 
     def values(self):
         """V at every point of the run's ``trajectory()``."""

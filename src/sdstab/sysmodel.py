@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteMatrixError
+
 ORIGIN_TOL = 1e-12
 
 
@@ -54,6 +56,14 @@ def _all_finite(M):
     """
     v = M.ravel().tolist()
     return math.isfinite(sum(v)) or all(map(math.isfinite, v))
+
+
+def _not_finite(what, x):
+    """The error for a matrix (``what``, say "state matrix A") not finite at the finite state x."""
+    return NonFiniteMatrixError(
+        "system matrices must be finite at finite states: the %s(x) is not finite at x = %s"
+        % (what, np.asarray(x, dtype=float).tolist())
+    )
 
 
 class ControlSignal:
@@ -164,8 +174,15 @@ class StateLinearSystem:
     matrix, or is a constant n x m matrix: a constant ``B`` is checked here,
     stored as a read-only float array (``constant_B`` is true) and returned
     by :meth:`matrices_at` without any evaluation. Both are finite at the
-    origin. ``A`` is looked up on every call, so it may be replaced. Products
-    go through :func:`product`, so they have the bits of ``@``.
+    origin (ValueError here); a non-finite matrix at a later state raises
+    :class:`~sdstab.errors.NonFiniteMatrixError`, a numerical failure that
+    names the state. ``A`` is looked up on every call, so it may be replaced.
+    A matrix function may carry a stacked form, ``A.stack(X)``: the
+    (k, n, n) stack of ``A`` at the rows of a (k, n) stack of states, with
+    the bits of one call per row. It belongs to the function, so a
+    replacement without one is called row by row. Products go through
+    :func:`product`, so they have the bits of ``@``; with a constant ``B``,
+    :meth:`input_terms` forms ``B u`` for a block of inputs at once.
     """
 
     def __init__(self, A, B, dim_state, dim_input):
@@ -191,10 +208,10 @@ class StateLinearSystem:
             raise ValueError("system matrices must be finite at the origin")
 
     def state_matrix(self, x):
-        """A(x) as a float array; raises unless every entry is finite."""
+        """A(x) as a float array; raises NonFiniteMatrixError unless every entry is finite."""
         A = np.asarray(self.A(x), dtype=float)
         if not _all_finite(A):
-            raise ValueError("system matrices must be finite at finite states")
+            raise _not_finite("state matrix A", x)
         return A
 
     def matrices_at(self, xi):
@@ -204,7 +221,7 @@ class StateLinearSystem:
             return A, self.B
         B = np.asarray(self.B(xi), dtype=float)
         if not _all_finite(B):
-            raise ValueError("system matrices must be finite at finite states")
+            raise _not_finite("input matrix B", xi)
         return A, B
 
     def rhs(self, x, u):
@@ -214,14 +231,32 @@ class StateLinearSystem:
         A, B = self.matrices_at(x)
         return self._times_x(A, x) + self._times_u(B, _vector(u))
 
+    def input_terms(self, U):
+        """The input terms of a (k, m) stack of inputs, which :meth:`rhs_term` takes row by row.
+
+        With a constant B they are the rows B u, formed in one stacked
+        ``np.matmul``, which runs per row the routine ``B @ u`` runs; with a
+        callable B they are the inputs themselves.
+        """
+        if self.constant_B:
+            return np.matmul(self.B, U[:, :, None])[:, :, 0]
+        return U
+
+    def rhs_term(self, x, w):
+        """``rhs(x, u)``, with its bits, from w, the row of :meth:`input_terms` that belongs to u."""
+        if self.constant_B:
+            return self._times_x(self.state_matrix(x), x) + w
+        return self.rhs(x, w)
+
     def closed_loop_field(self, F):
         """The frozen-gain field x -> (A(x) + B(x) F) x; a constant B F is formed once.
 
         The field also takes a C-contiguous (k, n) stack of states and returns
         the (k, n) stack of their values, with the bits of one call per row.
-        It still evaluates ``A``, and a callable ``B``, once per row, so their
-        contract is unchanged, and checks the finiteness of each stack with the
-        single-state message. Its products are stacked ``np.matmul`` calls,
+        It evaluates ``A``, and a callable ``B``, through its stacked form when
+        it has one and once per row otherwise, and checks the finiteness of
+        each stack once, naming the first state whose matrix is not finite.
+        Its products are stacked ``np.matmul`` calls,
         which run per row the BLAS routine :func:`product` runs (gemv for
         (A + BF) x). One product over the whole stack, such as ``X @ M.T``,
         would run gemm, whose fused multiply-adds round differently.
@@ -235,7 +270,7 @@ class StateLinearSystem:
             def field(x):
                 if x.ndim == 1:
                     return times_x(state_matrix(x) + BF, x)
-                return np.matmul(self._stacked(self.A, x) + BF, x[:, :, None])[:, :, 0]
+                return np.matmul(self._stacked(self.A, x, "state matrix A") + BF, x[:, :, None])[:, :, 0]
 
         else:
 
@@ -243,18 +278,24 @@ class StateLinearSystem:
                 if x.ndim == 1:
                     Ax, Bx = self.matrices_at(x)
                     return times_x(Ax + times_u(Bx, F), x)
-                Ax = self._stacked(self.A, x)
-                return np.matmul(Ax + np.matmul(self._stacked(self.B, x), F), x[:, :, None])[:, :, 0]
+                Ax = self._stacked(self.A, x, "state matrix A")
+                return np.matmul(Ax + np.matmul(self._stacked(self.B, x, "input matrix B"), F), x[:, :, None])[:, :, 0]
 
         return field
 
     @staticmethod
-    def _stacked(matrix, X):
-        """matrix(x) for every row x of X, stacked; raises unless every entry is finite."""
-        M = np.array(list(map(matrix, X)), dtype=float)
+    def _stacked(matrix, X, what):
+        """matrix(x) for every row x of X, stacked; raises unless every entry is finite.
+
+        A matrix function with a ``stack`` attribute answers the whole stack
+        in one call of it; any other is called once per row.
+        """
+        stack = getattr(matrix, "stack", None)
+        M = np.array(list(map(matrix, X)), dtype=float) if stack is None else np.asarray(stack(X), dtype=float)
         # on a stack of hundreds of entries np.isfinite is the faster test
         if not np.isfinite(M).all():
-            raise ValueError("system matrices must be finite at finite states")
+            bad = ~np.isfinite(M).reshape(len(M), -1).all(axis=1)
+            raise _not_finite(what, X[bad][0])
         return M
 
 

@@ -571,6 +571,27 @@ def test_simulate_non_finite_V_reports_only_its_failure(tmp_path, capsys, text, 
     assert out.splitlines()[-1] == "RESULT fail 2 1"
 
 
+def test_simulate_infinite_margin_is_no_uniform_margin(tmp_path, capsys):
+    # the inf-V interval's margin is inf, which bounds nothing: the summary reads nan
+    cfg = write(tmp_path / "v.ini", SIM_INF_V)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "certificate FAIL: 1 intervals, uniform margin nan, 1 failure(s)" in capsys.readouterr().out
+    assert (tmp_path / "cert_0.csv").read_text().splitlines()[1].split(",")[4] == "inf"
+
+
+@pytest.mark.parametrize("controller", ["zero", "frozen-gain"])
+def test_simulate_non_finite_A_at_run_time_is_a_numerical_failure(tmp_path, capsys, controller):
+    # x1^300 overflows at x1 = 20, a finite state; at the origin A is finite, so the config is valid
+    text = SIM_INF_V.replace("A = 0, 1; 0, 0", "A = 0, 1; x1^300, 0").replace("zero", controller)
+    text = text.replace("x0 = 0, 1", "x0 = 20, 0").replace("horizon = 0.5", "horizon = 1")
+    cfg = write(tmp_path / "a.ini", text.split("certificate")[0])
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: system matrices must be finite at finite states: "
+        "the state matrix A(x) is not finite at x = [20.0, 0.0]\n"
+    )
+
+
 def test_simulate_escape_ends_an_unreachable_horizon(tmp_path, capsys):
     # the escape near t = 14 ends the run; no instant up to 1e9 is made
     cfg = write(tmp_path / "u.ini", SIM_SCALAR.replace("frozen-gain", "zero").replace("horizon = 5", "horizon = 1e9"))

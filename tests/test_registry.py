@@ -1,10 +1,13 @@
 """Built-in example registry entries construct and satisfy their contracts."""
 
 import numpy as np
+import pytest
 
 from sdstab import registry
 from sdstab.liecalc import FV_NEGATIVE, GV_NONZERO, ODD_BRACKET_NONZERO
+from sdstab.odeint import IntegrationConfig
 from sdstab.patchwork import verify_patchwork
+from sdstab.sdfctl import FrozenGainController
 
 
 def test_scalar_unstable_matrices():
@@ -32,6 +35,51 @@ def test_statedep_matrix_keeps_the_numpy_formulas_bits():
         for x in states:
             want = np.array([[0.0, 1.0], [np.sin(x[0]), x[1] ** 2]])
             assert A(x).tobytes() == want.tobytes(), x
+
+
+# beyond 1.3e154 a float x2 ** 2 overflows; sin(+-inf) raises on floats
+STACK_EDGES = [0.0, -0.0, 1.3e154, -1.35e154, 1e200, np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("build", [registry.statedep_2d, registry.scalar_unstable])
+def test_stacked_state_matrix_keeps_the_per_row_bits(build):
+    A = build().A
+    n = len(A(np.zeros(2)))
+    rng = np.random.default_rng(27)
+    # x2 * x2 in place of x2 ** 2 differs in the last bit on some of these
+    stacks = [rng.uniform(-3.0, 3.0, (k, n)) for k in (1, 2, 255, 20000)]
+    edges = np.array([[a, b] for a in STACK_EDGES for b in STACK_EDGES])[:, :n]
+    # each edge alone, and among ordinary rows, where the whole stack falls back
+    stacks += [edge[None] for edge in edges] + [np.concatenate([stacks[2], edges, stacks[1]])]
+    with np.errstate(all="ignore"):
+        for X in stacks:
+            want = np.array([A(x) for x in X])
+            got = A.stack(X)
+            assert got.shape == (len(X), n, n)
+            assert got.tobytes() == want.tobytes(), X[:3].tolist()
+
+
+def test_a_replaced_state_matrix_is_called_for_every_playback_row():
+    # the stacked form belongs to the function, not to the system: a plain
+    # function put in its place is evaluated row by row, three stages a row
+    plant, reference = registry.statedep_2d(), registry.statedep_2d()
+    A = plant.A
+    calls = []
+
+    def plain(x):
+        calls.append(x.tobytes())
+        return A(x)
+
+    plant.A = plain
+    cfg = IntegrationConfig(step=0.01)
+    sig = FrozenGainController(plant, cfg).plan(np.array([2.0, -1.0]), 0.05)
+    want = FrozenGainController(reference, cfg).plan(np.array([2.0, -1.0]), 0.05)
+    # five midpoints take a substep each; the two grid times read the model state
+    ts = [0.003, 0.01, 0.014, 0.025, 0.03, 0.036, 0.049]
+    del calls[:]
+    got = sig.values(ts)
+    assert len(calls) == 3 * 5
+    assert got.tobytes() == want.values(ts).tobytes()
 
 
 def test_double_integrator_classifications():

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from sdstab.errors import NonFiniteMatrixError, NumericalFailure
 from sdstab.liecalc import ExprVectorField
 from sdstab.sdfctl import PerSampleQuadratic, sampling_times
 from sdstab.sysmodel import (
@@ -192,6 +193,26 @@ class TestConstantInputMatrix:
         with pytest.raises(ValueError):
             sys.matrices_at(np.ones(1))
 
+    @pytest.mark.parametrize("which", ["A", "B"])
+    def test_non_finite_matrix_is_a_numerical_failure_naming_the_state(self, which):
+        # one type from every check: a NumericalFailure, and the ValueError it was before
+        def spoiled(x):
+            return np.full((1, 1), np.inf) if x[0] > 1.0 else np.ones((1, 1))
+
+        def one(x):
+            return np.ones((1, 1))
+
+        sys = StateLinearSystem(spoiled, one, 1, 1) if which == "A" else StateLinearSystem(one, spoiled, 1, 1)
+        field = sys.closed_loop_field(np.ones((1, 1)))
+        checks = [lambda: sys.matrices_at([2.0]), lambda: field(np.array([[0.5], [2.0], [3.0]]))]
+        if which == "A":
+            checks.append(lambda: sys.state_matrix(np.array([2.0])))
+        name = "state matrix A" if which == "A" else "input matrix B"
+        for check in checks:
+            with pytest.raises(NonFiniteMatrixError, match=r"the %s\(x\) is not finite at x = \[2\.0\]" % name) as info:
+                check()
+            assert isinstance(info.value, NumericalFailure) and isinstance(info.value, ValueError)
+
 
 # -- the per-step products and the finiteness check -------------------------------
 
@@ -261,6 +282,29 @@ def test_system_products_give_the_bits_of_matmul():
             record = SimpleNamespace(xi=x, info={"synthesis": SimpleNamespace(lyapunov=P)})
             V = PerSampleQuadratic().for_interval(record)
             assert float.hex(V(x)) == float.hex(0.5 * float(x @ P @ x))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2])
+def test_input_terms_give_the_bits_of_matmul(n, m):
+    # integrate forms a block's B u in one call; each row must be B @ u
+    rng = np.random.default_rng(40 + 3 * n + m)
+    for _ in range(300):
+        B = draw_operand(rng, (n, m))
+        k = int(rng.integers(1, 60))
+        const = StateLinearSystem(lambda _x: np.zeros((n, n)), B, n, m)
+        func = StateLinearSystem(lambda _x: np.zeros((n, n)), lambda _x: B, n, m)
+        # a constant signal's stack is one row broadcast
+        for U in (draw_operand(rng, (k, m)), np.broadcast_to(draw_operand(rng, (m,)), (k, m))):
+            W = const.input_terms(U)
+            assert W.shape == (k, n)
+            for u, w in zip(U, W):
+                assert w.tobytes() == (B @ u).tobytes(), (B.tolist(), u.tolist())
+            assert func.input_terms(U) is U
+        x = draw_operand(rng, (n,))
+        with np.errstate(all="ignore"):
+            for sys in (const, func):
+                assert sys.rhs_term(x, sys.input_terms(U)[0]).tobytes() == sys.rhs(x, U[0]).tobytes()
 
 
 @pytest.mark.parametrize(
