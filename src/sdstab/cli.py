@@ -142,10 +142,13 @@ def _expr_matrix(text, dim, rows, cols, constant_ok=False):
         return np.array([[e.value for e in row] for row in entries])
 
     # Python floats, not NumPy scalars: the same IEEE operations give the same
-    # bits on both, floats are faster and do not warn on overflow
+    # bits on both, floats are faster and do not warn on overflow. A division
+    # by zero gives inf or NaN, which the system reports as a non-finite
+    # matrix that names the state; NumPy's warning would only repeat it
     def matrix(x):
         xs = np.asarray(x, dtype=float).tolist()
-        return np.array([[float(e.eval(xs)) for e in row] for row in entries])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.array([[float(e.eval(xs)) for e in row] for row in entries])
 
     return matrix
 

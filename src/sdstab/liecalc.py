@@ -166,24 +166,6 @@ def gradient(V, x):
     return out
 
 
-def linear_vector_field(A):
-    """The field x -> A x as an expression tree (handy fixture builder)."""
-    from .exprs import Add, Const, Mul, Var
-
-    A = np.asarray(A, dtype=float)
-    rows, n = A.shape
-    comps = []
-    for i in range(rows):
-        node = None
-        for j in range(n):
-            if A[i, j] == 0.0:
-                continue
-            term = Mul(Const(A[i, j]), Var(j, "x%d" % (j + 1)))
-            node = term if node is None else Add(node, term)
-        comps.append(node if node is not None else Const(0.0))
-    return ExprVectorField(comps, n)
-
-
 # -- bracket trees and grading -------------------------------------------------
 
 GEN_DRIFT = "f"
@@ -276,17 +258,22 @@ class ConditionReport:
 
 
 class _Undecided(Exception):
-    """A witness or its tolerance is not a number; carries the clause name."""
+    """A witness or its tolerance is not a number; carries the detail that names the clause."""
 
 
-def _undecided(val, tau):
-    """True when a witness decides nothing: a NaN compares false with its tolerance."""
-    return math.isnan(val) or not math.isfinite(tau)
+def _record(witnesses, taus, name, val, tau):
+    """Record a clause's witness and tolerance, and return them.
 
-
-def _undecided_detail(name, val, tau):
-    return "%s: witness %r, tolerance %r; a NaN witness or a non-finite tolerance decides nothing" % (
-        name, val, tau)
+    Raises _Undecided when they decide nothing: a NaN witness compares false
+    with its tolerance, and a non-finite tolerance bounds nothing.
+    """
+    witnesses[name], taus[name] = val, tau
+    if math.isnan(val) or not math.isfinite(tau):
+        raise _Undecided(
+            "%s: witness %r, tolerance %r; a NaN witness or a non-finite tolerance decides nothing"
+            % (name, val, tau)
+        )
+    return val, tau
 
 
 def _eval_scaled(ld, x):
@@ -326,11 +313,7 @@ def check_prop1_point(sys, V, x, n_max=4):
             for t in reversed(seq):
                 W = LieDerivative(tree_field(t, f, g), W)
             walked[seq] = _eval_scaled(W, xs)
-        val, tau = walked[seq]
-        witnesses[name], taus[name] = val, tau
-        if _undecided(val, tau):
-            raise _Undecided(name)
-        return val, tau
+        return _record(witnesses, taus, name, *walked[seq])
 
     try:
         gv, tau_gv = record("gV", (GEN_INPUT,))
@@ -379,10 +362,7 @@ def check_prop1_point(sys, V, x, n_max=4):
 
         return ConditionReport(x, FAIL, witnesses, taus, detail="no clause verified")
     except _Undecided as exc:
-        name = exc.args[0]
-        return ConditionReport(
-            x, FAIL, witnesses, taus, detail=_undecided_detail(name, witnesses[name], taus[name])
-        )
+        return ConditionReport(x, FAIL, witnesses, taus, detail=exc.args[0])
 
 
 def check_corollary1_point(F, V, W, region, p):
@@ -408,52 +388,45 @@ def check_corollary1_point(F, V, W, region, p):
     witnesses = {}
     taus = {}
 
-    if region == "D1":
-        if float(abs(x).max()) <= ZERO_TOL:
-            return ConditionReport(
-                p, FAIL, witnesses, taus, detail="x-part vanishes on a region that forbids it"
-            )
-        dv = gradient(V, x)
-        fxy = np.array([float(v) for v in F.eval(ps)])
-        dvf = float(dv @ fxy)
-        tau = ZERO_TOL * (1.0 + float(abs(dv).max()) + float(abs(fxy).max()))
-        witnesses["DV·F"] = dvf
-        taus["DV·F"] = tau
-        if _undecided(dvf, tau):
-            return ConditionReport(p, FAIL, witnesses, taus, detail=_undecided_detail("DV·F", dvf, tau))
-        if dvf < -tau:
-            return ConditionReport(p, VDOT_NEGATIVE, witnesses, taus)
-        if abs(dvf) <= tau:
-            dfdy = [coeff(w, 1) for w in _along(F, ps, y_dir)]
-            dvdfdy = float(dv @ np.array([float(v) for v in dfdy]))
-            tau2 = ZERO_TOL * (1.0 + float(abs(dv).max()) + max(abs(float(v)) for v in dfdy))
-            witnesses["DV·dF/dy"] = dvdfdy
-            taus["DV·dF/dy"] = tau2
-            if _undecided(dvdfdy, tau2):
-                detail = _undecided_detail("DV·dF/dy", dvdfdy, tau2)
-                return ConditionReport(p, FAIL, witnesses, taus, detail=detail)
-            if abs(dvdfdy) > tau2:
-                return ConditionReport(p, VDOT_ZERO_YDIR_NONZERO, witnesses, taus)
-        return ConditionReport(p, FAIL, witnesses, taus, detail="no decrease clause holds")
-
-    if region == "D2":
-        w = _along(W, ps, y_dir)
-        wy = float(coeff(w, 1))
-        wval = float(coeff(w, 0))  # W(p), bit for bit
-        tau = ZERO_TOL * (1.0 + abs(wy) + abs(wval))
-        witnesses["dW/dy"] = wy
-        taus["dW/dy"] = tau
-        if _undecided(wy, tau):
-            return ConditionReport(p, FAIL, witnesses, taus, detail=_undecided_detail("dW/dy", wy, tau))
-        if abs(wy) <= tau:
-            return ConditionReport(p, FAIL, witnesses, taus, detail="dW/dy vanishes")
-        if float(abs(x).max()) <= ZERO_TOL:
-            witnesses["W"] = wval
-            taus["W"] = tau
-            if wval <= tau:
+    try:
+        if region == "D1":
+            if float(abs(x).max()) <= ZERO_TOL:
                 return ConditionReport(
-                    p, FAIL, witnesses, taus, detail="W vanishes off the origin on the y-axis"
+                    p, FAIL, witnesses, taus, detail="x-part vanishes on a region that forbids it"
                 )
-        return ConditionReport(p, WY_NONZERO, witnesses, taus)
+            dv = gradient(V, x)
+            fxy = np.array([float(v) for v in F.eval(ps)])
+            dvf = float(dv @ fxy)
+            tau = ZERO_TOL * (1.0 + float(abs(dv).max()) + float(abs(fxy).max()))
+            _record(witnesses, taus, "DV·F", dvf, tau)
+            if dvf < -tau:
+                return ConditionReport(p, VDOT_NEGATIVE, witnesses, taus)
+            if abs(dvf) <= tau:
+                dfdy = [coeff(w, 1) for w in _along(F, ps, y_dir)]
+                dvdfdy = float(dv @ np.array([float(v) for v in dfdy]))
+                tau2 = ZERO_TOL * (1.0 + float(abs(dv).max()) + max(abs(float(v)) for v in dfdy))
+                _record(witnesses, taus, "DV·dF/dy", dvdfdy, tau2)
+                if abs(dvdfdy) > tau2:
+                    return ConditionReport(p, VDOT_ZERO_YDIR_NONZERO, witnesses, taus)
+            return ConditionReport(p, FAIL, witnesses, taus, detail="no decrease clause holds")
+
+        if region == "D2":
+            w = _along(W, ps, y_dir)
+            wy = float(coeff(w, 1))
+            wval = float(coeff(w, 0))  # W(p), bit for bit
+            tau = ZERO_TOL * (1.0 + abs(wy) + abs(wval))
+            _record(witnesses, taus, "dW/dy", wy, tau)
+            if abs(wy) <= tau:
+                return ConditionReport(p, FAIL, witnesses, taus, detail="dW/dy vanishes")
+            if float(abs(x).max()) <= ZERO_TOL:
+                witnesses["W"] = wval
+                taus["W"] = tau
+                if wval <= tau:
+                    return ConditionReport(
+                        p, FAIL, witnesses, taus, detail="W vanishes off the origin on the y-axis"
+                    )
+            return ConditionReport(p, WY_NONZERO, witnesses, taus)
+    except _Undecided as exc:
+        return ConditionReport(p, FAIL, witnesses, taus, detail=exc.args[0])
 
     raise ValueError("region must be 'D1' or 'D2'")

@@ -41,7 +41,7 @@ product to round. A product with one inner coordinate, such as B F with one
 input, stays on ``@``: there dot multiplies through BLAS axpy or ger, and a
 negative product that underflows comes out -0.0 where ``@`` gives +0.0. A
 constant B's products B u are formed for a whole block of inputs by one
-stacked ``np.matmul``, which runs per row the routine ``B @ u`` runs.
+:func:`~sdstab.sysmodel.rows_product`, which keeps the bits of ``B @ u``.
 
 :func:`rk4_stack_step` takes one substep for each row of a (k, n) stack,
 with the same elementwise operations in the same order on arrays; each row

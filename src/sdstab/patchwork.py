@@ -25,11 +25,11 @@ import numpy as np
 
 from .errors import OffsetSelectionError, UncoveredPointError
 from .sampling import ball_points, box_points
+from .sysmodel import ORIGIN_TOL, at_origin
 
 logger = logging.getLogger(__name__)
 
 BOUNDARY_TOL = 1e-7
-ORIGIN_TOL = 1e-12
 
 
 class ClassK:
@@ -177,14 +177,15 @@ class PatchworkFamily:
         """The membership rule on each row of a (k, n) array.
 
         Returns the kinds and the regions × rows member table. A row is the
-        "origin"; "interior" to its member regions, the first of which owns
-        it; on the "boundary" of the regions whose closures hold it; or
-        "uncovered" (as a NaN row is). Origin and uncovered rows have no member.
+        "origin" (:func:`~sdstab.sysmodel.at_origin`); "interior" to its
+        member regions, the first of which owns it; on the "boundary" of the
+        regions whose closures hold it; or "uncovered" (as a NaN row is).
+        Origin and uncovered rows have no member.
         """
         X = np.asarray(X, dtype=float)
         margins = np.array([p.region.margin(X) for p in self.pieces])
         inside, closure = margins > BOUNDARY_TOL, margins >= -BOUNDARY_TOL
-        origin, interior = np.max(np.abs(X), axis=1) <= ORIGIN_TOL, inside.any(axis=0)
+        origin, interior = at_origin(X), inside.any(axis=0)
         kind = np.where(closure.any(axis=0), "boundary", "uncovered")
         kind = np.where(origin, "origin", np.where(interior, "interior", kind))
         return kind, np.where(interior, inside, closure) & ~origin
@@ -194,9 +195,6 @@ class PatchworkFamily:
         kind, member = self.members(np.asarray(x, dtype=float)[None])
         regions = [int(i) for i in np.flatnonzero(member[:, 0])]
         return str(kind[0]), regions[0] if kind[0] == "interior" else regions or None
-
-    def piece_value(self, i, x):
-        return float(self.pieces[i].V(np.asarray(x, dtype=float))) + self.offsets[i]
 
 
 class PatchworkW:
@@ -252,15 +250,6 @@ def active_indices(X, values, table):
             np.flatnonzero(ties[:, k]).tolist(),
         )
     return len(table) - 1 - np.argmax(ties[::-1], axis=0)
-
-
-def active_index(W, x):
-    """Largest index attaining the boundary maximum (ties warn and take the largest)."""
-    X = np.asarray(x, dtype=float)[None]
-    values, kind, _, table = W.glue(X)
-    if kind[0] != "boundary":
-        raise ValueError("active index is defined on region boundaries, point is %s" % kind[0])
-    return int(active_indices(X, values, table)[0])
 
 
 # -- boundary sampling ---------------------------------------------------------

@@ -12,7 +12,10 @@ applied to the *model* state, all queried times at once (not a zero-order
 hold; a hold variant is available behind a flag for comparison runs). The
 plant may differ from the model; the decrease certificate quantifies the
 result. Each interval's verdict lives in its :class:`IntervalCertificate`,
-decided once when the certificate is built; everything else reads it.
+decided once when the certificate is built; everything else reads it. A
+sample at the origin (:func:`~sdstab.sysmodel.at_origin`, the one rule the
+controllers and the certificate read) gets the zero signal, and its
+interval's strict decrease is waived.
 """
 
 import math
@@ -24,7 +27,7 @@ import numpy as np
 from .errors import ControllerError, NoCertifiedStepError, NotStabilizableError
 from .odeint import IntegrationConfig, integrate, max_excursion, rk4_stack_step
 from .patchwork import DOUBLING, active_indices
-from .sysmodel import ControlSignal, constant_signal, product, state_vector, zero_signal
+from .sysmodel import ControlSignal, at_origin, constant_signal, product, rows_product, state_vector, zero_signal
 from .synth import synthesize_gain
 
 MARGINAL_TOL = 1e-10
@@ -58,11 +61,12 @@ class _ModelSystem:
 class FrozenGainController:
     """Gain-scheduled sampled control for state-dependent linear dynamics.
 
-    plan(xi, eps): synthesize F, P, decay at the frozen sample xi, integrate
-    the internal model dxh/dt = (A(xh) + B(xh) F) xh from xh(0) = xi, and
-    return u(t) = F xh(t) with bound |F| * max |xh|. With a constant B the
-    product B F is formed once per plan. The internal model uses
-    the same integrator configuration as the plant. Between grid points,
+    plan(xi, eps): at a sample that is at the origin (:func:`at_origin`),
+    return the zero signal. Elsewhere synthesize F, P, decay at the frozen
+    sample xi, integrate the internal model dxh/dt = (A(xh) + B(xh) F) xh
+    from xh(0) = xi, and return u(t) = F xh(t) with bound |F| * max |xh|.
+    With a constant B the product B F is formed once per plan. The internal
+    model uses the same integrator configuration as the plant. Between grid points,
     xh(t) is one RK4 substep from the grid point before t; its first stage
     is the one the model run computed at that point, so playback evaluates
     the model field three times per substep, not four.
@@ -71,12 +75,12 @@ class FrozenGainController:
     block of steps: the times within 1e-12 of their grid point read its
     state, the others take their substeps together on (k, n) stacks
     (:func:`rk4_stack_step` on the stacked closed-loop field), and
-    u = F xh is one stacked ``np.matmul``. Per row these are the operations
+    u = F xh is one :func:`rows_product`. Per row these are the operations
     of one query at a time, in the same order, so the inputs keep their
-    bits; ``xh @ F.T`` would run gemm, whose bits differ. The field
-    evaluates ``A`` at each stage of the stack in one call of its stacked
-    form, ``A.stack``, when it has one (the registry systems), and row by
-    row otherwise, as after ``A`` is replaced by a plain function.
+    bits. The field evaluates ``A`` at each stage of the stack in one call
+    of its stacked form, ``A.stack``, when it has one (the registry
+    systems), and row by row otherwise, as after ``A`` is replaced by a
+    plain function.
     """
 
     def __init__(self, sys, cfg=IntegrationConfig(), zero_order_hold=False):
@@ -87,7 +91,7 @@ class FrozenGainController:
     def plan(self, xi, eps):
         xi = state_vector(xi)
         m = self.sys.dim_input
-        if float(np.max(np.abs(xi))) == 0.0:
+        if at_origin(xi):
             return zero_signal(eps, m)
         A, B = self.sys.matrices_at(xi)
         try:
@@ -132,8 +136,7 @@ class FrozenGainController:
             if far.any():
                 i = idx[far]
                 X[far] = rk4_stack_step(model_field, states[i], dt[far], slopes[i])
-            # per row the gemv of ndarray.dot; X @ F.T would run gemm, whose bits differ
-            return np.matmul(F, X[:, :, None])[:, :, 0]
+            return rows_product(F, X)
 
         bound = float(np.linalg.norm(F, 2) * np.max(np.linalg.norm(states, axis=1)))
         bound *= 1.0 + 1e-6
@@ -389,8 +392,10 @@ def certify_decrease(run, V, a=DOUBLING):
     patchwork glued function) or a per-interval provider such as
     :class:`PerSampleQuadratic`, evaluated once per grid state. Each
     :class:`IntervalCertificate` keeps the values and the cap a(V(start)),
-    and decides its own verdict from them. The excursion from the sample per
-    unit time is reported as the interval's excursion constant.
+    and decides its own verdict from them; an interval whose sample is at
+    the origin (:func:`~sdstab.sysmodel.at_origin`) has its strict decrease
+    waived. The excursion from the sample per unit time is reported as the
+    interval's excursion constant.
     """
     if not run.records:
         raise ValueError("run has no completed intervals")
@@ -408,7 +413,7 @@ def certify_decrease(run, V, a=DOUBLING):
                 values=values,
                 cap=a(values[0]),
                 excursion_ratio=max_excursion(rec.traj, rec.xi) / rec.eps,
-                waived=float(np.max(np.abs(rec.xi))) == 0.0,
+                waived=bool(at_origin(rec.xi)),
                 escape_time=rec.traj.escape_time,
             )
             intervals.append(cert)

@@ -7,6 +7,11 @@ clock restarts at every sampling instant), so controllers can produce them
 lazily and the integrator fetches a block of inputs in one call. Objects
 are not frozen: a state-linear system's ``A`` may be replaced after
 construction, and a controller may add to a signal's ``info``.
+
+:func:`at_origin` is the one test for the origin: the frozen-gain
+controller's zero signal, the patchwork membership rule and the waiver of
+the decrease certificate all read it. :func:`rows_product` is the one
+product over the rows of a stack of states or inputs.
 """
 
 import math
@@ -27,6 +32,27 @@ def state_vector(coords):
     if not np.all(np.isfinite(x)):
         raise ValueError("state entries must be finite")
     return x
+
+
+def at_origin(X):
+    """Whether a state is the origin: every coordinate within ORIGIN_TOL of 0.
+
+    For a (k, n) stack of states the answer is a boolean per row. A NaN
+    coordinate is not at the origin.
+    """
+    return np.max(np.abs(X), axis=-1) <= ORIGIN_TOL
+
+
+def rows_product(M, X):
+    """M x for each row x of a (k, n) stack X, as a stack of rows.
+
+    M is one matrix, or a (k, ., n) stack with one matrix per row. This
+    stacked ``np.matmul`` runs per row the routine ``M @ x`` runs (gemv from
+    two inner coordinates on), so each row keeps the bits of its own product.
+    One product over the whole stack, such as ``X @ M.T``, would run gemm,
+    whose fused multiply-adds round differently.
+    """
+    return np.matmul(M, X[:, :, None])[:, :, 0]
 
 
 def _vector(v):
@@ -226,21 +252,16 @@ class StateLinearSystem:
 
     def rhs(self, x, u):
         """A(x) x + B(x) u for a float state array x."""
-        if self.constant_B:
-            return self._times_x(self.state_matrix(x), x) + self._times_u(self.B, _vector(u))
         A, B = self.matrices_at(x)
         return self._times_x(A, x) + self._times_u(B, _vector(u))
 
     def input_terms(self, U):
         """The input terms of a (k, m) stack of inputs, which :meth:`rhs_term` takes row by row.
 
-        With a constant B they are the rows B u, formed in one stacked
-        ``np.matmul``, which runs per row the routine ``B @ u`` runs; with a
-        callable B they are the inputs themselves.
+        With a constant B they are the rows B u, formed by :func:`rows_product`;
+        with a callable B they are the inputs themselves.
         """
-        if self.constant_B:
-            return np.matmul(self.B, U[:, :, None])[:, :, 0]
-        return U
+        return rows_product(self.B, U) if self.constant_B else U
 
     def rhs_term(self, x, w):
         """``rhs(x, u)``, with its bits, from w, the row of :meth:`input_terms` that belongs to u."""
@@ -256,30 +277,22 @@ class StateLinearSystem:
         It evaluates ``A``, and a callable ``B``, through its stacked form when
         it has one and once per row otherwise, and checks the finiteness of
         each stack once, naming the first state whose matrix is not finite.
-        Its products are stacked ``np.matmul`` calls,
-        which run per row the BLAS routine :func:`product` runs (gemv for
-        (A + BF) x). One product over the whole stack, such as ``X @ M.T``,
-        would run gemm, whose fused multiply-adds round differently.
+        Its products on a stack are stacked ``np.matmul`` calls, which run per
+        row the routine :func:`product` runs (see :func:`rows_product`).
         """
         times_x, times_u = self._times_x, self._times_u
-        if self.constant_B:
-            # B(x) F is this same product at every x, so the field keeps its bits
-            BF = times_u(self.B, F)
-            state_matrix = self.state_matrix
+        # B(x) F is the same product at every x when B is constant, so the field keeps its bits
+        BF = times_u(self.B, F) if self.constant_B else None
 
-            def field(x):
-                if x.ndim == 1:
-                    return times_x(state_matrix(x) + BF, x)
-                return np.matmul(self._stacked(self.A, x, "state matrix A") + BF, x[:, :, None])[:, :, 0]
-
-        else:
-
-            def field(x):
-                if x.ndim == 1:
-                    Ax, Bx = self.matrices_at(x)
-                    return times_x(Ax + times_u(Bx, F), x)
-                Ax = self._stacked(self.A, x, "state matrix A")
-                return np.matmul(Ax + np.matmul(self._stacked(self.B, x, "input matrix B"), F), x[:, :, None])[:, :, 0]
+        def field(x):
+            if x.ndim > 1:
+                A = self._stacked(self.A, x, "state matrix A")
+                BFx = np.matmul(self._stacked(self.B, x, "input matrix B"), F) if BF is None else BF
+                return rows_product(A + BFx, x)
+            if BF is not None:
+                return times_x(self.state_matrix(x) + BF, x)
+            A, B = self.matrices_at(x)
+            return times_x(A + times_u(B, F), x)
 
         return field
 

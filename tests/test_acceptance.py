@@ -205,9 +205,7 @@ def test_criterion_7_patchwork():
     for bp in bps:
         val, _ = W.eval(bp.x)
         oracle = max(
-            W.family.piece_value(i, bp.x)
-            for i, p in enumerate(pieces)
-            if p.region.in_closure(bp.x)
+            float(p.V(bp.x)) + W.family.offsets[i] for i, p in enumerate(pieces) if p.region.in_closure(bp.x)
         )
         assert val == oracle
 

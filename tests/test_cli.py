@@ -319,8 +319,9 @@ horizon = 0.2
 """
             % (command, entry),
         )
-        # outside the test suite this warning is printed and the run goes on
-        with pytest.warns(RuntimeWarning, match="divide by zero"):
+        # the infinite entry is the error; NumPy's divide-by-zero warning is not printed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             code = main([command, "--config", cfg, "--out", str(tmp_path)])
         assert code == 2
         assert "finite at the origin" in capsys.readouterr().err
@@ -590,6 +591,68 @@ def test_simulate_non_finite_A_at_run_time_is_a_numerical_failure(tmp_path, caps
         "numerical failure: system matrices must be finite at finite states: "
         "the state matrix A(x) is not finite at x = [20.0, 0.0]\n"
     )
+
+
+SIM_DIV = """
+[experiment]
+kind = simulate
+[system]
+type = state-linear
+dim = 2
+A = 0, 1; %s, 0
+B = 0; 1
+[controller]
+type = zero
+[partition]
+h = 0.05
+[run]
+x0 = 20, 0
+horizon = 0.5
+"""
+
+
+@pytest.mark.parametrize(
+    "entry, code, err",
+    [
+        ("1/(x1 - 20)", 3, "numerical failure: system matrices must be finite at finite states: "
+         "the state matrix A(x) is not finite at x = [20.0, 0.0]\n"),
+        ("1/x1", 2, "configuration error: system matrices must be finite at the origin\n"),
+    ],
+    ids=["at-x0", "at-the-origin"],
+)
+def test_division_by_zero_in_a_matrix_entry_prints_no_warning(tmp_path, capsys, entry, code, err):
+    # the infinite entry is reported as a non-finite matrix; NumPy's warning would only repeat it
+    cfg = write(tmp_path / "d.ini", SIM_DIV % entry)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err == err
+
+
+SIM_NEAR_ORIGIN = """
+[experiment]
+kind = simulate
+[system]
+registry = statedep-2d
+[controller]
+type = %s
+[patchwork]
+registry = patchwork-halfplanes
+[partition]
+h = 0.05
+[run]
+x0 = 1e-13, 1e-13
+horizon = 0.2
+final_norm = 10
+"""
+
+
+@pytest.mark.parametrize("controller", ["patchwork", "frozen-gain"])
+def test_simulate_next_to_the_origin_passes_under_every_controller(tmp_path, capsys, controller):
+    # every |x_i| <= 1e-12 is the origin: the zero signal, and each interval's decrease is waived
+    cfg = write(tmp_path / "o.ini", SIM_NEAR_ORIGIN % controller)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "RESULT pass 5 0"
 
 
 def test_simulate_escape_ends_an_unreachable_horizon(tmp_path, capsys):

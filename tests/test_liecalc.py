@@ -30,7 +30,6 @@ from sdstab.liecalc import (
     check_corollary1_point,
     check_prop1_point,
     gradient,
-    linear_vector_field,
     tree_field,
     tree_label,
 )
@@ -52,12 +51,18 @@ def rand_poly_field(rng, dim, degree=3, terms=3):
     return ExprVectorField(comps, dim)
 
 
+def linear_field(A):
+    """The field x -> A x, written out as text."""
+    rows = [" + ".join("(%r)*x%d" % (a, j + 1) for j, a in enumerate(row)) for row in A.tolist()]
+    return ExprVectorField.from_text(", ".join(rows), len(A))
+
+
 class TestBrackets:
     def test_linear_commutator(self):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((3, 3))
         B = rng.standard_normal((3, 3))
-        br = BracketField(linear_vector_field(A), linear_vector_field(B))
+        br = BracketField(linear_field(A), linear_field(B))
         for _ in range(5):
             x = rng.standard_normal(3)
             np.testing.assert_allclose(br(x), (B @ A - A @ B) @ x, atol=1e-12)

@@ -11,18 +11,18 @@ from sdstab.errors import UncoveredPointError
 from sdstab.liecalc import ExprScalarField
 from sdstab.patchwork import (
     BOUNDARY_TOL,
-    ORIGIN_TOL,
     ClassK,
     LyapunovPiece,
     PatchworkFamily,
     PatchworkW,
     Region,
-    active_index,
+    active_indices,
     build_family,
     choose_offsets,
     sample_shared_boundaries,
     verify_patchwork,
 )
+from sdstab.sysmodel import ORIGIN_TOL
 
 BOX = ([-4.0, -4.0], [4.0, 4.0])
 W1 = ClassK.power(0.5, 2)
@@ -32,6 +32,11 @@ W2 = ClassK.power(2.0, 2)
 def two_region_pieces(text1, text2):
     V = ExprScalarField.from_text("x1^2 + x2^2", 2)
     return [LyapunovPiece(V, Region.from_text(t, 2, BOX), W1, W2) for t in (text1, text2)]
+
+
+def offset_value(family, i, x):
+    """Piece i's value at x plus its offset: the oracle for a glued value."""
+    return float(family.pieces[i].V(np.asarray(x, dtype=float))) + family.offsets[i]
 
 
 def halfplane_pieces():
@@ -195,16 +200,14 @@ class TestGluedEvaluation:
         for bp in bps:
             val, _ = self.W.eval(bp.x)
             oracle = max(
-                self.W.family.piece_value(i, bp.x)
-                for i, p in enumerate(pieces)
-                if p.region.in_closure(bp.x)
+                offset_value(self.W.family, i, bp.x) for i, p in enumerate(pieces) if p.region.in_closure(bp.x)
             )
             assert val == oracle
 
     def test_interior_equals_piece_exactly(self):
         x = np.array([0.37, -1.2])
         val, active = self.W.eval(x)
-        assert val == self.W.family.piece_value(0, x)
+        assert val == offset_value(self.W.family, 0, x)
 
     def test_interior_glue_walks_only_the_owner_piece(self):
         class Unread:
@@ -212,12 +215,19 @@ class TestGluedEvaluation:
                 raise AssertionError("glue walked a piece that counts on no row")
 
         x = np.array([0.37, -1.2])
-        want = self.W.family.piece_value(0, x)
+        want = offset_value(self.W.family, 0, x)
         self.W.family.pieces[1].V = Unread()
         values, kind, _, table = self.W.glue(x[None])
         assert kind.tolist() == ["interior"]
         assert values[0] == table[0, 0] == want
         assert table[1, 0] == -np.inf
+
+
+def glued_active(W, x):
+    """The kind of x and its active piece, read off one glue row."""
+    X = np.asarray(x, dtype=float)[None]
+    values, kind, _, table = W.glue(X)
+    return str(kind[0]), int(active_indices(X, values, table)[0])
 
 
 class TestActiveIndex:
@@ -226,19 +236,19 @@ class TestActiveIndex:
         Wa = PatchworkW(PatchworkFamily(pieces, [0.1, 0.2]))
         Wb = PatchworkW(PatchworkFamily(pieces, [0.2, 0.1]))
         x = np.array([0.0, 1.0])
-        assert active_index(Wa, x) == 1
-        assert active_index(Wb, x) == 0
+        assert glued_active(Wa, x) == ("boundary", 1)
+        assert glued_active(Wb, x) == ("boundary", 0)
 
-    def test_interior_point_rejected(self):
-        W = PatchworkW(PatchworkFamily(halfplane_pieces(), [0.1, 0.2]))
-        with pytest.raises(ValueError):
-            active_index(W, np.array([1.0, 0.0]))
+    def test_interior_point_gives_its_owner(self):
+        # inside a region the active piece is the owner, the only piece that counts there
+        W = PatchworkW(PatchworkFamily(halfplane_pieces(), [0.2, 0.1]))
+        assert glued_active(W, np.array([-1.0, 0.0])) == ("interior", 1)
+        assert glued_active(W, np.array([1.0, 0.0])) == ("interior", 0)
 
     def test_tie_warns_and_takes_largest(self, caplog):
         W = PatchworkW(PatchworkFamily(halfplane_pieces(), [0.1, 0.1]))
         with caplog.at_level(logging.WARNING, logger="sdstab.patchwork"):
-            idx = active_index(W, np.array([0.0, 1.0]))
-        assert idx == 1
+            assert glued_active(W, np.array([0.0, 1.0])) == ("boundary", 1)
         assert any("distinctness" in rec.message for rec in caplog.records)
 
     def test_invariant_under_common_offset_shift(self):
@@ -246,7 +256,7 @@ class TestActiveIndex:
         Wa = PatchworkW(PatchworkFamily(pieces, [0.1, 0.2]))
         Wb = PatchworkW(PatchworkFamily(pieces, [0.6, 0.7]))
         for bp in sample_shared_boundaries(pieces, per_pair=20, seed=9):
-            assert active_index(Wa, bp.x) == active_index(Wb, bp.x)
+            assert glued_active(Wa, bp.x) == glued_active(Wb, bp.x)
 
 
 class TestVerification:
@@ -519,7 +529,5 @@ class TestPinnedBoundaryChecks:
 
         monkeypatch.setattr(PatchworkW, "eval", refuse)
         monkeypatch.setattr(PatchworkFamily, "locate", refuse)
-        monkeypatch.setattr(PatchworkFamily, "piece_value", refuse)
-        monkeypatch.setattr(patchwork, "active_index", refuse)
         for report, lines in PINNED_REPORTS.items():
             assert report().lines() == lines

@@ -49,6 +49,20 @@ class TestFrozenGainPlanning:
         assert sig.bound == 0.0
         np.testing.assert_array_equal(sig.value(0.3), [0.0])
 
+    @pytest.mark.parametrize("offset, waived", [(1e-13, True), (1e-12, True), (2e-12, False)])
+    def test_sample_next_to_the_origin_is_the_origin(self, offset, waived):
+        # every |x_i| <= ORIGIN_TOL: the zero signal, no synthesis, and the certificate waives the interval
+        plant = registry.statedep_2d()
+        run = run_closed_loop(plant, FrozenGainController(plant), 0.05, [offset, -offset], 0.05)
+        rec = run.records[0]
+        assert ("synthesis" not in rec.info) == waived
+        assert (not rec.traj.inputs.any()) == waived
+        cert = certify_decrease(run, PerSampleQuadratic())
+        assert cert.intervals[0].waived == waived
+        if waived:
+            # the summary's uniform margin skips the waived interval
+            assert cert.passed and cert.uniform_margin == 0.0 and cert.intervals[0].margin != 0.0
+
     def test_signal_respects_declared_bound(self):
         ctrl = FrozenGainController(scalar_unstable())
         sig = ctrl.plan(np.array([2.0]), 0.4)

@@ -14,7 +14,9 @@ from sdstab.sysmodel import (
     GeneralSystem,
     StateLinearSystem,
     _all_finite,
+    at_origin,
     product,
+    rows_product,
     state_vector,
     zero_signal,
 )
@@ -305,6 +307,45 @@ def test_input_terms_give_the_bits_of_matmul(n, m):
         with np.errstate(all="ignore"):
             for sys in (const, func):
                 assert sys.rhs_term(x, sys.input_terms(U)[0]).tobytes() == sys.rhs(x, U[0]).tobytes()
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3)])
+def test_rows_product_keeps_the_bits_of_each_row(n, m):
+    # one matrix for every row (F x, B u) or one per row ((A + BF) x), against M @ x row by row
+    rng = np.random.default_rng(500 + 10 * n + m)
+    for _ in range(300):
+        X = draw_operand(rng, (int(rng.integers(1, 40)), m))
+        M, stack = draw_operand(rng, (n, m)), draw_operand(rng, (len(X), n, m))
+        with np.errstate(all="ignore"):
+            assert rows_product(M, X).tobytes() == np.array([M @ x for x in X]).tobytes(), (M.tolist(), X.tolist())
+            want = np.array([Mk @ x for Mk, x in zip(stack, X)])
+            assert rows_product(stack, X).tobytes() == want.tobytes(), (stack.tolist(), X.tolist())
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 2), (3, 2)])
+def test_rhs_keeps_its_bits_with_a_constant_and_a_callable_B(n, m):
+    # both forms of B take one path: A is evaluated once per call, a constant B never
+    rng = np.random.default_rng(70 + 10 * n + m)
+    calls = []
+    for _ in range(300):
+        A, B = draw_operand(rng, (n, n)), draw_operand(rng, (n, m))
+        x, u = draw_operand(rng, (n,)), draw_operand(rng, (m,))
+        const = StateLinearSystem(lambda _x: calls.append(_x) or A, B, n, m)
+        func = StateLinearSystem(lambda _x: A, lambda _x: B, n, m)
+        del calls[:]
+        with np.errstate(all="ignore"):
+            want = (A @ x + B @ u).tobytes()
+            assert const.rhs(x, u).tobytes() == want and func.rhs(x, u).tobytes() == want
+        assert len(calls) == 1
+
+
+def test_at_origin_on_states_and_on_rows():
+    assert at_origin(np.array([1e-12, -1e-12])) and at_origin(np.array([-0.0]))
+    assert not at_origin(np.array([1e-12, -1.0000001e-12]))
+    assert not at_origin(np.array([np.nan, 0.0]))
+    X = np.array([[0.0, 0.0], [1e-13, -1e-13], [2e-12, 0.0], [0.0, np.nan], [5e-324, -0.0], [0.0, -1.0]])
+    assert at_origin(X).tolist() == [True, True, False, False, True, False]
+    assert at_origin(X).tolist() == [bool(at_origin(x)) for x in X]
 
 
 @pytest.mark.parametrize(
