@@ -24,7 +24,6 @@ from . import registry
 from .errors import (
     ConfigError,
     ControllerError,
-    NoCertifiedStepError,
     NotStabilizableError,
     NumericalFailure,
     OffsetSelectionError,
@@ -42,7 +41,7 @@ from .sdfctl import (
     certify_decrease,
     run_closed_loop,
 )
-from .sysmodel import AffineSystem, StateLinearSystem
+from .sysmodel import AffineSystem, StateLinearSystem, at_origin
 from .synth import synthesize_gain
 
 EXIT_OK = 0
@@ -93,16 +92,29 @@ class Config:
             raise ConfigError("[%s] %s must be positive and finite, got %r" % (section, key, value))
         return value
 
+    def vectors(self, section, key, dim, required=False):
+        """The key's vectors, split on ';', each of ``dim`` finite entries (any number if dim
+        is None) split on ','; None when the key is absent. An empty list checks nothing."""
+        raw = self.get(section, key, required=required)
 
-def _parse_vector(text):
-    try:
-        return np.array([float(tok) for tok in text.split(",")])
-    except ValueError:
-        raise ConfigError("cannot parse vector %r" % text) from None
+        def vector(text):
+            try:
+                v = np.array([float(tok) for tok in text.split(",")])
+            except ValueError:
+                v = np.array([math.nan])
+            if len(v) == (dim or len(v)) and np.isfinite(v).all():
+                return v
+            what = "finite numbers" if dim is None else "%d finite numbers" % dim
+            raise ConfigError("[%s] %s needs %s per vector, got %r" % (section, key, what, text))
 
+        return None if raw is None else [vector(chunk.strip()) for chunk in raw.split(";") if chunk.strip()]
 
-def _parse_vectors(text):
-    return [_parse_vector(chunk) for chunk in text.split(";") if chunk.strip()]
+    def expression(self, section, key, parse):
+        """parse(text) of the key, which is required; a syntax error names the key."""
+        try:
+            return parse(self.get(section, key, required=True))
+        except ExprSyntaxError as exc:
+            raise ConfigError("[%s] %s: %s" % (section, key, exc)) from exc
 
 
 def _folded(expr, what):
@@ -126,18 +138,15 @@ def _expr_matrix(text, dim, rows, cols, constant_ok=False):
     entry names a coordinate.
     """
     names = coord_names(dim)
-    try:
-        row_texts = [r for r in text.split(";")]
-        if len(row_texts) != rows:
-            raise ConfigError("expected %d matrix rows, got %d" % (rows, len(row_texts)))
-        entries = []
-        for r in row_texts:
-            row = [_folded(parse_scalar(e, names), "matrix entry") for e in r.split(",")]
-            if len(row) != cols:
-                raise ConfigError("expected %d entries per row, got %d" % (cols, len(row)))
-            entries.append(row)
-    except ExprSyntaxError as exc:
-        raise ConfigError("bad matrix expression: %s" % exc) from exc
+    row_texts = text.split(";")
+    if len(row_texts) != rows:
+        raise ConfigError("expected %d matrix rows, got %d" % (rows, len(row_texts)))
+    entries = []
+    for r in row_texts:
+        row = [_folded(parse_scalar(e, names), "matrix entry") for e in r.split(",")]
+        if len(row) != cols:
+            raise ConfigError("expected %d entries per row, got %d" % (cols, len(row)))
+        entries.append(row)
     if constant_ok and all(isinstance(e, Const) for row in entries for e in row):
         return np.array([[e.value for e in row] for row in entries])
 
@@ -169,19 +178,16 @@ def _build_system(cfg):
     dim = cfg.number("system", "dim", kind=int)
     if kind == "state-linear":
         m = cfg.number("system", "inputs", default=1, kind=int)
-        A = _expr_matrix(cfg.get("system", "A", required=True), dim, dim, dim)
-        B = _expr_matrix(cfg.get("system", "B", required=True), dim, dim, m, constant_ok=True)
+        A = cfg.expression("system", "A", lambda text: _expr_matrix(text, dim, dim, dim))
+        B = cfg.expression("system", "B", lambda text: _expr_matrix(text, dim, dim, m, constant_ok=True))
         return StateLinearSystem(A, B, dim, m)
     if kind == "affine":
-        fields = []
-        for key in ("f", "g"):
-            try:
-                field = ExprVectorField.from_text(cfg.get("system", key, required=True), dim)
-            except ExprSyntaxError as exc:
-                raise ConfigError("bad vector field: %s" % exc) from exc
-            comps = [_folded(c, "[system] %s component" % key) for c in field.components]
-            fields.append(ExprVectorField(comps, field.dim))
-        return AffineSystem(*fields)
+
+        def folded_field(key):
+            field = cfg.expression("system", key, lambda text: ExprVectorField.from_text(text, dim))
+            return ExprVectorField([_folded(c, "[system] %s component" % key) for c in field.components], dim)
+
+        return AffineSystem(folded_field("f"), folded_field("g"))
     raise ConfigError("unknown system type %r" % kind)
 
 
@@ -195,14 +201,13 @@ def _integration_config(cfg):
 
 
 def _build_patchwork(cfg, seed):
-    name = cfg.get("patchwork", "registry")
-    offsets_raw = cfg.get("patchwork", "offsets")
-    offsets = list(_parse_vector(offsets_raw)) if offsets_raw else None
-    if name is not None:
-        if name not in registry.PATCHWORK_BUILDERS:
-            raise ConfigError("unknown patchwork registry entry %r" % name)
-        return registry.PATCHWORK_BUILDERS[name](offsets=offsets, seed=seed)
-    raise ConfigError("inline patchwork families need a [patchwork] registry entry")
+    name = cfg.get("patchwork", "registry", required=True)  # there are no inline families
+    if name not in registry.PATCHWORK_BUILDERS:
+        raise ConfigError("unknown patchwork registry entry %r" % name)
+    offsets = cfg.vectors("patchwork", "offsets", None)
+    if offsets and len(offsets) > 1:
+        raise ConfigError("[patchwork] offsets must be one vector, got %d" % len(offsets))
+    return registry.PATCHWORK_BUILDERS[name](offsets=offsets[0] if offsets else None, seed=seed)
 
 
 # -- synthesize -----------------------------------------------------------------
@@ -212,10 +217,8 @@ def cmd_synthesize(cfg, out_dir, seed, quiet):
     sys_obj = _build_system(cfg)
     if not isinstance(sys_obj, StateLinearSystem):
         raise ConfigError("gain synthesis needs a state-linear system")
-    pts_raw = cfg.get("synthesize", "points")
-    if pts_raw is not None:
-        points = _parse_vectors(pts_raw)
-    else:
+    points = cfg.vectors("synthesize", "points", sys_obj.dim_state)
+    if points is None:
         radius = cfg.number("synthesize", "radius", default=1.0, positive=True)
         samples = cfg.number("synthesize", "samples", default=32, kind=int, positive=True)
         points = [np.zeros(sys_obj.dim_state)] + list(
@@ -282,41 +285,33 @@ def _write_certificate_csv(path, cert):
 
 def cmd_simulate(cfg, out_dir, seed, quiet):
     plant = _build_system(cfg)
-    state_linear = isinstance(plant, StateLinearSystem)
     icfg = _integration_config(cfg)
 
     ctrl_type = cfg.get("controller", "type", default="frozen-gain")
     W = None
-    if ctrl_type in ("frozen-gain", "frozen-gain-zoh"):
-        if not state_linear:
-            raise ConfigError("the frozen-gain controller needs a state-linear system")
-        ctrl = FrozenGainController(plant, icfg, zero_order_hold=ctrl_type.endswith("zoh"))
-    elif ctrl_type == "zero":
+    if ctrl_type == "zero":
         ctrl = ZeroController(dim_input=plant.dim_input)
+    elif ctrl_type not in ("frozen-gain", "frozen-gain-zoh", "patchwork"):
+        raise ConfigError("unknown controller type %r" % ctrl_type)
+    elif not isinstance(plant, StateLinearSystem):  # every other controller plans frozen-gain intervals
+        raise ConfigError("the %s controller needs a state-linear system" % ctrl_type)
     elif ctrl_type == "patchwork":
-        if not state_linear:
-            raise ConfigError("patchwork piece plans are frozen-gain and need a state-linear system")
         W, _ = _build_patchwork(cfg, seed)
         plans = [FrozenGainController(plant, icfg) for _ in W.family.pieces]
         ctrl = PatchworkController(W, plans, dim_input=plant.dim_input)
     else:
-        raise ConfigError("unknown controller type %r" % ctrl_type)
+        ctrl = FrozenGainController(plant, icfg, zero_order_hold=ctrl_type.endswith("zoh"))
 
     h = cfg.number("partition", "h", positive=True)
     horizon = cfg.number("run", "horizon", positive=True)
-    x0s = _parse_vectors(cfg.get("run", "x0", required=True))
+    x0s = cfg.vectors("run", "x0", plant.dim_state, required=True)
     final_norm = cfg.number("run", "final_norm", default=1e-2, positive=True)
 
     cert_kind = cfg.get("run", "certificate", default="per-sample-quadratic")
     if cert_kind == "per-sample-quadratic":
         V_provider = PerSampleQuadratic()
     elif cert_kind == "expression":
-        try:
-            V_provider = ExprScalarField.from_text(
-                cfg.get("run", "V", required=True), plant.dim_state
-            )
-        except ExprSyntaxError as exc:
-            raise ConfigError("bad V expression: %s" % exc) from exc
+        V_provider = cfg.expression("run", "V", lambda text: ExprScalarField.from_text(text, plant.dim_state))
     else:
         raise ConfigError("unknown certificate kind %r" % cert_kind)
 
@@ -333,16 +328,12 @@ def cmd_simulate(cfg, out_dir, seed, quiet):
         except ControllerError as exc:
             n_checks += 1
             n_failures += 1
-            if not exc.partial_run.records:
-                print("run %d: controller error: %s" % (i, exc))
-                continue
+            partial, wrote = exc.partial_run, ""
             # keep the intervals completed before the failure, without a cert_i.csv
-            partial = exc.partial_run
-            traj_path = write_trajectory(partial, certify_decrease(partial, V_provider), i)
-            print(
-                "run %d: controller error: %s; wrote %d completed interval(s) to %s"
-                % (i, exc, len(partial.records), traj_path)
-            )
+            if partial.records:
+                traj_path = write_trajectory(partial, certify_decrease(partial, V_provider), i)
+                wrote = "; wrote %d completed interval(s) to %s" % (len(partial.records), traj_path)
+            print("run %d: controller error: %s%s" % (i, exc, wrote))
             continue
         cert = certify_decrease(run, V_provider)
         final = float(np.linalg.norm(run.final_state()))
@@ -359,7 +350,7 @@ def cmd_simulate(cfg, out_dir, seed, quiet):
                 "run %d: x0=%s final|x|=%s %s; %s; wrote %s, %s"
                 % (
                     i,
-                    np.round(x0, 6).tolist(),
+                    x0.tolist(),
                     _fmt(final),
                     "ok" if ok_norm else "ABOVE THRESHOLD",
                     cert.summary(),
@@ -413,15 +404,11 @@ def cmd_check_lie(cfg, out_dir, seed, quiet):
             raise ConfigError("pointwise checks need an affine system")
         if sys_obj.dim_state != 2:
             raise ConfigError("the check-lie grid is planar; the system has dim %d" % sys_obj.dim_state)
-        v_text = cfg.get("lie", "V", required=True)
-        try:
-            V = ExprScalarField.from_text(v_text, sys_obj.dim_state)
-        except ExprSyntaxError as exc:
-            raise ConfigError("bad V expression: %s" % exc) from exc
+        V = cfg.expression("lie", "V", lambda text: ExprScalarField.from_text(text, sys_obj.dim_state))
         # overflow and division by zero raise (exit 3, as on the per-point path);
         # NaN is neither zero at the origin nor positive on the grid
         with np.errstate(over="raise", divide="raise", invalid="ignore"):
-            if not abs(V(np.zeros(sys_obj.dim_state))) <= 1e-12:
+            if not at_origin(V(np.zeros(sys_obj.dim_state))):
                 raise ConfigError("V must vanish at the origin")
             positive = np.all(V.eval(list(pts.T)) > 0)
         if not positive:
@@ -495,12 +482,9 @@ def main(argv=None):
     except (NumericalFailure, ArithmeticError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, ExprSyntaxError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError among them
         print("configuration error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    except (NotStabilizableError, NoCertifiedStepError) as exc:
-        print("verification failure: %s" % exc, file=sys.stderr)
-        return EXIT_FAILED
     print("RESULT %s %d %d" % ("pass" if n_failures == 0 else "fail", n_checks, n_failures))
     return EXIT_OK if n_failures == 0 else EXIT_FAILED
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import OffsetSelectionError, UncoveredPointError
 from .sampling import ball_points, box_points
-from .sysmodel import ORIGIN_TOL, at_origin
+from .sysmodel import at_origin, origin_value
 
 logger = logging.getLogger(__name__)
 
@@ -143,8 +143,8 @@ class LyapunovPiece:
         self.region = region
         self.omega1 = omega1
         self.omega2 = omega2
-        v0 = float(V(np.zeros(region.dim)))
-        if abs(v0) > ORIGIN_TOL:
+        v0 = float(origin_value(V, region.dim))
+        if not at_origin(v0):
             raise ValueError("Lyapunov pieces must vanish at the origin (V(0)=%g)" % v0)
         X = region.interior_samples(samples, seed=seed)
         v, r = _on_rows(V, X), _norms(X)

@@ -24,7 +24,7 @@ from itertools import chain, count, pairwise, takewhile
 
 import numpy as np
 
-from .errors import ControllerError, NoCertifiedStepError, NotStabilizableError
+from .errors import ControllerError, NoCertifiedStepError, NonFiniteMatrixError, NotStabilizableError
 from .odeint import IntegrationConfig, integrate, max_excursion, rk4_stack_step
 from .patchwork import DOUBLING, active_indices
 from .sysmodel import ControlSignal, at_origin, constant_signal, product, rows_product, state_vector, zero_signal
@@ -65,8 +65,10 @@ class FrozenGainController:
     return the zero signal. Elsewhere synthesize F, P, decay at the frozen
     sample xi, integrate the internal model dxh/dt = (A(xh) + B(xh) F) xh
     from xh(0) = xi, and return u(t) = F xh(t) with bound |F| * max |xh|.
-    With a constant B the product B F is formed once per plan. The internal
-    model uses the same integrator configuration as the plant. Between grid points,
+    A failed synthesis, a model escape and a playback that breaks that bound
+    (ControlSignal's spot check) raise ControllerError. With a constant B
+    the product B F is formed once per plan. The internal model uses the
+    same integrator configuration as the plant. Between grid points,
     xh(t) is one RK4 substep from the grid point before t; its first stage
     is the one the model run computed at that point, so playback evaluates
     the model field three times per substep, not four.
@@ -140,7 +142,12 @@ class FrozenGainController:
 
         bound = float(np.linalg.norm(F, 2) * np.max(np.linalg.norm(states, axis=1)))
         bound *= 1.0 + 1e-6
-        sig = ControlSignal(eps, bound, m, inputs)
+        try:
+            sig = ControlSignal(eps, bound, m, inputs)
+        except NonFiniteMatrixError:
+            raise
+        except ValueError as exc:  # the spot check found the playback above its bound
+            raise ControllerError("playback planned at sample %s: %s" % (xi, exc)) from exc
         sig.info.update({"xi": xi, "synthesis": synth, "model": model})
         return sig
 

@@ -10,8 +10,10 @@ construction, and a controller may add to a signal's ``info``.
 
 :func:`at_origin` is the one test for the origin: the frozen-gain
 controller's zero signal, the patchwork membership rule and the waiver of
-the decrease certificate all read it. :func:`rows_product` is the one
-product over the rows of a stack of states or inputs.
+the decrease certificate all read it. It is also the one test that a value
+vanishes there, as a system's field and a Lyapunov candidate must.
+:func:`rows_product` is the one product over the rows of a stack of
+states or inputs.
 """
 
 import math
@@ -37,10 +39,16 @@ def state_vector(coords):
 def at_origin(X):
     """Whether a state is the origin: every coordinate within ORIGIN_TOL of 0.
 
-    For a (k, n) stack of states the answer is a boolean per row. A NaN
-    coordinate is not at the origin.
+    For a (k, n) stack of states the answer is a boolean per row; a scalar
+    is a state of one coordinate. A NaN coordinate is not at the origin.
     """
     return np.max(np.abs(X), axis=-1) <= ORIGIN_TOL
+
+
+def origin_value(func, dim, *args):
+    """func(0, *args) at the origin of R^dim without NumPy's warnings: at_origin refuses its inf or NaN."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return func(np.zeros(dim), *args)
 
 
 def rows_product(M, X):
@@ -160,8 +168,7 @@ class GeneralSystem:
         self.dim_state = int(dim_state)
         self.dim_input = int(dim_input)
         self._rhs = rhs
-        r0 = self.rhs(np.zeros(self.dim_state), np.zeros(self.dim_input))
-        if float(np.max(np.abs(r0))) > ORIGIN_TOL:
+        if not at_origin(origin_value(self.rhs, self.dim_state, np.zeros(self.dim_input))):
             raise ValueError("rhs(0, 0) must vanish (origin is the target equilibrium)")
 
     def rhs(self, x, u):
@@ -185,8 +192,7 @@ class AffineSystem:
         self.input_field = input_field
         self.dim_state = drift.dim
         self.dim_input = 1
-        f0 = drift(np.zeros(self.dim_state))
-        if float(np.max(np.abs(f0))) > ORIGIN_TOL:
+        if not at_origin(origin_value(drift, self.dim_state)):
             raise ValueError("drift(0) must vanish")
 
     def rhs(self, x, u):

@@ -1087,6 +1087,122 @@ horizon = 1
         assert "number out of range" in capsys.readouterr().err
 
 
+    PATCHWORK_CHECK = "[experiment]\nkind = check-patchwork\n[patchwork]\nregistry = patchwork-halfplanes\n"
+
+    @pytest.mark.parametrize(
+        "command, value, key",
+        [
+            ("simulate", "x0 = 1, 2, 3", "[run] x0"),
+            ("simulate", "x0 = inf, 0", "[run] x0"),
+            ("simulate", "x0 = 1, x", "[run] x0"),
+            ("synthesize", "points = 1", "[synthesize] points"),
+            ("synthesize", "points = 0, 0; 1, nan", "[synthesize] points"),
+            ("check-patchwork", "offsets = 1; 2", "[patchwork] offsets"),
+        ],
+    )
+    def test_vector_that_does_not_fit_names_its_key(self, tmp_path, capsys, command, value, key):
+        # every vector is read by one reader, against the system's dimension, all entries finite
+        text = {
+            "simulate": SIM_PLAYBACK_BOUND,
+            "synthesize": readme_ini("synthesize").replace("points = 0,0 ; 1,-1", value),
+            "check-patchwork": self.PATCHWORK_CHECK + value + "\n",
+        }[command]
+        if command == "simulate":
+            text = text.replace("x0 = 2, -1 ; 0, 3", value)
+        assert value in text
+        cfg = write(tmp_path / "v.ini", text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: %s " % key)
+        assert "RESULT" not in captured.out
+
+    @pytest.mark.parametrize(
+        "command, old, new, key",
+        [
+            ("synthesize", "sin(x1), x2^2", "sin(x1, x2^2", "[system] A"),
+            ("synthesize", "B = 0; 1", "B = 0; (1", "[system] B"),
+            ("check-lie", "f = x2, 0", "f = x2, (x1", "[system] f"),
+            ("check-lie", "V = 0.5*x1^2", "V = 0.5*x1^", "[lie] V"),
+            ("simulate", "V = x1^2 + x2^2", "V = x1^2 +", "[run] V"),
+        ],
+    )
+    def test_expression_syntax_error_names_its_key(self, tmp_path, capsys, command, old, new, key):
+        text = {
+            "synthesize": readme_ini("synthesize"),
+            "check-lie": CHECK_LIE_INLINE,
+            "simulate": SIM_PIN.format(**SIM_PINS["zero-affine"][0]),
+        }[command].replace(old, new)
+        assert new in text
+        cfg = write(tmp_path / "e.ini", text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: %s: " % key)
+        assert err.endswith(")\n") and "(at position " in err
+
+
+CHECK_LIE_INLINE = """
+[experiment]
+kind = check-lie
+[system]
+type = affine
+dim = 2
+f = x2, 0
+g = 0, 1
+[lie]
+V = 0.5*x1^2 + 0.5*x2^2
+"""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_lie_drift_that_is_nan_at_the_origin_is_a_config_error(tmp_path, capsys):
+    # 0/0 at the origin makes the drift NaN there: not an equilibrium, and no warning says so twice
+    cfg = write(tmp_path / "n.ini", CHECK_LIE_INLINE.replace("f = x2, 0", "f = x2 + 0/(x1^2 + x2^2), 0"))
+    assert main(["check-lie", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "configuration error: drift(0) must vanish\n"
+    assert "RESULT" not in captured.out
+
+
+# one RK4 step per sampling interval: from (0, 3) the playback between the
+# model's two grid states leaves the bound its plan declared
+SIM_PLAYBACK_BOUND = """
+[experiment]
+kind = simulate
+[system]
+registry = statedep-2d
+[integrator]
+step = 0.5
+[partition]
+h = 0.5
+[run]
+x0 = 2, -1 ; 0, 3
+horizon = 5
+final_norm = 10
+"""
+
+
+def test_playback_over_its_bound_fails_that_run_alone(tmp_path, capsys):
+    cfg = write(tmp_path / "b.ini", SIM_PLAYBACK_BOUND)
+    out_dir = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out_dir), "--quiet"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[-1] == "RESULT fail 12 1"  # run 0: 10 intervals and its final norm; run 1: one failure
+    assert lines[0] == (
+        "run 1: controller error: playback planned at sample [0. 3.]: "
+        "signal exceeds its declared bound: 1.92481e+07 > 284686"
+    )
+    assert captured.err == ""
+    assert sorted(p.name for p in out_dir.iterdir()) == ["cert_0.csv", "traj_0.csv"]
+
+
+def test_run_line_prints_x0_as_run(tmp_path, capsys):
+    # a sample within 1e-12 of the origin is printed as given, not rounded to 0
+    cfg = write(tmp_path / "o.ini", SIM_NEAR_ORIGIN % "patchwork")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("run 0: x0=[1e-13, 1e-13] final|x|=")
+
+
 class TestNumericalFailures:
     def test_overflow_in_a_state_matrix(self, tmp_path, capsys):
         cfg = write(

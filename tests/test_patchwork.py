@@ -2,6 +2,7 @@
 
 import hashlib
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,16 @@ class TestLyapunovPiece:
         V = ExprScalarField.from_text("x1^2 + 1", 2)
         with pytest.raises(ValueError):
             LyapunovPiece(V, r, W1, W2)
+
+    @pytest.mark.parametrize("text", ["x1^2 + x2^2 + 0/(x1^2 + x2^2)", "x1^2 + x2^2 + 1/(x1^2 + x2^2)"])
+    def test_candidate_not_finite_at_the_origin_rejected(self, text):
+        # `abs(V(0)) > ORIGIN_TOL` is false for NaN (0/0); at_origin refuses it and inf (1/0)
+        r = Region.from_text("x1 > 0 && x1^2 + x2^2 < 16", 2, BOX)
+        V = ExprScalarField.from_text(text, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="must vanish at the origin"):
+                LyapunovPiece(V, r, W1, W2)
 
     def test_envelope_violation_rejected(self):
         r = Region.from_text("x1 > 0 && x1^2 + x2^2 < 16", 2, BOX)

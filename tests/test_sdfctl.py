@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from sdstab import registry
-from sdstab.errors import ControllerError, NoCertifiedStepError
+from sdstab import registry, sdfctl
+from sdstab.errors import ControllerError, NoCertifiedStepError, NonFiniteMatrixError
 from sdstab.liecalc import ExprScalarField
 from sdstab.odeint import IntegrationConfig, integrate, rk4_autonomous_step
 from sdstab.patchwork import ClassK, LyapunovPiece, PatchworkFamily, PatchworkW, Region
@@ -581,3 +581,35 @@ def test_playback_stage_with_a_non_finite_A_raises():
         sig.value(0.0015)
     with pytest.raises(ValueError, match="system matrices must be finite at finite states"):
         sig.values([0.0, 0.0015, 0.002])
+
+
+def test_playback_over_its_declared_bound_is_a_controller_error():
+    # one RK4 step per interval: the model's grid states set the bound, and the
+    # substeps between them leave it by a factor of about 70
+    plant = registry.statedep_2d()
+    ctrl = FrozenGainController(plant, IntegrationConfig(step=0.5))
+    with pytest.raises(ControllerError, match="declared bound: 1.92481e\\+07 > 284686") as err:
+        ctrl.plan(np.array([0.0, 3.0]), 0.5)
+    assert isinstance(err.value.__cause__, ValueError)
+    # the run keeps what it completed: here the failure is at the first sample
+    with pytest.raises(ControllerError) as err:
+        run_closed_loop(plant, ctrl, 0.5, [0.0, 3.0], 5.0, IntegrationConfig(step=0.5))
+    assert err.value.partial_run.records == []
+    # from (2, -1) every playback stays within its bound
+    run = run_closed_loop(plant, ctrl, 0.5, [2.0, -1.0], 5.0, IntegrationConfig(step=0.5))
+    assert len(run.records) == 10
+
+
+def test_non_finite_A_in_the_plans_spot_check_stays_a_numerical_failure(monkeypatch):
+    # A is replaced after the model run, so the spot check's substeps meet it:
+    # that is a NonFiniteMatrixError (exit 3), not a playback over its bound
+    system = registry.statedep_2d()
+
+    class Spoiled(ControlSignal):
+        def __init__(self, *args):
+            system.A = lambda x: np.full((2, 2), np.inf)
+            super().__init__(*args)
+
+    monkeypatch.setattr(sdfctl, "ControlSignal", Spoiled)
+    with pytest.raises(NonFiniteMatrixError, match="state matrix A"):
+        FrozenGainController(system).plan(np.array([1.0, -1.0]), 0.05)

@@ -1,5 +1,6 @@
 """System, signal, and sampling-instant construction contracts."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +16,7 @@ from sdstab.sysmodel import (
     StateLinearSystem,
     _all_finite,
     at_origin,
+    origin_value,
     product,
     rows_product,
     state_vector,
@@ -126,6 +128,22 @@ class TestSystems:
         gf = ExprVectorField.from_text("0, 1", 2)
         with pytest.raises(ValueError):
             AffineSystem(f, gf)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e-11])
+    def test_general_field_that_does_not_vanish_is_refused(self, value):
+        # `max|r0| > ORIGIN_TOL` is false for NaN; at_origin refuses NaN
+        with pytest.raises(ValueError, match="must vanish"):
+            GeneralSystem(1, 1, lambda x, u: np.array([value]))
+
+    @pytest.mark.parametrize("drift", ["x2 + 0/(x1^2 + x2^2), 0", "x2, 1/x1", "x2 + 2e-12, 0"])
+    def test_affine_drift_that_does_not_vanish_is_refused_without_a_warning(self, drift):
+        # 0/0 at the origin is NaN and 1/0 is inf: both are refused, and NumPy's warning would only repeat it
+        f = ExprVectorField.from_text(drift, 2)
+        gf = ExprVectorField.from_text("0, 1", 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="drift\\(0\\) must vanish"):
+                AffineSystem(f, gf)
 
     def test_nonfinite_matrices_at_origin_raise(self):
         with pytest.raises(ValueError, match="finite at the origin"):
@@ -346,6 +364,20 @@ def test_at_origin_on_states_and_on_rows():
     X = np.array([[0.0, 0.0], [1e-13, -1e-13], [2e-12, 0.0], [0.0, np.nan], [5e-324, -0.0], [0.0, -1.0]])
     assert at_origin(X).tolist() == [True, True, False, False, True, False]
     assert at_origin(X).tolist() == [bool(at_origin(x)) for x in X]
+
+
+def test_at_origin_on_values():
+    # a scalar value is a state of one coordinate: V(0) is judged by the rule a state is
+    assert at_origin(0.0) and at_origin(-1e-12) and at_origin(np.float64(5e-324))
+    assert not at_origin(2e-12) and not at_origin(np.nan) and not at_origin(-np.inf)
+    assert at_origin(np.array([0.0, 1e-13])) and not at_origin(np.array([0.0, np.nan]))
+
+
+def test_origin_value_prints_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        v = origin_value(lambda x, c: c / x, 2, np.array([0.0, 1.0]))
+    assert np.isnan(v[0]) and v[1] == np.inf
 
 
 @pytest.mark.parametrize(
