@@ -28,7 +28,7 @@ from .errors import (
     NumericalFailure,
     OffsetSelectionError,
 )
-from .exprs import Const, ExprSyntaxError, coord_names, fold_constants, parse_scalar
+from .exprs import Const, ExprSyntaxError, coord_names, fold_constants, parse_components
 from .liecalc import FAIL, ExprScalarField, ExprVectorField, check_prop1_point
 from .odeint import IntegrationConfig
 from .patchwork import verify_patchwork
@@ -41,7 +41,7 @@ from .sdfctl import (
     certify_decrease,
     run_closed_loop,
 )
-from .sysmodel import AffineSystem, StateLinearSystem, at_origin
+from .sysmodel import AffineSystem, StateLinearSystem, at_origin, origin_value
 from .synth import synthesize_gain
 
 EXIT_OK = 0
@@ -130,25 +130,24 @@ def _folded(expr, what):
         raise ConfigError("cannot evaluate %s %r: %s" % (what, expr, exc)) from exc
 
 
-def _expr_matrix(text, dim, rows, cols, constant_ok=False):
-    """Rows split on ';', entries on ',', each an expression in x1..xn.
+def _expr_matrix(cfg, key, dim, cols=None, constant_ok=False):
+    """[system] key and its column count: rows split on ';', each a list of expressions
+    in x1..xn read as f and g are, so pow(e, k) is one entry.
 
-    Every subtree that names no coordinate is evaluated once, here. Returns a
+    It has dim rows of ``cols`` entries, or of as many as its first row. Every
+    subtree that names no coordinate is evaluated once, here. The matrix is a
     function of the state; with ``constant_ok``, the matrix itself when no
     entry names a coordinate.
     """
     names = coord_names(dim)
-    row_texts = text.split(";")
-    if len(row_texts) != rows:
-        raise ConfigError("expected %d matrix rows, got %d" % (rows, len(row_texts)))
-    entries = []
-    for r in row_texts:
-        row = [_folded(parse_scalar(e, names), "matrix entry") for e in r.split(",")]
-        if len(row) != cols:
-            raise ConfigError("expected %d entries per row, got %d" % (cols, len(row)))
-        entries.append(row)
+    rows = cfg.expression("system", key, lambda text: [parse_components(r, names) for r in text.split(";")])
+    cols = cols or len(rows[0])
+    if len(rows) != dim or any(len(row) != cols for row in rows):
+        raise ConfigError("[system] %s needs %d rows of %d entries, got rows of %s"
+                          % (key, dim, cols, ", ".join(str(len(row)) for row in rows)))
+    entries = [[_folded(e, "matrix entry") for e in row] for row in rows]
     if constant_ok and all(isinstance(e, Const) for row in entries for e in row):
-        return np.array([[e.value for e in row] for row in entries])
+        return np.array([[e.value for e in row] for row in entries]), cols
 
     # Python floats, not NumPy scalars: the same IEEE operations give the same
     # bits on both, floats are faster and do not warn on overflow. A division
@@ -159,11 +158,12 @@ def _expr_matrix(text, dim, rows, cols, constant_ok=False):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.array([[float(e.eval(xs)) for e in row] for row in entries])
 
-    return matrix
+    return matrix, cols
 
 
 def _build_system(cfg):
-    """The configured StateLinearSystem or AffineSystem."""
+    """The configured StateLinearSystem or AffineSystem: a registry entry, or an inline
+    system whose A (state-linear, with B) or f (affine, with g) says which it is."""
     name = cfg.get("system", "registry")
     if name is not None:
         if name in registry.SYSTEM_BUILDERS:
@@ -174,21 +174,21 @@ def _build_system(cfg):
             "unknown registry system %r (known: %s)"
             % (name, ", ".join(sorted(list(registry.SYSTEM_BUILDERS) + list(registry.AFFINE_BUILDERS))))
         )
-    kind = cfg.get("system", "type", required=True)
     dim = cfg.number("system", "dim", kind=int)
-    if kind == "state-linear":
-        m = cfg.number("system", "inputs", default=1, kind=int)
-        A = cfg.expression("system", "A", lambda text: _expr_matrix(text, dim, dim, dim))
-        B = cfg.expression("system", "B", lambda text: _expr_matrix(text, dim, dim, m, constant_ok=True))
+    state_linear = cfg.get("system", "A") is not None
+    if state_linear == (cfg.get("system", "f") is not None):
+        raise ConfigError("[system] needs a registry name, or one of [system] A (state-linear, with B) "
+                          "and [system] f (affine, with g); it has %s" % ("both" if state_linear else "neither"))
+    if state_linear:
+        A, _ = _expr_matrix(cfg, "A", dim, dim)
+        B, m = _expr_matrix(cfg, "B", dim, constant_ok=True)
         return StateLinearSystem(A, B, dim, m)
-    if kind == "affine":
 
-        def folded_field(key):
-            field = cfg.expression("system", key, lambda text: ExprVectorField.from_text(text, dim))
-            return ExprVectorField([_folded(c, "[system] %s component" % key) for c in field.components], dim)
+    def folded_field(key):
+        field = cfg.expression("system", key, lambda text: ExprVectorField.from_text(text, dim))
+        return ExprVectorField([_folded(c, "[system] %s component" % key) for c in field.components], dim)
 
-        return AffineSystem(folded_field("f"), folded_field("g"))
-    raise ConfigError("unknown system type %r" % kind)
+    return AffineSystem(folded_field("f"), folded_field("g"))
 
 
 def _integration_config(cfg):
@@ -205,9 +205,14 @@ def _build_patchwork(cfg, seed):
     if name not in registry.PATCHWORK_BUILDERS:
         raise ConfigError("unknown patchwork registry entry %r" % name)
     offsets = cfg.vectors("patchwork", "offsets", None)
-    if offsets and len(offsets) > 1:
+    if not offsets:
+        return registry.PATCHWORK_BUILDERS[name](offsets=None, seed=seed)
+    if len(offsets) > 1:
         raise ConfigError("[patchwork] offsets must be one vector, got %d" % len(offsets))
-    return registry.PATCHWORK_BUILDERS[name](offsets=offsets[0] if offsets else None, seed=seed)
+    try:  # the family refuses a wrong count or an offset that is not positive
+        return registry.PATCHWORK_BUILDERS[name](offsets=offsets[0], seed=seed)
+    except ValueError as exc:
+        raise ConfigError("[patchwork] offsets: %s" % exc) from exc
 
 
 # -- synthesize -----------------------------------------------------------------
@@ -307,13 +312,9 @@ def cmd_simulate(cfg, out_dir, seed, quiet):
     x0s = cfg.vectors("run", "x0", plant.dim_state, required=True)
     final_norm = cfg.number("run", "final_norm", default=1e-2, positive=True)
 
-    cert_kind = cfg.get("run", "certificate", default="per-sample-quadratic")
-    if cert_kind == "per-sample-quadratic":
-        V_provider = PerSampleQuadratic()
-    elif cert_kind == "expression":
+    V_provider = PerSampleQuadratic()  # unless [run] V gives the certificate
+    if cfg.get("run", "V") is not None:
         V_provider = cfg.expression("run", "V", lambda text: ExprScalarField.from_text(text, plant.dim_state))
-    else:
-        raise ConfigError("unknown certificate kind %r" % cert_kind)
 
     def write_trajectory(run, cert, i):
         path = os.path.join(out_dir, "traj_%d.csv" % i)
@@ -405,11 +406,11 @@ def cmd_check_lie(cfg, out_dir, seed, quiet):
         if sys_obj.dim_state != 2:
             raise ConfigError("the check-lie grid is planar; the system has dim %d" % sys_obj.dim_state)
         V = cfg.expression("lie", "V", lambda text: ExprScalarField.from_text(text, sys_obj.dim_state))
-        # overflow and division by zero raise (exit 3, as on the per-point path);
-        # NaN is neither zero at the origin nor positive on the grid
+        if not at_origin(origin_value(V, sys_obj.dim_state)):
+            raise ConfigError("V must vanish at the origin")
+        # overflow and division by zero on the grid raise (exit 3, as on the
+        # per-point path); NaN is not positive
         with np.errstate(over="raise", divide="raise", invalid="ignore"):
-            if not at_origin(V(np.zeros(sys_obj.dim_state))):
-                raise ConfigError("V must vanish at the origin")
             positive = np.all(V.eval(list(pts.T)) > 0)
         if not positive:
             raise ConfigError("V is not positive away from the origin on the grid")
@@ -478,7 +479,6 @@ def main(argv=None):
         n_checks, n_failures = COMMANDS[args.command](cfg, args.out, seed, args.quiet)
         if n_checks == 0:
             raise ConfigError("%s: the config leaves nothing to check" % args.command)
-    # before ValueError: a non-finite A(x) met at run time is both
     except (NumericalFailure, ArithmeticError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL

@@ -5,12 +5,11 @@ class NumericalFailure(RuntimeError):
     """A numerical routine failed to converge or produced an unusable result."""
 
 
-class NonFiniteMatrixError(NumericalFailure, ValueError):
+class NonFiniteMatrixError(NumericalFailure):
     """A system matrix has a non-finite entry at a finite state, met at run time.
 
-    It is also a ValueError, which callers of the matrix checks may catch. A
-    matrix that is not finite at the origin raises a plain ValueError when
-    the system is built: a configuration error.
+    A matrix that is not finite at the origin raises a ValueError when the
+    system is built: a configuration error.
     """
 
 

@@ -24,7 +24,7 @@ from itertools import chain, count, pairwise, takewhile
 
 import numpy as np
 
-from .errors import ControllerError, NoCertifiedStepError, NonFiniteMatrixError, NotStabilizableError
+from .errors import ControllerError, NoCertifiedStepError, NotStabilizableError
 from .odeint import IntegrationConfig, integrate, max_excursion, rk4_stack_step
 from .patchwork import DOUBLING, active_indices
 from .sysmodel import ControlSignal, at_origin, constant_signal, product, rows_product, state_vector, zero_signal
@@ -144,8 +144,6 @@ class FrozenGainController:
         bound *= 1.0 + 1e-6
         try:
             sig = ControlSignal(eps, bound, m, inputs)
-        except NonFiniteMatrixError:
-            raise
         except ValueError as exc:  # the spot check found the playback above its bound
             raise ControllerError("playback planned at sample %s: %s" % (xi, exc)) from exc
         sig.info.update({"xi": xi, "synthesis": synth, "model": model})

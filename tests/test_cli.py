@@ -159,6 +159,25 @@ def test_simulate_csvs_byte_identical_to_recorded(tmp_path, name):
     assert digests == [traj_sha, cert_sha]
 
 
+def test_inline_system_kind_and_certificate_come_from_their_keys(tmp_path):
+    # f makes the system affine and [run] V is the certificate, with no key restating either
+    fields, code, traj_sha, cert_sha = SIM_PINS["zero-affine"]
+    text = SIM_PIN.format(**fields).replace("type = affine\n", "").replace("certificate = expression\n", "")
+    assert "affine" not in text and "certificate" not in text
+    cfg = write(tmp_path / "pin.ini", text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == code
+    digests = [hashlib.sha256((tmp_path / "o" / f).read_bytes()).hexdigest() for f in ("traj_0.csv", "cert_0.csv")]
+    assert digests == [traj_sha, cert_sha]
+
+
+def test_bare_run_V_is_the_certificate(tmp_path, capsys):
+    # a V that is negative away from the origin fails every interval it certifies
+    text = SIM_STATEDEP.replace("certificate = per-sample-quadratic", "V = 0 - x1^2 - x2^2")
+    cfg = write(tmp_path / "v.ini", text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    assert capsys.readouterr().out.endswith("RESULT fail 21 20\n")
+
+
 def test_simulate_horizon_below_the_partition_gap_runs_one_interval(tmp_path, capsys):
     # horizons at or below the 1e-12 prefix gap keep time 0: one interval, not none
     text = SIM_STATEDEP.replace("horizon = 1", "horizon = 1e-13").replace("final_norm = 10", "final_norm = 0.01")
@@ -257,6 +276,41 @@ class TestInlineStateLinear:
         sys_obj = self.build(tmp_path, text)
         assert not sys_obj.constant_B
         assert np.array_equal(sys_obj.matrices_at([2.0, 0.0])[1], [[0.0], [5.0]])
+
+    def test_pow_in_A_is_one_entry_with_the_bits_of_the_power(self, tmp_path):
+        # a row is read as f and g are, so the comma inside pow(x1, 2) does not split the entry
+        text = readme_ini("synthesize")
+        power = self.build(tmp_path, text.replace("sin(x1), x2^2", "pow(x1, 2), x2^2"))
+        caret = self.build(tmp_path, text.replace("sin(x1), x2^2", "x1^2, x2^2"))
+        for x in np.random.default_rng(3).uniform(-2.0, 2.0, (100, 2)):
+            assert power.state_matrix(x).tobytes() == caret.state_matrix(x).tobytes()
+
+    def test_two_input_B_gives_the_input_count(self, tmp_path, capsys):
+        text = readme_ini("synthesize").replace("B = 0; 1", "B = 1, 0; 0, 1")
+        sys_obj = self.build(tmp_path, text)
+        assert sys_obj.dim_input == 2
+        assert sys_obj.constant_B
+        assert np.array_equal(sys_obj.B, np.eye(2))
+        cfg = write(tmp_path / "b.ini", text)
+        assert main(["synthesize", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.endswith("RESULT pass 2 0\n")
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("B = 0; 1", "B = 1, 0; 1", "[system] B"),
+            ("B = 0; 1", "B = 1; 0, 1", "[system] B"),
+            ("B = 0; 1", "B = 0; 1; 2", "[system] B"),
+            ("A = 0, 1; sin(x1), x2^2", "A = 0, 1; sin(x1)", "[system] A"),
+            ("A = 0, 1; sin(x1), x2^2", "A = 0; 1", "[system] A"),
+        ],
+    )
+    def test_matrix_of_the_wrong_shape_names_its_key(self, tmp_path, capsys, old, new, key):
+        text = readme_ini("synthesize").replace(old, new)
+        assert new in text
+        cfg = write(tmp_path / "r.ini", text)
+        assert main(["synthesize", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: %s needs 2 rows of " % key)
 
     def test_negative_literal_B_is_constant(self, tmp_path, capsys, monkeypatch):
         text = readme_ini("synthesize").replace("B = 0; 1", "B = 0; -1")
@@ -1087,6 +1141,23 @@ horizon = 1
         assert "number out of range" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "extra, has",
+        [("f = x2, 0\ng = 0, 1\n", "both"), (None, "neither")],
+    )
+    def test_inline_system_needs_one_of_A_and_f(self, tmp_path, capsys, extra, has):
+        text = readme_ini("synthesize")
+        if extra is None:
+            text = re.sub(r"^[AB] = .*\n", "", text, flags=re.M)
+            assert "A =" not in text
+        else:
+            text = text.replace("[synthesize]", extra + "[synthesize]")
+        cfg = write(tmp_path / "k.ini", text)
+        assert main(["synthesize", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.endswith("it has %s\n" % has)
+        assert "[system] A" in err and "[system] f" in err
+
     PATCHWORK_CHECK = "[experiment]\nkind = check-patchwork\n[patchwork]\nregistry = patchwork-halfplanes\n"
 
     @pytest.mark.parametrize(
@@ -1115,6 +1186,14 @@ horizon = 1
         captured = capsys.readouterr()
         assert captured.err.startswith("configuration error: %s " % key)
         assert "RESULT" not in captured.out
+
+    @pytest.mark.parametrize(
+        "offsets, reason", [("1", "one offset per piece"), ("1, 0", "offsets must be positive")]
+    )
+    def test_offsets_the_family_refuses_name_their_key(self, tmp_path, capsys, offsets, reason):
+        cfg = write(tmp_path / "o.ini", self.PATCHWORK_CHECK + "offsets = %s\n" % offsets)
+        assert main(["check-patchwork", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "configuration error: [patchwork] offsets: %s\n" % reason
 
     @pytest.mark.parametrize(
         "command, old, new, key",
@@ -1285,10 +1364,13 @@ points = 5
         assert "V must vanish at the origin" in err
         assert "RuntimeWarning" not in err
 
-    def test_division_by_zero_at_the_origin_is_a_numerical_failure(self, tmp_path, capsys):
+    def test_division_by_zero_at_the_origin_does_not_vanish(self, tmp_path, capsys):
+        # 1/0 at the origin is inf: refused as the drift and a patchwork piece's V are
         cfg = write(tmp_path / "d.ini", self.LIE_GRID_V % "x1^2 + x2^2 + 1/(x1 + x2)")
-        assert main(["check-lie", "--config", cfg, "--out", str(tmp_path)]) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["check-lie", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "configuration error: V must vanish at the origin" in capsys.readouterr().err
 
     def test_division_by_zero_on_the_grid_fails_those_points(self, tmp_path, capsys):
         # x1/(x2 - 1) divides by zero on the grid row x2 = 1: IEEE inf/NaN there,

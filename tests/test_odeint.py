@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sdstab.errors import NonFiniteMatrixError
 from sdstab.odeint import BLOCK_STEPS, IntegrationConfig, integrate, max_excursion, rk4_autonomous_step, rk4_stack_step
 from sdstab.sysmodel import ControlSignal, GeneralSystem, StateLinearSystem
 
@@ -83,7 +84,7 @@ def test_non_finite_state_matrix_still_raises():
     sys = StateLinearSystem(lambda x: np.array([[x[0] * 1e308]]), np.zeros((1, 1)), 1, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="system matrices must be finite at finite states"):
+        with pytest.raises(NonFiniteMatrixError, match="system matrices must be finite at finite states"):
             integrate(sys, [10.0], None, (0.0, 1.0), IntegrationConfig(step=0.25))
 
 

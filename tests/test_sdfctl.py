@@ -577,9 +577,9 @@ def test_playback_stage_with_a_non_finite_A_raises():
     system.A = lambda x: np.full((2, 2), np.inf)
     # a grid time reads the model state; a midpoint takes a substep through A
     assert np.isfinite(sig.value(0.002)).all()
-    with pytest.raises(ValueError, match="system matrices must be finite at finite states"):
+    with pytest.raises(NonFiniteMatrixError, match="system matrices must be finite at finite states"):
         sig.value(0.0015)
-    with pytest.raises(ValueError, match="system matrices must be finite at finite states"):
+    with pytest.raises(NonFiniteMatrixError, match="system matrices must be finite at finite states"):
         sig.values([0.0, 0.0015, 0.002])
 
 

@@ -208,14 +208,14 @@ class TestConstantInputMatrix:
     def test_state_matrix_checks_finiteness(self):
         sys = StateLinearSystem(lambda x: np.eye(1), np.ones((1, 1)), 1, 1)
         sys.A = lambda x: np.array([[np.inf]])
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteMatrixError):
             sys.state_matrix(np.ones(1))
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteMatrixError):
             sys.matrices_at(np.ones(1))
 
     @pytest.mark.parametrize("which", ["A", "B"])
     def test_non_finite_matrix_is_a_numerical_failure_naming_the_state(self, which):
-        # one type from every check: a NumericalFailure, and the ValueError it was before
+        # one type from every check: a NumericalFailure, and not a configuration error
         def spoiled(x):
             return np.full((1, 1), np.inf) if x[0] > 1.0 else np.ones((1, 1))
 
@@ -231,7 +231,7 @@ class TestConstantInputMatrix:
         for check in checks:
             with pytest.raises(NonFiniteMatrixError, match=r"the %s\(x\) is not finite at x = \[2\.0\]" % name) as info:
                 check()
-            assert isinstance(info.value, NumericalFailure) and isinstance(info.value, ValueError)
+            assert isinstance(info.value, NumericalFailure) and not isinstance(info.value, ValueError)
 
 
 # -- the per-step products and the finiteness check -------------------------------
@@ -462,7 +462,7 @@ def test_stacked_closed_loop_field_checks_finiteness(callable_B, which):
     sys = StateLinearSystem(A, B if callable_B else np.ones((2, 1)), 2, 1)
     field = sys.closed_loop_field(np.array([[-1.0, -2.0]]))
     assert field(np.array([[0.5, 0.0], [1.0, 1.0]])).shape == (2, 2)
-    with pytest.raises(ValueError, match="system matrices must be finite at finite states"):
+    with pytest.raises(NonFiniteMatrixError, match="system matrices must be finite at finite states"):
         field(np.array([[0.5, 0.0], [2.0, 1.0], [0.1, 0.0]]))
 
 
