@@ -17,6 +17,7 @@ import configparser
 import math
 import os
 import sys
+from itertools import accumulate
 
 import numpy as np
 
@@ -140,7 +141,13 @@ def _expr_matrix(cfg, key, dim, cols=None, constant_ok=False):
     entry names a coordinate.
     """
     names = coord_names(dim)
-    rows = cfg.expression("system", key, lambda text: [parse_components(r, names) for r in text.split(";")])
+
+    def parse(text):  # each row behind as many blanks as precede it: errors give positions in the value
+        rows = text.split(";")
+        starts = accumulate((len(row) + 1 for row in rows), initial=0)
+        return [parse_components(" " * start + row, names) for start, row in zip(starts, rows)]
+
+    rows = cfg.expression("system", key, parse)
     cols = cols or len(rows[0])
     if len(rows) != dim or any(len(row) != cols for row in rows):
         raise ConfigError("[system] %s needs %d rows of %d entries, got rows of %s"
@@ -174,11 +181,13 @@ def _build_system(cfg):
             "unknown registry system %r (known: %s)"
             % (name, ", ".join(sorted(list(registry.SYSTEM_BUILDERS) + list(registry.AFFINE_BUILDERS))))
         )
-    dim = cfg.number("system", "dim", kind=int)
+    if cfg.get("system", "dim") is not None:  # a bad dim is named before a missing A or f
+        cfg.number("system", "dim", kind=int)
     state_linear = cfg.get("system", "A") is not None
     if state_linear == (cfg.get("system", "f") is not None):
         raise ConfigError("[system] needs a registry name, or one of [system] A (state-linear, with B) "
                           "and [system] f (affine, with g); it has %s" % ("both" if state_linear else "neither"))
+    dim = cfg.number("system", "dim", kind=int)
     if state_linear:
         A, _ = _expr_matrix(cfg, "A", dim, dim)
         B, m = _expr_matrix(cfg, "B", dim, constant_ok=True)

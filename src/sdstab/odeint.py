@@ -15,14 +15,17 @@ block of where it happens. A caller that replays substeps from the grid
 (the frozen-gain controller's playback) can collect each step's first stage
 and pass the stack of them to :func:`rk4_stack_step`.
 
-The step loop and :func:`rk4_autonomous_step` run one step kernel. It
-forms the stage states x + c*k and the update
-x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4) coordinate by coordinate on Python
-floats, and turns each result back into an array with one np.array call. The
-bits are those of the same expressions on float arrays: NumPy's elementwise
-+ and * are single IEEE-754 operations, so the same operations in the same
-order round alike, signed zeros, infinities and NaN included, and 2*k is an
-exact doubling. The float lists pay off on small states only. With the
+The step loop and :func:`rk4_autonomous_step` run one step kernel on Python
+floats: a stage maps a state's coordinates and its input term to the list of
+field values, and the kernel forms the stage states x + c*k and the update
+x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4) coordinate by coordinate. Arrays are
+built only where a product or a record needs one: a state-linear stage makes
+one state array for A(x) and its product, and one tolist(); the grid becomes
+one array at the end, and only a state near the escape threshold makes one
+for x.x. The bits are those of the same expressions on float arrays: NumPy's
+elementwise + and * are single IEEE-754 operations, so the same operations in
+the same order round alike, signed zeros, infinities and NaN included, and 2*k
+is an exact doubling. The float lists pay off on small states only. With the
 field's cost left out, a step on lists took about 70 % of the array step's
 time at n = 1 to 3, the same at n = 5, and 1.1, 1.4 and 2 times as long at
 n = 8, 12 and 20 (one microbenchmark on a shared 2-core x86-64 VM). Every
@@ -40,8 +43,8 @@ escape test's x.x at any dimension, since a sum of squares has no negative
 product to round. A product with one inner coordinate, such as B F with one
 input, stays on ``@``: there dot multiplies through BLAS axpy or ger, and a
 negative product that underflows comes out -0.0 where ``@`` gives +0.0. A
-constant B's products B u are formed for a whole block of inputs by one
-:func:`~sdstab.sysmodel.rows_product`, which keeps the bits of ``B @ u``.
+constant B's terms B u are formed for a whole block of inputs by one
+:func:`~sdstab.sysmodel.rows_product`, with the bits of ``B @ u``.
 
 :func:`rk4_stack_step` takes one substep for each row of a (k, n) stack,
 with the same elementwise operations in the same order on arrays; each row
@@ -101,16 +104,14 @@ def integrate(sys, x0, u, window, cfg=IntegrationConfig(), first_stages=None):
     tau + hk of each step (and 0 before the first). The final grid point
     lands on t1 exactly (a shorter last step is taken when the window is not
     an integer number of steps). When ``first_stages`` is a list, each
-    step's first RK4 stage rhs(x_k, u_k) is appended to it, so entry k
-    belongs to grid point k. A stage whose shape is not that of the state
-    raises ValueError.
+    step's first RK4 stage rhs(x_k, u_k), a float list, is appended to it,
+    so entry k belongs to grid point k. An rhs value or a state matrix of
+    the wrong shape raises ValueError.
 
-    A system with ``input_terms`` (a :class:`~sdstab.sysmodel.StateLinearSystem`)
-    turns each block of inputs into the terms its ``rhs_term(x, w)`` adds
-    at a stage, in one call: ``B u`` for every row when ``B`` is constant,
-    so the stages do not form it. ``rhs_term(x, w)`` has the bits of
-    ``rhs(x, u)``. Without a signal, and for any other system, the stages
-    call ``rhs(x, u)``.
+    A system with a ``stage(ys, w)`` (a state-linear system or its
+    ``closed_loop_field``) is stepped through it, w being the row of its
+    ``input_terms`` of the block that belongs to u; any other system
+    through ``rhs(x, u)``, adapted once. Without a signal u is 0.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0:
@@ -120,22 +121,23 @@ def integrate(sys, x0, u, window, cfg=IntegrationConfig(), first_stages=None):
         raise ValueError("initial state dimension mismatch")
 
     record_u = u is not None
-    terms =getattr(sys, "input_terms", None) if record_u else None
-    rhs = sys.rhs if terms is None else sys.rhs_term
+    stage = getattr(sys, "stage", None) or (lambda ys, w: _stage_list(sys.rhs(np.array(ys), w), sys.dim_state))
+    terms = getattr(sys, "input_terms", None) or (lambda U: U)
     blowup = cfg.blowup_norm
     steps = _steps(t1 - t0, cfg.step)
-    w_start = None if record_u else np.zeros(sys.dim_input)
+    w_start = None if record_u else terms(np.zeros((1, sys.dim_input)))[0]
 
-    # x is never mutated (each step builds a new array), and np.array(states)
-    # copies, so the grid keeps references rather than copies; the inputs are
-    # kept as one slice of each block's stack
+    # the grid keeps each state as its list of floats, made into the record's
+    # array once; the inputs are kept as one slice of each block's stack
+    xs = x.tolist()
     times = [t0]
-    states = [x]
+    states = [xs]
     inputs = []
     escaped = False
     escape_time = None
-
-    xs = x.tolist()
+    # A 1-norm within `inside` passes both escape tests below: the 2-norm is at most the
+    # 1-norm, and the margin covers both sums' rounding. NaN or inf makes the 1-norm so.
+    inside = blowup * (1 - 4 * (x.size + 2) * 2.0 ** -53)
     # A product that overflows is an escape, which the test below reports:
     # NumPy's overflow and invalid-value warnings would only repeat it. The
     # context is entered once per call, not per step: entering it took about
@@ -147,32 +149,32 @@ def integrate(sys, x0, u, window, cfg=IntegrationConfig(), first_stages=None):
                 # the first block also asks for the start input
                 first = w_start is None
                 U = u.values([0.0] + ts if first else ts)
-                rows = iter(U if terms is None else terms(U))
+                rows = iter(terms(U))
                 if first:
                     w_start = next(rows)
                     inputs.append(U[:1])
                     U = U[1:]
                 stepped = len(times)
             for tau, hk, end in block:
-                k1 = rhs(x, w_start)
+                k1 = stage(xs, w_start)
                 if first_stages is not None:
                     first_stages.append(k1)
                 if record_u:
                     w_mid, w_end = next(rows), next(rows)
                 else:
                     w_mid = w_end = w_start
-                x_new, new = _rk4_step(rhs, xs, hk, k1, (w_mid,), (w_end,))
+                xs = _rk4_step(stage, xs, hk, k1, w_mid, w_end)
                 # Escape unless every |x_i| and then the norm are within the
                 # threshold. A state the coordinate test rejects would fail the norm
                 # test too; testing it first keeps x.dot(x) from overflowing. NaN fails
                 # every comparison and so escapes.
-                if not (all(-blowup <= v <= blowup for v in new) and math.sqrt(x_new.dot(x_new)) <= blowup):
+                if not (sum(map(abs, xs)) <= inside or (
+                        all(-blowup <= v <= blowup for v in xs) and math.sqrt(np.dot(xs, xs)) <= blowup)):
                     escaped = True
                     escape_time = t0 + end
                     break
-                x, xs = x_new, new
                 times.append(t0 + end)
-                states.append(x)
+                states.append(xs)
                 w_start = w_end
             if record_u:
                 # the end input of every step taken in the block
@@ -196,25 +198,23 @@ def rk4_autonomous_step(f, x, h, k1):
     single-state form is the reference the stacked one keeps the bits of,
     and a name the benchmark's tracer wraps.
     """
-    return _rk4_step(f, x.tolist(), h, k1)[0]
+    n = len(x)
+    stage = lambda ys, _w: _stage_list(f(np.array(ys)), n)  # noqa: E731
+    return np.array(_rk4_step(stage, x.tolist(), h, _stage_list(k1, n), None, None))
 
 
-def _rk4_step(f, xs, h, k1, mid=(), end=()):
-    """One classical RK4 step of size h from the state xs, a list of floats.
+def _rk4_step(stage, xs, h, a, w_mid, w_end):
+    """One classical RK4 step of size h from the state xs, a list of floats, as a list.
 
-    ``k1`` is the field at xs; the later stages are f(y, *mid), f(y, *mid)
-    and f(y, *end) at their stage states y. Every stage must have shape
-    (len(xs),). Returns the new state as an array and as a list.
+    ``a`` is the first stage, at xs; the later stages are stage(y, w_mid), stage(y, w_mid)
+    and stage(y, w_end) at their stage states y, each a list of len(xs) floats.
     """
-    shape = (len(xs),)
     half = h / 2
-    a = _stage_list(k1, shape)
-    b = _stage_list(f(np.array([x + half * k for x, k in zip(xs, a)]), *mid), shape)
-    c = _stage_list(f(np.array([x + half * k for x, k in zip(xs, b)]), *mid), shape)
-    d = _stage_list(f(np.array([x + h * k for x, k in zip(xs, c)]), *end), shape)
+    b = stage([x + half * k for x, k in zip(xs, a)], w_mid)
+    c = stage([x + half * k for x, k in zip(xs, b)], w_mid)
+    d = stage([x + h * k for x, k in zip(xs, c)], w_end)
     w = h / 6
-    new = [x + w * (((p + 2 * q) + 2 * r) + s) for x, p, q, r, s in zip(xs, a, b, c, d)]
-    return np.array(new), new
+    return [x + w * (((p + 2 * q) + 2 * r) + s) for x, p, q, r, s in zip(xs, a, b, c, d)]
 
 
 def rk4_stack_step(f, X, dt, K1):
@@ -241,9 +241,9 @@ def _stage_stack(K, shape):
     return K
 
 
-def _stage_list(k, shape):
-    if k.shape != shape:
-        raise ValueError("the field returned shape %s for a state of dimension %d" % (k.shape, shape[0]))
+def _stage_list(k, n):
+    if k.shape != (n,):
+        raise ValueError("the field returned shape %s for a state of dimension %d" % (k.shape, n))
     return k.tolist()
 
 

@@ -12,9 +12,11 @@ Entries:
   boundary, equal quadratic pieces forced apart by distinct offsets.
 
 Both state-linear entries pass their input matrix as a constant, so it is
-never re-evaluated; their ``A`` stays a function of the state, and carries
-a stacked form ``A.stack(X)``: the (k, n, n) stack of ``A`` at the rows of a
-(k, n) stack of states, with the bits of one call per row.
+never re-evaluated, and their plant and internal-model runs take the
+one-matrix float stage of ``StateLinearSystem``. Their ``A`` stays a function
+of the state, and carries a stacked form ``A.stack(X)``: the (k, n, n) stack
+of ``A`` at the rows of a (k, n) stack of states, with the bits of one call
+per row.
 """
 
 import math
@@ -36,13 +38,13 @@ def scalar_unstable():
 
 
 def statedep_2d():
-    # On Python floats: math.sin and ** give NumPy's bits here, in less time.
-    # Where floats raise (|x2| > 1.3e154 overflows, sin(inf)) NumPy gives inf
-    # or NaN, and that entry is kept for state_matrix to refuse.
+    # On Python floats, in one flat list: the bits of NumPy's sin and ** and of
+    # nested rows, in less time. Where floats raise (|x2| > 1.3e154 overflows,
+    # sin(inf)) NumPy gives inf or NaN, kept for state_matrix to refuse.
     def A(x):
         x1, x2 = x.tolist()
         try:
-            return np.array([[0.0, 1.0], [math.sin(x1), x2 ** 2]])
+            return np.array([0.0, 1.0, math.sin(x1), x2 ** 2]).reshape(2, 2)
         except (OverflowError, ValueError):
             return np.array([[0.0, 1.0], [np.sin(x[0]), x[1] ** 2]])
 

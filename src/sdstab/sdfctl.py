@@ -41,23 +41,6 @@ class ZeroController:
         return zero_signal(eps, self.dim_input)
 
 
-class _ModelSystem:
-    """The internal model dx/dt = field(x) as a system ``integrate`` can run.
-
-    Unlike GeneralSystem it does not evaluate the field at the origin: the
-    frozen-gain field (A(0) + B(0) F) 0 vanishes because A(0) and B(0) are
-    finite, which the plant checked when it was built.
-    """
-
-    def __init__(self, dim_state, dim_input, field):
-        self.dim_state = dim_state
-        self.dim_input = dim_input
-        self._field = field
-
-    def rhs(self, x, _u):
-        return self._field(x)
-
-
 class FrozenGainController:
     """Gain-scheduled sampled control for state-dependent linear dynamics.
 
@@ -110,11 +93,10 @@ class FrozenGainController:
             return sig
 
         model_field = self.sys.closed_loop_field(F)
-        model_sys = _ModelSystem(self.sys.dim_state, m, model_field)
         # first_stage[k] = model_field(states[k]): the first stage of every
         # playback substep from grid point k, recorded by the model run
         first_stage = []
-        model = integrate(model_sys, xi, None, (0.0, eps), self.cfg, first_stage)
+        model = integrate(model_field, xi, None, (0.0, eps), self.cfg, first_stage)
         if model.escaped:
             stiffness = self.cfg.step * float(np.max(np.abs(np.linalg.eigvals(A + B @ F))))
             raise ControllerError(

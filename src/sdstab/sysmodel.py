@@ -208,13 +208,15 @@ class StateLinearSystem:
     by :meth:`matrices_at` without any evaluation. Both are finite at the
     origin (ValueError here); a non-finite matrix at a later state raises
     :class:`~sdstab.errors.NonFiniteMatrixError`, a numerical failure that
-    names the state. ``A`` is looked up on every call, so it may be replaced.
-    A matrix function may carry a stacked form, ``A.stack(X)``: the
-    (k, n, n) stack of ``A`` at the rows of a (k, n) stack of states, with
-    the bits of one call per row. It belongs to the function, so a
-    replacement without one is called row by row. Products go through
-    :func:`product`, so they have the bits of ``@``; with a constant ``B``,
-    :meth:`input_terms` forms ``B u`` for a block of inputs at once.
+    names the state, and an ``A(x)`` that is not n x n raises ValueError.
+    ``A`` is looked up on every call, so it may be replaced. A matrix
+    function may carry a stacked form, ``A.stack(X)``: the (k, n, n) stack
+    of ``A`` at the rows of a (k, n) stack of states, with the bits of one
+    call per row. It belongs to the function, so a replacement without one
+    is called row by row. Products go through :func:`product`, so they
+    have the bits of ``@``. ``stage(ys, w)`` is ``rhs`` on floats, as
+    :func:`~sdstab.odeint.integrate` steps it (:meth:`_linear_stage`, or
+    ``rhs`` on arrays with a callable ``B``); :meth:`input_terms` gives w.
     """
 
     def __init__(self, A, B, dim_state, dim_input):
@@ -238,10 +240,13 @@ class StateLinearSystem:
             raise ValueError("B(x) must be %d x %d" % (dim_state, dim_input))
         if not (_all_finite(a0) and _all_finite(b0)):
             raise ValueError("system matrices must be finite at the origin")
+        self.stage = self._linear_stage(None) if self.constant_B else lambda ys, w: self.rhs(np.array(ys), w).tolist()
 
     def state_matrix(self, x):
-        """A(x) as a float array; raises NonFiniteMatrixError unless every entry is finite."""
+        """A(x) as a float array; raises ValueError unless it is n x n, NonFiniteMatrixError unless it is finite."""
         A = np.asarray(self.A(x), dtype=float)
+        if A.shape != (self.dim_state,) * 2:
+            raise ValueError("A(x) must be %d x %d, got shape %s" % (self.dim_state, self.dim_state, A.shape))
         if not _all_finite(A):
             raise _not_finite("state matrix A", x)
         return A
@@ -262,18 +267,34 @@ class StateLinearSystem:
         return self._times_x(A, x) + self._times_u(B, _vector(u))
 
     def input_terms(self, U):
-        """The input terms of a (k, m) stack of inputs, which :meth:`rhs_term` takes row by row.
+        """The input terms of a (k, m) stack of inputs, which ``stage`` takes row by row.
 
-        With a constant B they are the rows B u, formed by :func:`rows_product`;
-        with a callable B they are the inputs themselves.
+        With a constant B they are the rows B u as float lists, formed by
+        :func:`rows_product`; with a callable B they are the inputs themselves.
         """
-        return rows_product(self.B, U) if self.constant_B else U
+        return rows_product(self.B, U).tolist() if self.constant_B else U
 
-    def rhs_term(self, x, w):
-        """``rhs(x, u)``, with its bits, from w, the row of :meth:`input_terms` that belongs to u."""
-        if self.constant_B:
-            return self._times_x(self.state_matrix(x), x) + w
-        return self.rhs(x, w)
+    def _linear_stage(self, BF):
+        """The stage (ys, w) -> A(x) x + w, or with BF, (ys, w) -> (A(x) + BF) x, as a float list.
+
+        A non-finite entry of A(x) makes its row of the product inf or NaN
+        (inf * 0 is NaN), so only a product that is not finite calls
+        :meth:`state_matrix`, which names x if A(x) is not finite; a finite
+        A(x) whose product overflows escapes.
+        """
+        n, times_x = self.dim_state, self._times_x
+
+        def stage(ys, w):
+            x = np.array(ys)
+            M = np.asarray(self.A(x), dtype=float)
+            if M.shape != (n, n):
+                raise ValueError("A(x) must be %d x %d, got shape %s" % (n, n, M.shape))
+            k = times_x(M if BF is None else M + BF, x).tolist()
+            if not (math.isfinite(sum(k)) or all(map(math.isfinite, k))):
+                self.state_matrix(x)
+            return [p + q for p, q in zip(k, w)] if BF is None else k
+
+        return stage
 
     def closed_loop_field(self, F):
         """The frozen-gain field x -> (A(x) + B(x) F) x; a constant B F is formed once.
@@ -285,6 +306,10 @@ class StateLinearSystem:
         each stack once, naming the first state whose matrix is not finite.
         Its products on a stack are stacked ``np.matmul`` calls, which run per
         row the routine :func:`product` runs (see :func:`rows_product`).
+
+        The field is also a system without inputs for
+        :func:`~sdstab.odeint.integrate`: it has ``dim_state``, ``dim_input``
+        and a ``stage`` that ignores w (:meth:`_linear_stage` with a constant B).
         """
         times_x, times_u = self._times_x, self._times_u
         # B(x) F is the same product at every x when B is constant, so the field keeps its bits
@@ -300,6 +325,8 @@ class StateLinearSystem:
             A, B = self.matrices_at(x)
             return times_x(A + times_u(B, F), x)
 
+        field.dim_state, field.dim_input = self.dim_state, self.dim_input
+        field.stage = self._linear_stage(BF) if BF is not None else lambda ys, _w: field(np.array(ys)).tolist()
         return field
 
     @staticmethod

@@ -1158,6 +1158,32 @@ horizon = 1
         assert err.startswith("configuration error: ") and err.endswith("it has %s\n" % has)
         assert "[system] A" in err and "[system] f" in err
 
+    @pytest.mark.parametrize(
+        "system, err",
+        [
+            ("", "[system] needs a registry name, or one of [system] A (state-linear, with B)"),
+            ("dim = two\nA = 0\nB = 1\n", "[system] dim must be an integer, got 'two'"),
+        ],
+        ids=["empty", "bad-dim"],
+    )
+    def test_system_without_a_kind_says_so_before_dim(self, tmp_path, capsys, system, err):
+        text = "[experiment]\nkind = synthesize\n[system]\n%s[synthesize]\npoints = 0\n" % system
+        cfg = write(tmp_path / "k.ini", text)
+        assert main(["synthesize", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: " + err)
+
+    @pytest.mark.parametrize(
+        "old, new, key, position",
+        [("sin(x1), x2^2", "sin(x1, x2^2", "A", 12), ("B = 0; 1", "B = 0; (1", "B", 5)],
+    )
+    def test_matrix_syntax_error_gives_its_position_in_the_value(self, tmp_path, capsys, old, new, key, position):
+        # positions count from the start of the key's value, not of the row
+        cfg = write(tmp_path / "e.ini", readme_ini("synthesize").replace(old, new))
+        assert main(["synthesize", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: [system] %s: " % key)
+        assert err.endswith("(at position %d)\n" % position)
+
     PATCHWORK_CHECK = "[experiment]\nkind = check-patchwork\n[patchwork]\nregistry = patchwork-halfplanes\n"
 
     @pytest.mark.parametrize(

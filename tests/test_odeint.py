@@ -1,6 +1,7 @@
 """Integrator accuracy, blow-up handling, and excursion measurement."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -324,6 +325,26 @@ def test_stack_step_keeps_the_bits_of_one_step_per_row(n):
         assert hexes(got) == hexes(want), (n, case)
         # the stack takes each stage for all rows before the next stage
         assert sorted(ours.log) == sorted(theirs.log), (n, case)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_escape_decisions_near_the_threshold(n):
+    # states whose 1-norm or 2-norm lies within a few ulps to a tenth of the
+    # threshold, on either side: integrate forms x.x only where the 1-norm is
+    # near it, and must decide as the array test does
+    rng = np.random.default_rng(800 + n)
+    for case in range(600):
+        blowup = float(10.0 ** rng.uniform(1.0, 150.0))
+        d = rng.normal(size=n) * (rng.random(n) < 0.8)
+        d = d if d.any() else np.eye(n)[0]
+        norm = np.abs(d).sum() if case % 2 else np.sqrt(d @ d)
+        v = d / norm * blowup * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -1.0))
+        field = SimpleNamespace(dim_state=n, dim_input=1, rhs=lambda x, u: v)
+        traj = integrate(field, np.zeros(n), None, (0.0, 1.0), IntegrationConfig(step=1.0, blowup_norm=blowup))
+        with np.errstate(all="ignore"):
+            states, escaped = numpy_integrate(field.rhs, np.zeros(n), None, 1.0, 1.0, blowup, [])
+        assert traj.escaped == escaped, (v.tolist(), blowup)
+        assert hexes(traj.states) == hexes(states)
 
 
 class CountedSignal(ControlSignal):

@@ -1,5 +1,8 @@
 """Sampled-data loops: planning, dispatch, certificates, step adaptation."""
 
+import configparser
+import re
+import warnings
 from bisect import bisect_right
 
 import numpy as np
@@ -7,9 +10,10 @@ import pytest
 from scipy.linalg import expm
 
 from sdstab import registry, sdfctl
+from sdstab.cli import Config, _build_system
 from sdstab.errors import ControllerError, NoCertifiedStepError, NonFiniteMatrixError
 from sdstab.liecalc import ExprScalarField
-from sdstab.odeint import IntegrationConfig, integrate, rk4_autonomous_step
+from sdstab.odeint import IntegrationConfig, _steps, integrate, rk4_autonomous_step
 from sdstab.patchwork import ClassK, LyapunovPiece, PatchworkFamily, PatchworkW, Region
 from sdstab.sdfctl import (
     ClosedLoopRun,
@@ -22,7 +26,15 @@ from sdstab.sdfctl import (
     certify_decrease,
     run_closed_loop,
 )
-from sdstab.sysmodel import ControlSignal, GeneralSystem, StateLinearSystem, Trajectory, product, zero_signal
+from sdstab.sysmodel import (
+    ControlSignal,
+    GeneralSystem,
+    StateLinearSystem,
+    Trajectory,
+    constant_signal,
+    product,
+    zero_signal,
+)
 
 DOUBLING = lambda s: 2 * s  # noqa: E731
 
@@ -613,3 +625,178 @@ def test_non_finite_A_in_the_plans_spot_check_stays_a_numerical_failure(monkeypa
     monkeypatch.setattr(sdfctl, "ControlSignal", Spoiled)
     with pytest.raises(NonFiniteMatrixError, match="state matrix A"):
         FrozenGainController(system).plan(np.array([1.0, -1.0]), 0.05)
+
+
+# -- the float stages of integrate against rk4_autonomous_step on the array field --
+
+
+def inline_system(dim, A, B):
+    parser = configparser.ConfigParser()
+    parser.read_string("[system]\ndim = %d\nA = %s\nB = %s\n" % (dim, A, B))
+    return _build_system(Config(parser))
+
+
+def scalar_underflow():
+    # A x underflows to a signed zero at subnormal states, where dot and @ differ
+    return StateLinearSystem(lambda x: np.array([[-0.25]]), np.array([[1.0]]), 1, 1)
+
+
+STAGE_SYSTEMS = {
+    "statedep-2d": (registry.statedep_2d, [(2.0, -1.0), (-1.5, 1.5), (1e-3, -2e-3)]),
+    "scalar-unstable": (registry.scalar_unstable, [(1.0,), (-3.0,), (-5e-324,), (1e-310,)]),
+    "scalar-underflow": (scalar_underflow, [(1.0,), (5e-324,), (-5e-324,), (-1e-320,)]),
+    "inline-constant-B": (lambda: inline_system(2, "0, 1; x1*x2, -1 + x2^2", "0; 1"), [(1.0, 0.5), (-2.0, 0.0)]),
+    "inline-callable-B": (lambda: inline_system(2, "0, 1; sin(x1), x2^2", "0; 1 + x1^2"), [(1.0, -1.0), (0.0, 2.0)]),
+    "two-inputs": (
+        lambda: inline_system(3, "0, 1, 0; 0, 0, 1; sin(x1), x2*x3, -1", "0, 0; 1, 0; 0, 1"),
+        [(1.0, -1.0, 0.5), (-0.5, 0.0, 2.0)],
+    ),
+}
+
+
+def reference_run(field, x0, u, eps, h):
+    """integrate's grid over (0, eps), each step by rk4_autonomous_step on the array field.
+
+    field(x, u) is the field on arrays, u a signal or None. Returns the states,
+    the inputs at the grid times and the first stages.
+    """
+    value = (lambda t: u.value(t)) if u is not None else (lambda t: None)
+    x, w = np.array(x0, dtype=float), value(0.0)
+    states, inputs, firsts = [x], [w], []
+    for tau, hk, _ in _steps(eps, h):
+        w_mid, w_end = value(tau + hk / 2), value(tau + hk)
+        ws = iter([w_mid, w_mid, w_end])
+        k1 = field(x, w)
+        firsts.append(k1)
+        x = rk4_autonomous_step(lambda y: field(y, next(ws)), x, hk, k1)
+        states.append(x)
+        inputs.append(w_end)
+        w = w_end
+    return np.array(states), (np.array(inputs) if u is not None else None), np.array(firsts)
+
+
+@pytest.mark.parametrize("name", list(STAGE_SYSTEMS))
+@pytest.mark.parametrize("controller", ["frozen-gain", "zero"])
+def test_model_and_plant_stages_keep_the_bits_of_the_array_field(name, controller):
+    build, samples = STAGE_SYSTEMS[name]
+    system = build()
+    cfg = IntegrationConfig(step=1e-3)
+    eps = 0.0123  # a partial last step
+    ctrl = FrozenGainController(system, cfg)
+    for xi in map(np.array, samples):
+        sig = ctrl.plan(xi, eps) if controller == "frozen-gain" else zero_signal(eps, system.dim_input)
+        # under the zero gain (A(x) + B F) x underflows to a signed zero at subnormal states
+        gains = [np.zeros((system.dim_input, system.dim_state))]
+        if "synthesis" in sig.info:
+            gains.append(sig.info["synthesis"].gain)
+        for F in gains:
+            field = system.closed_loop_field(F)
+            firsts = []
+            model = integrate(field, xi, None, (0.0, eps), cfg, firsts)
+            states, _, want_firsts = reference_run(lambda y, _u: field(y), xi, None, eps, cfg.step)
+            assert model.states.tobytes() == states.tobytes(), xi
+            assert np.array(firsts).tobytes() == want_firsts.tobytes(), xi
+        if "model" in sig.info:
+            assert sig.info["model"].states.tobytes() == model.states.tobytes()
+        firsts = []
+        plant = integrate(system, xi, sig, (0.0, eps), cfg, firsts)
+        states, inputs, want_firsts = reference_run(system.rhs, xi, sig, eps, cfg.step)
+        assert plant.states.tobytes() == states.tobytes(), xi
+        assert plant.inputs.tobytes() == inputs.tobytes(), xi
+        assert np.array(firsts).tobytes() == want_firsts.tobytes(), xi
+
+
+def test_a_replaced_A_runs_the_same_stage():
+    system = registry.statedep_2d()
+    cfg = IntegrationConfig(step=1e-3)
+    xi, eps = np.array([2.0, -1.0]), 0.05
+    F = FrozenGainController(system, cfg).plan(xi, eps).info["synthesis"].gain
+    u = constant_signal(eps, [0.7])
+
+    def runs():
+        model = integrate(system.closed_loop_field(F), xi, None, (0.0, eps), cfg)
+        plant = integrate(system, xi, u, (0.0, eps), cfg)
+        return model.states.tobytes(), plant.states.tobytes(), len(model) - 1, len(plant) - 1
+
+    want = runs()
+    A = system.A
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return A(x)
+
+    for replaced in (lambda x: np.array(A(x)), lambda x: A(x).tolist(), counted):
+        system.A = replaced
+        assert runs() == want
+    # four stages a step, each one call of A, on the model run and on the plant run
+    assert len(calls) == 4 * (want[2] + want[3])
+    system.A = counted
+    del calls[:]
+    integrate(system, xi, u, (0.0, eps), cfg)
+    assert len(calls) == 4 * want[3]
+
+
+def spoiled_at(threshold, entry):
+    """A = diag(1, 0), with ``entry`` added at (0, 1) where x1 > threshold."""
+
+    def A(x):
+        M = np.array([[1.0, 0.0], [0.0, 0.0]])
+        if x[0] > threshold:
+            M[0, 1] = entry
+        return M
+
+    return A
+
+
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("x2", [0.0, 1.0], ids=["times-zero", "times-one"])
+def test_a_non_finite_A_at_a_stage_state_names_it(entry, x2):
+    # from x1 = 1, the first stage state x1 + (h/2) x1 = 1.0005 crosses 1.0004; no grid state
+    # does before it. At x2 = 0 the entry meets a zero coordinate: inf * 0 is NaN
+    system = StateLinearSystem(spoiled_at(1.0004, entry), np.zeros((2, 1)), 2, 1)
+    cfg = IntegrationConfig(step=1e-3)
+    stage_state = re.escape("x = %s" % [1.0 + 0.0005 * 1.0, x2])
+    runs = [
+        lambda: integrate(system, [1.0, x2], constant_signal(0.05, [1.0]), (0.0, 0.05), cfg),
+        lambda: integrate(system, [1.0, x2], None, (0.0, 0.05), cfg),
+        lambda: integrate(system.closed_loop_field(np.zeros((1, 2))), [1.0, x2], None, (0.0, 0.05), cfg),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in runs:
+            with pytest.raises(NonFiniteMatrixError, match="the state matrix A\\(x\\) is not finite at " + stage_state):
+                run()
+
+
+def test_a_finite_A_whose_product_overflows_escapes():
+    system = StateLinearSystem(lambda x: np.array([[1e300, 1e300], [0.0, -1.0]]), np.array([[0.0], [1.0]]), 2, 1)
+    cfg = IntegrationConfig(step=0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for traj in (
+            integrate(system, [1e10, 1.0], constant_signal(1.0, [1.0]), (0.0, 1.0), cfg),
+            integrate(system.closed_loop_field(np.array([[-1.0, -1.0]])), [1e10, 1.0], None, (0.0, 1.0), cfg),
+        ):
+            assert traj.escaped and traj.escape_time == 0.25
+            np.testing.assert_array_equal(traj.states, [[1e10, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "shape", [(3, 3), (3, 2), (2, 3), (1, 1), (1, 2), (2, 1), (2,), ()], ids=lambda s: "x".join(map(str, s)) or "scalar"
+)
+@pytest.mark.parametrize("callable_B", [False, True], ids=["constant-B", "callable-B"])
+def test_an_A_of_the_wrong_shape_raises(shape, callable_B):
+    # no zip truncation of a longer product, no broadcast of a smaller matrix
+    B = np.array([[0.0], [1.0]])
+    system = StateLinearSystem(lambda x: np.zeros((2, 2)), (lambda x: B) if callable_B else B, 2, 1)
+    system.A = lambda x: np.full(shape, 0.5)
+    cfg = IntegrationConfig(step=0.01)
+    runs = [
+        lambda: integrate(system, [1.0, 1.0], constant_signal(0.05, [1.0]), (0.0, 0.05), cfg),
+        lambda: integrate(system, [1.0, 1.0], None, (0.0, 0.05), cfg),
+        lambda: integrate(system.closed_loop_field(np.ones((1, 2))), [1.0, 1.0], None, (0.0, 0.05), cfg),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match=r"A\(x\) must be 2 x 2, got shape"):
+            run()
