@@ -10,15 +10,16 @@ solved through the stable invariant subspace of the 2n x 2n Hamiltonian
 error of about n eps cond(U1); when this exceeds the Riccati tolerance the
 balanced Schur solver (scipy's solve_continuous_are) is used instead. The
 closed loop is then certified with a quadratic Lyapunov matrix P from
-A_cl' P + P A_cl = -I (solved by Kronecker vectorization, exact and simple
-at the small n used here), accepted by its backward error
+A_cl' P + P A_cl = -I, accepted by its backward error
 |A_cl'P + P A_cl + I| <= tol (2 |A_cl| |P| + |I|) so that the check scales
 with the problem, and the largest verified decay constant k with
-x'P A_cl x <= -k |x|^2 is reported. The closed loop is checked once, for
-finiteness and a negative spectral abscissa; the Lyapunov step then runs
-solve_lyapunov's solve and acceptance without its input checks, which
-would repeat that eigenvalue computation and test Q = I; the n <= 20 cap
-and the acceptance tests stay.
+x'P A_cl x <= -k |x|^2 is reported. P comes from the n^2 x n^2 Kronecker
+system up to KRONECKER_MAX_DIM states and from the Bartels-Stewart method
+(real Schur form, then LAPACK's triangular Sylvester solver) above. The
+closed loop is checked once, for finiteness and a negative spectral
+abscissa; the Lyapunov step then runs solve_lyapunov's solve and
+acceptance without its input checks, which would repeat that eigenvalue
+computation and test Q = I.
 
 The construction proves stabilizability by its result: only a stabilizable
 pair has a Hurwitz A + BF with a verified Lyapunov certificate. So the PBH
@@ -51,13 +52,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgees, dgetrf, dgetrs, dtrsyl
 
 from .errors import NotStabilizableError, NumericalFailure
 from .sampling import ball_points
 
 AXIS_TOL = 1e-8
-LYAP_MAX_DIM = 20
+KRONECKER_MAX_DIM = 8  # the Kronecker LU solves n <= 8, and keeps its bits there
 LYAP_BACKWARD_TOL = 1e-12  # |A'P + PA + Q| / (2|A||P| + |Q|), Frobenius norms
 CARE_TOL = 1e-8  # Riccati residual tolerance, and the accuracy the graph solve must keep
 
@@ -121,12 +122,13 @@ def spectral_abscissa(A):
 def solve_lyapunov(A, Q):
     """Solve A'P + PA = -Q for symmetric positive definite P.
 
-    Requires A Hurwitz and Q symmetric positive definite. Solved by
-    vectorizing to an n^2 x n^2 Kronecker system, factored once for the
-    solve and up to three refinement steps; limited to n <= 20.
+    Requires A Hurwitz and Q symmetric positive definite. Up to
+    KRONECKER_MAX_DIM states it is solved by vectorizing to an n^2 x n^2
+    Kronecker system, factored once for the solve and up to three
+    refinement steps; above that by the Bartels-Stewart method.
     The solution is accepted by its backward error: NumericalFailure unless
     |A'P + PA + Q| <= 1e-12 (2 |A| |P| + |Q|) in Frobenius norms.
-    synthesize_gain runs the same solve, cap and acceptance on the closed
+    synthesize_gain runs the same solve and acceptance on the closed
     loop it has already checked, without repeating the input checks.
     """
     A = _square(A, "A")
@@ -148,9 +150,38 @@ def _solve_lyapunov(A, Q, eye):
 
     The caller has checked A and Q; eye is np.eye(n).
     """
+    P = _kronecker_solve(A, Q, eye) if A.shape[0] <= KRONECKER_MAX_DIM else _bartels_stewart(A, Q)
+    P = (P + P.T) / 2
+
+    residual = _fro(A.T @ P + P @ A + Q)
+    scale = 2.0 * _fro(A) * _fro(P) + _fro(Q)
+    if residual > LYAP_BACKWARD_TOL * scale:
+        raise NumericalFailure(
+            "Lyapunov backward error %.3e exceeds tolerance %.3e (residual %.3e)"
+            % (residual / scale, LYAP_BACKWARD_TOL, residual)
+        )
+    if np.linalg.eigvalsh(P).min() <= 0:
+        raise NumericalFailure("Lyapunov solution is not positive definite")
+    return P
+
+
+def _bartels_stewart(A, Q):
+    """P with A'P + PA = -Q from the real Schur form A' = U T U' (Bartels & Stewart, CACM 1972).
+
+    Y = U'PU solves T Y + Y T' = -U'QU; dtrsyl returns scale * Y, perturbed
+    (info 1) when two eigenvalues nearly cancel, which the backward error judges.
+    """
+    # the eigenvalue selector is called only when dgees is asked to sort
+    T, _, _, _, U, _, info = dgees(lambda wr, wi: 0, A.T)
+    if info != 0:
+        raise NumericalFailure("Schur decomposition in Lyapunov solve failed (dgees info %d)" % info)
+    Y, scale, _ = dtrsyl(T, T, -(U.T @ Q @ U), tranb="T")
+    return U @ (Y / scale) @ U.T
+
+
+def _kronecker_solve(A, Q, eye):
+    """P with A'P + PA = -Q from the n^2 x n^2 Kronecker system, unsymmetrized."""
     n = A.shape[0]
-    if n > LYAP_MAX_DIM:
-        raise ValueError("Kronecker Lyapunov solve is limited to n <= %d" % LYAP_MAX_DIM)
     L = _lyapunov_operator(A, eye)
     rhs = -Q.reshape(-1)
     # One LU factorization serves the solve and every refinement step.
@@ -168,19 +199,7 @@ def _solve_lyapunov(A, Q, eye):
         if abs(r).max() <= r_tol:
             break
         p = p + dgetrs(lu, piv, r)[0]
-    P = p.reshape(n, n)
-    P = (P + P.T) / 2
-
-    residual = _fro(A.T @ P + P @ A + Q)
-    scale = 2.0 * _fro(A) * _fro(P) + _fro(Q)
-    if residual > LYAP_BACKWARD_TOL * scale:
-        raise NumericalFailure(
-            "Lyapunov backward error %.3e exceeds tolerance %.3e (residual %.3e)"
-            % (residual / scale, LYAP_BACKWARD_TOL, residual)
-        )
-    if np.linalg.eigvalsh(P).min() <= 0:
-        raise NumericalFailure("Lyapunov solution is not positive definite")
-    return P
+    return p.reshape(n, n)
 
 
 @dataclass(frozen=True)

@@ -208,7 +208,8 @@ class StateLinearSystem:
     by :meth:`matrices_at` without any evaluation. Both are finite at the
     origin (ValueError here); a non-finite matrix at a later state raises
     :class:`~sdstab.errors.NonFiniteMatrixError`, a numerical failure that
-    names the state, and an ``A(x)`` that is not n x n raises ValueError.
+    names the state, and an ``A(x)`` that is not n x n or a ``B(x)`` that is
+    not n x m raises ValueError, one state or a stack at a time.
     ``A`` is looked up on every call, so it may be replaced. A matrix
     function may carry a stacked form, ``A.stack(X)``: the (k, n, n) stack
     of ``A`` at the rows of a (k, n) stack of states, with the bits of one
@@ -257,6 +258,8 @@ class StateLinearSystem:
         if self.constant_B:
             return A, self.B
         B = np.asarray(self.B(xi), dtype=float)
+        if B.shape != (self.dim_state, self.dim_input):
+            raise ValueError("B(x) must be %d x %d, got shape %s" % (self.dim_state, self.dim_input, B.shape))
         if not _all_finite(B):
             raise _not_finite("input matrix B", xi)
         return A, B
@@ -312,32 +315,35 @@ class StateLinearSystem:
         and a ``stage`` that ignores w (:meth:`_linear_stage` with a constant B).
         """
         times_x, times_u = self._times_x, self._times_u
+        n, m = self.dim_state, self.dim_input
         # B(x) F is the same product at every x when B is constant, so the field keeps its bits
         BF = times_u(self.B, F) if self.constant_B else None
 
         def field(x):
             if x.ndim > 1:
-                A = self._stacked(self.A, x, "state matrix A")
-                BFx = np.matmul(self._stacked(self.B, x, "input matrix B"), F) if BF is None else BF
+                A = self._stacked(self.A, x, "state matrix A", (n, n))
+                BFx = np.matmul(self._stacked(self.B, x, "input matrix B", (n, m)), F) if BF is None else BF
                 return rows_product(A + BFx, x)
             if BF is not None:
                 return times_x(self.state_matrix(x) + BF, x)
             A, B = self.matrices_at(x)
             return times_x(A + times_u(B, F), x)
 
-        field.dim_state, field.dim_input = self.dim_state, self.dim_input
+        field.dim_state, field.dim_input = n, m
         field.stage = self._linear_stage(BF) if BF is not None else lambda ys, _w: field(np.array(ys)).tolist()
         return field
 
     @staticmethod
-    def _stacked(matrix, X, what):
-        """matrix(x) for every row x of X, stacked; raises unless every entry is finite.
+    def _stacked(matrix, X, what, shape):
+        """matrix(x) for every row x of X, stacked; raises unless it is (k,) + shape and finite.
 
         A matrix function with a ``stack`` attribute answers the whole stack
         in one call of it; any other is called once per row.
         """
         stack = getattr(matrix, "stack", None)
         M = np.array(list(map(matrix, X)), dtype=float) if stack is None else np.asarray(stack(X), dtype=float)
+        if M.shape != (len(X),) + shape:
+            raise ValueError("the %s(x) of %d states must have shape %s, got %s" % (what, len(X), (len(X),) + shape, M.shape))
         # on a stack of hundreds of entries np.isfinite is the faster test
         if not np.isfinite(M).all():
             bad = ~np.isfinite(M).reshape(len(M), -1).all(axis=1)

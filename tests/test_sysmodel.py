@@ -8,6 +8,7 @@ import pytest
 
 from sdstab.errors import NonFiniteMatrixError, NumericalFailure
 from sdstab.liecalc import ExprVectorField
+from sdstab.odeint import IntegrationConfig, integrate
 from sdstab.sdfctl import PerSampleQuadratic, sampling_times
 from sdstab.sysmodel import (
     AffineSystem,
@@ -15,6 +16,7 @@ from sdstab.sysmodel import (
     GeneralSystem,
     StateLinearSystem,
     _all_finite,
+    constant_signal,
     at_origin,
     origin_value,
     product,
@@ -232,6 +234,39 @@ class TestConstantInputMatrix:
             with pytest.raises(NonFiniteMatrixError, match=r"the %s\(x\) is not finite at x = \[2\.0\]" % name) as info:
                 check()
             assert isinstance(info.value, NumericalFailure) and not isinstance(info.value, ValueError)
+
+
+    def test_a_B_of_the_wrong_shape_raises(self):
+        # n x m at the origin and 1 x 1 elsewhere: unchecked, B(x) u and B(x) F broadcast onto both coordinates
+        def B(x):
+            return [[0.0], [1.0]] if not np.any(x) else [[5.0]]
+
+        def stacked_B(X):
+            return np.full((len(X), 1, 1), 5.0)
+
+        def stacked_A(X):
+            return np.zeros((len(X), 2, 1))
+
+        B.stack = stacked_B
+        sys = StateLinearSystem(lambda x: np.zeros((2, 2)), B, 2, 1)
+        field = sys.closed_loop_field(np.array([[-1.0, -1.0]]))
+        one = r"B\(x\) must be 2 x 1, got shape \(1, 1\)"
+        checks = [
+            (lambda: integrate(sys, [0.25, 0.25], constant_signal(1.0, [1.0]), (0.0, 1.0), IntegrationConfig(step=0.25)), one),
+            (lambda: field(np.array([0.25, 0.25])), one),
+            (lambda: field(np.array([[0.25, 0.25], [1.0, 0.0]])), r"input matrix B\(x\) of 2 states must have shape \(2, 2, 1\), got \(2, 1, 1\)"),
+        ]
+        for check, message in checks:
+            with pytest.raises(ValueError, match=message):
+                check()
+        del B.stack  # called row by row
+        with pytest.raises(ValueError, match=r"B\(x\) of 3 states must have shape \(3, 2, 1\), got \(3, 1, 1\)"):
+            field(np.array([[0.25, 0.25], [1.0, 0.0], [0.0, 2.0]]))
+        A = lambda x: np.zeros((2, 2))  # noqa: E731
+        A.stack = stacked_A
+        sys.A = A
+        with pytest.raises(ValueError, match=r"state matrix A\(x\) of 1 states must have shape \(1, 2, 2\), got \(1, 2, 1\)"):
+            sys.closed_loop_field(np.array([[-1.0, -1.0]]))(np.array([[0.25, 0.25]]))
 
 
 # -- the per-step products and the finiteness check -------------------------------
