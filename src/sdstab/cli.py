@@ -311,6 +311,9 @@ def cmd_simulate(cfg, out_dir, seed, quiet):
         raise ConfigError("the %s controller needs a state-linear system" % ctrl_type)
     elif ctrl_type == "patchwork":
         W, _ = _build_patchwork(cfg, seed)
+        if W.family.dim != plant.dim_state:
+            raise ConfigError("[patchwork] registry %r is a family on R^%d; the plant has dim %d"
+                              % (cfg.get("patchwork", "registry"), W.family.dim, plant.dim_state))
         plans = [FrozenGainController(plant, icfg) for _ in W.family.pieces]
         ctrl = PatchworkController(W, plans, dim_input=plant.dim_input)
     else:
@@ -479,6 +482,9 @@ def main(argv=None):
     try:
         cfg = Config.load(args.config)
         seed = args.seed if args.seed is not None else cfg.number("experiment", "seed", default=0, kind=int)
+        if seed < 0:
+            raise ConfigError("%s must be a non-negative integer, got %d"
+                              % ("[experiment] seed" if args.seed is None else "--seed", seed))
         os.makedirs(args.out, exist_ok=True)
         kind = cfg.get("experiment", "kind", default=args.command)
         if kind != args.command:

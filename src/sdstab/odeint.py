@@ -15,12 +15,13 @@ block of where it happens. A caller that replays substeps from the grid
 (the frozen-gain controller's playback) can collect each step's first stage
 and pass the stack of them to :func:`rk4_stack_step`.
 
-The step loop and :func:`rk4_autonomous_step` run one step kernel on Python
-floats: a stage maps a state's coordinates and its input term to the list of
-field values, and the kernel forms the stage states x + c*k and the update
-x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4) coordinate by coordinate. Arrays are
-built only where a product or a record needs one: a state-linear stage makes
-one state array for A(x) and its product, and one tolist(); the grid becomes
+The step loop, :func:`rk4_autonomous_step` and :func:`rk4_stack_step` run
+one step kernel. On Python floats a stage maps a state's coordinates and its
+input term to the list of field values, and the kernel forms the stage states
+x + c*k and the update x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4) coordinate by
+coordinate. Arrays are built only where a product or a record needs one: a
+state-linear stage makes one state array for A(x) and its product, and one
+tolist() (with a callable B, also B(x) and its product); the grid becomes
 one array at the end, and only a state near the escape threshold makes one
 for x.x. The bits are those of the same expressions on float arrays: NumPy's
 elementwise + and * are single IEEE-754 operations, so the same operations in
@@ -46,9 +47,9 @@ negative product that underflows comes out -0.0 where ``@`` gives +0.0. A
 constant B's terms B u are formed for a whole block of inputs by one
 :func:`~sdstab.sysmodel.rows_product`, with the bits of ``B @ u``.
 
-:func:`rk4_stack_step` takes one substep for each row of a (k, n) stack,
-with the same elementwise operations in the same order on arrays; each row
-keeps the bits of :func:`rk4_autonomous_step` on that row.
+:func:`rk4_stack_step` runs the kernel with a (k, n) stack of states as its
+one coordinate and a column of step sizes as its step: each row keeps the
+bits of :func:`rk4_autonomous_step` on that row.
 """
 
 import math
@@ -194,9 +195,9 @@ def rk4_autonomous_step(f, x, h, k1):
 
     ``k1`` is the first stage f(x), computed earlier by the caller (for
     instance collected through :func:`integrate`'s ``first_stages``). The
-    playback takes its substeps through :func:`rk4_stack_step`; this
-    single-state form is the reference the stacked one keeps the bits of,
-    and a name the benchmark's tracer wraps.
+    playback takes its substeps through :func:`rk4_stack_step`, which runs
+    the same kernel on a stack; this single-state form is the reference its
+    rows keep the bits of, and a name the benchmark's tracer wraps.
     """
     n = len(x)
     stage = lambda ys, _w: _stage_list(f(np.array(ys)), n)  # noqa: E731
@@ -226,11 +227,8 @@ def rk4_stack_step(f, X, dt, K1):
     the bits of single states, as :meth:`StateLinearSystem.closed_loop_field`
     does. Every stage must have the shape of X.
     """
-    half = (dt / 2)[:, None]
-    K2 = _stage_stack(f(X + half * K1), X.shape)
-    K3 = _stage_stack(f(X + half * K2), X.shape)
-    K4 = _stage_stack(f(X + dt[:, None] * K3), X.shape)
-    return X + (dt / 6)[:, None] * (((K1 + 2 * K2) + 2 * K3) + K4)
+    stage = lambda ys, _w: [_stage_stack(f(ys[0]), X.shape)]  # noqa: E731
+    return _rk4_step(stage, [X], dt[:, None], [K1], None, None)[0]
 
 
 def _stage_stack(K, shape):

@@ -13,7 +13,8 @@ controller's zero signal, the patchwork membership rule and the waiver of
 the decrease certificate all read it. It is also the one test that a value
 vanishes there, as a system's field and a Lyapunov candidate must.
 :func:`rows_product` is the one product over the rows of a stack of
-states or inputs.
+states or inputs, and :func:`_matrix_at` the one reader of a state-linear
+system's matrix functions, at a state or at each row of a stack.
 """
 
 import math
@@ -92,11 +93,27 @@ def _all_finite(M):
     return math.isfinite(sum(v)) or all(map(math.isfinite, v))
 
 
-def _not_finite(what, x):
-    """The error for a matrix (``what``, say "state matrix A") not finite at the finite state x."""
-    return NonFiniteMatrixError(
-        "system matrices must be finite at finite states: the %s(x) is not finite at x = %s"
-        % (what, np.asarray(x, dtype=float).tolist())
+def _matrix_at(matrix, X, what, shape):
+    """matrix(x) at the state X, or stacked at the rows of a (k, n) stack X (by ``matrix.stack`` if
+    it has one), as floats. Raises ValueError unless each has ``shape``, and NonFiniteMatrixError,
+    naming ``what`` ("state matrix A") and the first such state, unless it is finite."""
+    if X.ndim == 1:
+        M = np.asarray(matrix(X), dtype=float)
+        ok = M.shape == shape and _all_finite(M)
+    else:
+        stack = getattr(matrix, "stack", None)
+        M = np.array(list(map(matrix, X)), dtype=float) if stack is None else np.asarray(stack(X), dtype=float)
+        shape = (len(X),) + shape
+        # on a stack of hundreds of entries np.isfinite is the faster test
+        ok = M.shape == shape and np.isfinite(M).all()
+    if ok:
+        return M
+    if M.shape != shape:
+        raise ValueError("the %s(x) must be %d x %d, got shape %s" % (what, *shape, M.shape) if X.ndim == 1 else
+                         "the %s(x) of %d states must have shape %s, got %s" % (what, len(X), shape, M.shape))
+    x = X if X.ndim == 1 else X[~np.isfinite(M).reshape(len(M), -1).all(axis=1)][0]
+    raise NonFiniteMatrixError(
+        "system matrices must be finite at finite states: the %s(x) is not finite at x = %s" % (what, x.tolist())
     )
 
 
@@ -203,71 +220,54 @@ class StateLinearSystem:
     """State-dependent linear dynamics dx/dt = A(x) x + B(x) u.
 
     ``A`` maps a state to an n x n matrix. ``B`` maps a state to an n x m
-    matrix, or is a constant n x m matrix: a constant ``B`` is checked here,
-    stored as a read-only float array (``constant_B`` is true) and returned
-    by :meth:`matrices_at` without any evaluation. Both are finite at the
-    origin (ValueError here); a non-finite matrix at a later state raises
-    :class:`~sdstab.errors.NonFiniteMatrixError`, a numerical failure that
-    names the state, and an ``A(x)`` that is not n x n or a ``B(x)`` that is
-    not n x m raises ValueError, one state or a stack at a time.
-    ``A`` is looked up on every call, so it may be replaced. A matrix
-    function may carry a stacked form, ``A.stack(X)``: the (k, n, n) stack
-    of ``A`` at the rows of a (k, n) stack of states, with the bits of one
-    call per row. It belongs to the function, so a replacement without one
-    is called row by row. Products go through :func:`product`, so they
-    have the bits of ``@``. ``stage(ys, w)`` is ``rhs`` on floats, as
-    :func:`~sdstab.odeint.integrate` steps it (:meth:`_linear_stage`, or
-    ``rhs`` on arrays with a callable ``B``); :meth:`input_terms` gives w.
+    matrix, or is a constant n x m matrix, stored as a read-only float array
+    (``constant_B`` is true) and never evaluated. :func:`_matrix_at` reads
+    them, at one state or a stack, for every method and for the check here
+    at the origin, where a non-finite matrix is a ValueError; elsewhere it is
+    a :class:`~sdstab.errors.NonFiniteMatrixError`, a numerical failure that
+    names the state. ``A`` is looked up on every call, so it may be replaced.
+    A matrix function may carry a stacked form, ``A.stack(X)``: the
+    (k, n, n) stack of ``A`` at the rows of a (k, n) stack of states, with
+    the bits of one call per row; a replacement without one is called row
+    by row. Products go through :func:`product`, so they have the bits of
+    ``@``. :meth:`_linear_stage` builds every stage, the plant's
+    ``stage(ys, w)`` (w a row of :meth:`input_terms`), which :meth:`rhs`
+    wraps in one array, and the frozen-gain field's.
     """
 
     def __init__(self, A, B, dim_state, dim_input):
         self.A = A
-        self.dim_state = int(dim_state)
-        self.dim_input = int(dim_input)
-        self._times_x = product(self.dim_state)
-        self._times_u = product(self.dim_input)
+        self.dim_state = n = int(dim_state)
+        self.dim_input = m = int(dim_input)
+        self._times_x = product(n)
+        self._times_u = product(m)
         self.constant_B = not callable(B)
         if self.constant_B:
             B = np.array(B, dtype=float)
             B.flags.writeable = False
-            b0 = B
-        else:
-            b0 = np.asarray(B(np.zeros(dim_state)), dtype=float)
         self.B = B
-        a0 = np.asarray(A(np.zeros(dim_state)), dtype=float)
-        if a0.shape != (dim_state, dim_state):
-            raise ValueError("A(x) must be %d x %d" % (dim_state, dim_state))
-        if b0.shape != (dim_state, dim_input):
-            raise ValueError("B(x) must be %d x %d" % (dim_state, dim_input))
-        if not (_all_finite(a0) and _all_finite(b0)):
-            raise ValueError("system matrices must be finite at the origin")
-        self.stage = self._linear_stage(None) if self.constant_B else lambda ys, w: self.rhs(np.array(ys), w).tolist()
+        origin = np.zeros(n)
+        try:
+            self.state_matrix(origin)
+            _matrix_at((lambda _x: B) if self.constant_B else B, origin, "input matrix B", (n, m))
+        except NonFiniteMatrixError:
+            raise ValueError("system matrices must be finite at the origin") from None
+        self.stage = self._linear_stage(None)
 
     def state_matrix(self, x):
-        """A(x) as a float array; raises ValueError unless it is n x n, NonFiniteMatrixError unless it is finite."""
-        A = np.asarray(self.A(x), dtype=float)
-        if A.shape != (self.dim_state,) * 2:
-            raise ValueError("A(x) must be %d x %d, got shape %s" % (self.dim_state, self.dim_state, A.shape))
-        if not _all_finite(A):
-            raise _not_finite("state matrix A", x)
-        return A
+        """A(x) as a float array, read by :func:`_matrix_at`."""
+        return _matrix_at(self.A, np.asarray(x, dtype=float), "state matrix A", (self.dim_state,) * 2)
 
-    def matrices_at(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        A = self.state_matrix(xi)
-        if self.constant_B:
-            return A, self.B
-        B = np.asarray(self.B(xi), dtype=float)
-        if B.shape != (self.dim_state, self.dim_input):
-            raise ValueError("B(x) must be %d x %d, got shape %s" % (self.dim_state, self.dim_input, B.shape))
-        if not _all_finite(B):
-            raise _not_finite("input matrix B", xi)
-        return A, B
+    def matrices_at(self, x):
+        """A(x) and B(x) as float arrays, each read by :func:`_matrix_at`; a constant B as stored."""
+        x = np.asarray(x, dtype=float)
+        A = self.state_matrix(x)
+        n, m = self.dim_state, self.dim_input
+        return A, self.B if self.constant_B else _matrix_at(self.B, x, "input matrix B", (n, m))
 
     def rhs(self, x, u):
-        """A(x) x + B(x) u for a float state array x."""
-        A, B = self.matrices_at(x)
-        return self._times_x(A, x) + self._times_u(B, _vector(u))
+        """A(x) x + B(x) u for a float state array x: the stage on one state."""
+        return np.array(self.stage(np.asarray(x, dtype=float).tolist(), self.input_terms(_vector(u)[None])[0]))
 
     def input_terms(self, U):
         """The input terms of a (k, m) stack of inputs, which ``stage`` takes row by row.
@@ -277,78 +277,62 @@ class StateLinearSystem:
         """
         return rows_product(self.B, U).tolist() if self.constant_B else U
 
-    def _linear_stage(self, BF):
-        """The stage (ys, w) -> A(x) x + w, or with BF, (ys, w) -> (A(x) + BF) x, as a float list.
+    def _linear_stage(self, F):
+        """The stage (ys, w) -> A(x) x + B(x) u, or with a gain F, (ys, w) -> (A(x) + B(x) F) x, as floats.
 
-        A non-finite entry of A(x) makes its row of the product inf or NaN
-        (inf * 0 is NaN), so only a product that is not finite calls
-        :meth:`state_matrix`, which names x if A(x) is not finite; a finite
-        A(x) whose product overflows escapes.
+        w is a row of :meth:`input_terms`: B u with a constant B, whose B F
+        is formed here, once; u with a callable B, read at x. A non-finite
+        entry of A(x) makes its row of the product inf or NaN (inf * 0 is
+        NaN), so only an A(x) of the wrong shape or a product that is not
+        finite calls :meth:`state_matrix`, which raises; a finite A(x) whose
+        product overflows escapes.
         """
-        n, times_x = self.dim_state, self._times_x
+        n, m, times_x, times_u = self.dim_state, self.dim_input, self._times_x, self._times_u
+        B, closed = self.B, F is not None
+        BF = times_u(B, F) if closed and self.constant_B else None
+        B_at = None if self.constant_B else lambda x: _matrix_at(B, x, "input matrix B", (n, m))
 
         def stage(ys, w):
             x = np.array(ys)
             M = np.asarray(self.A(x), dtype=float)
             if M.shape != (n, n):
-                raise ValueError("A(x) must be %d x %d, got shape %s" % (n, n, M.shape))
+                M = self.state_matrix(x)
+            if B_at is not None:
+                if closed:
+                    M = M + times_u(B_at(x), F)
+                else:
+                    w = times_u(B_at(x), w).tolist()
             k = times_x(M if BF is None else M + BF, x).tolist()
             if not (math.isfinite(sum(k)) or all(map(math.isfinite, k))):
                 self.state_matrix(x)
-            return [p + q for p, q in zip(k, w)] if BF is None else k
+            return k if closed else [p + q for p, q in zip(k, w)]
 
         return stage
 
     def closed_loop_field(self, F):
-        """The frozen-gain field x -> (A(x) + B(x) F) x; a constant B F is formed once.
+        """The frozen-gain field x -> (A(x) + B(x) F) x: its ``stage`` in one array.
 
-        The field also takes a C-contiguous (k, n) stack of states and returns
-        the (k, n) stack of their values, with the bits of one call per row.
-        It evaluates ``A``, and a callable ``B``, through its stacked form when
-        it has one and once per row otherwise, and checks the finiteness of
-        each stack once, naming the first state whose matrix is not finite.
-        Its products on a stack are stacked ``np.matmul`` calls, which run per
-        row the routine :func:`product` runs (see :func:`rows_product`).
-
-        The field is also a system without inputs for
-        :func:`~sdstab.odeint.integrate`: it has ``dim_state``, ``dim_input``
-        and a ``stage`` that ignores w (:meth:`_linear_stage` with a constant B).
+        It also takes a C-contiguous (k, n) stack of states, reads ``A`` and
+        a callable ``B`` at the whole stack, and returns the (k, n) stack of
+        values with the bits of one call per row: stacked ``np.matmul`` runs
+        per row the routine :func:`product` runs (see :func:`rows_product`).
+        With ``dim_state``, ``dim_input`` and a ``stage`` that ignores w, it is
+        a system without inputs for :func:`~sdstab.odeint.integrate`.
         """
-        times_x, times_u = self._times_x, self._times_u
         n, m = self.dim_state, self.dim_input
-        # B(x) F is the same product at every x when B is constant, so the field keeps its bits
-        BF = times_u(self.B, F) if self.constant_B else None
+        stage = self._linear_stage(F)
+        # B F is the same product at every x when B is constant, so the stack keeps the stage's bits
+        BF = self._times_u(self.B, F) if self.constant_B else None
 
         def field(x):
-            if x.ndim > 1:
-                A = self._stacked(self.A, x, "state matrix A", (n, n))
-                BFx = np.matmul(self._stacked(self.B, x, "input matrix B", (n, m)), F) if BF is None else BF
-                return rows_product(A + BFx, x)
-            if BF is not None:
-                return times_x(self.state_matrix(x) + BF, x)
-            A, B = self.matrices_at(x)
-            return times_x(A + times_u(B, F), x)
+            if x.ndim == 1:
+                return np.array(stage(x.tolist(), None))
+            A = _matrix_at(self.A, x, "state matrix A", (n, n))
+            BFx = np.matmul(_matrix_at(self.B, x, "input matrix B", (n, m)), F) if BF is None else BF
+            return rows_product(A + BFx, x)
 
-        field.dim_state, field.dim_input = n, m
-        field.stage = self._linear_stage(BF) if BF is not None else lambda ys, _w: field(np.array(ys)).tolist()
+        field.dim_state, field.dim_input, field.stage = n, m, stage
         return field
-
-    @staticmethod
-    def _stacked(matrix, X, what, shape):
-        """matrix(x) for every row x of X, stacked; raises unless it is (k,) + shape and finite.
-
-        A matrix function with a ``stack`` attribute answers the whole stack
-        in one call of it; any other is called once per row.
-        """
-        stack = getattr(matrix, "stack", None)
-        M = np.array(list(map(matrix, X)), dtype=float) if stack is None else np.asarray(stack(X), dtype=float)
-        if M.shape != (len(X),) + shape:
-            raise ValueError("the %s(x) of %d states must have shape %s, got %s" % (what, len(X), (len(X),) + shape, M.shape))
-        # on a stack of hundreds of entries np.isfinite is the faster test
-        if not np.isfinite(M).all():
-            bad = ~np.isfinite(M).reshape(len(M), -1).all(axis=1)
-            raise _not_finite(what, X[bad][0])
-        return M
 
 
 @dataclass

@@ -115,8 +115,9 @@ certificate = {certificate}
 """
 
 # SHA-256 of the CSVs of short runs that SIM_STATEDEP does not cover: the
-# hold variant, the patchwork dispatch, and the zero controller on a constant
-# state-linear system and on an inline affine one. (exit code, traj, cert)
+# hold variant, the patchwork dispatch, the zero controller on a constant
+# state-linear system and on an inline affine one, and the frozen gain with
+# a B that depends on the state. (exit code, traj, cert)
 SIM_PINS = {
     "frozen-gain-zoh": (
         dict(system="registry = statedep-2d", controller="frozen-gain-zoh", extra="",
@@ -146,6 +147,14 @@ SIM_PINS = {
         0,
         "d607f7778bec2c5706c9ea51a2022ea8c8cf6efce21ea46b5ec90c3c53d928b8",
         "0040d60db3b773941618e9aadb5ec876432cbf7e586e35892ae8d3a14b217bdd",
+    ),
+    # B names a coordinate, so the plant and the internal model read B(x) at every stage
+    "frozen-gain-callable-B": (
+        dict(system="dim = 2\nA = 0, 1; sin(x1), x2^2\nB = 0; 1 + 0.1*x1^2", controller="frozen-gain", extra="",
+             h=0.05, count=21, x0="1, -0.5", certificate="per-sample-quadratic"),
+        0,
+        "7c5403349860b393d69487e417963fbfe9a7a1c5fbc6a4a84c17afafae6aea5a",
+        "6204c2433d04e1aa19905ecbdb4709b19ab5cc0361aab85e902c716206587137",
     ),
 }
 
@@ -1419,6 +1428,45 @@ V = 0.5*x1^2 + 0.5*x2^2
             warnings.simplefilter("ignore", RuntimeWarning)
             assert main(["check-lie", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
         assert "RESULT fail 1680 41" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, text, argv, key",
+    [
+        ("synthesize", "[experiment]\nkind = synthesize\nseed = -1\n[system]\nregistry = statedep-2d\n", [],
+         "[experiment] seed"),
+        ("check-patchwork",
+         "[experiment]\nkind = check-patchwork\nseed = -1\n[patchwork]\nregistry = patchwork-halfplanes\n", [],
+         "[experiment] seed"),
+        ("simulate", SIM_SCALAR, ["--seed", "-2"], "--seed"),
+    ],
+    ids=["synthesize", "check-patchwork", "option"],
+)
+def test_negative_seed_names_its_key(tmp_path, capsys, command, text, argv, key):
+    # NumPy's default_rng refuses it too, with a message that names no key
+    cfg = write(tmp_path / "seed.ini", text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)] + argv) == 2
+    captured = capsys.readouterr()
+    value = argv[-1] if argv else "-1"
+    assert captured.err == "configuration error: %s must be a non-negative integer, got %s\n" % (key, value)
+    assert "RESULT" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "system, x0, dim",
+    [("registry = scalar-unstable", "1", 1), ("dim = 3\nA = 0, 1, 0; 0, 0, 1; -1, -1, -1\nB = 0; 0; 1", "1, 1, 1", 3)],
+    ids=["1-state", "3-state"],
+)
+def test_patchwork_family_of_another_dimension_is_refused(tmp_path, capsys, system, x0, dim):
+    # the planar family would index past a 1-state plant, and read only (x1, x2) of a 3-state one
+    text = SIM_PIN.format(system=system, controller="patchwork", extra="[patchwork]\nregistry = patchwork-halfplanes",
+                          h=0.05, count=4, x0=x0, certificate="per-sample-quadratic")
+    cfg = write(tmp_path / "pw.ini", text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("configuration error: [patchwork] registry 'patchwork-halfplanes' is a family on R^2; "
+                            "the plant has dim %d\n" % dim)
+    assert "RESULT" not in captured.out and not (tmp_path / "o" / "traj_0.csv").exists()
 
 
 def test_seed_override_changes_nothing_for_fixed_run(tmp_path):
