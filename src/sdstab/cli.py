@@ -388,6 +388,15 @@ def _grid_points(extent, count):
     return np.array(pts, dtype=float).reshape(-1, 2)
 
 
+def _rounded(witnesses):
+    return {k: round(v, 6) for k, v in witnesses.items()}
+
+
+def _fail_details(*reports):
+    """The detail of each failing report, each after two spaces, to end a FAIL line."""
+    return "".join("  " + r.detail for r in reports if r.classification == FAIL)
+
+
 def cmd_check_lie(cfg, out_dir, seed, quiet):
     # not positive: extent 0 is a grid of the origin alone, which checks nothing
     extent = cfg.number("grid", "extent", default=2.0)
@@ -406,10 +415,10 @@ def cmd_check_lie(cfg, out_dir, seed, quiet):
             bad = rp.classification == FAIL or rc.classification == FAIL
             n_fail += 1 if bad else 0
             if not quiet or bad:
-                wit = {k: round(v, 6) for k, v in rp.witnesses.items()}
                 print(
-                    "p=(%s, %s)  pointwise=%s  integrator=%s  %s"
-                    % (_fmt(p[0]), _fmt(p[1]), rp.classification, rc.classification, wit)
+                    "p=(%s, %s)  pointwise=%s  integrator=%s  %s%s"
+                    % (_fmt(p[0]), _fmt(p[1]), rp.classification, rc.classification,
+                       _rounded(rp.witnesses), _fail_details(rp, rc))
                 )
     else:
         sys_obj = _build_system(cfg)
@@ -429,7 +438,10 @@ def cmd_check_lie(cfg, out_dir, seed, quiet):
         for p in pts:
             rp = check_prop1_point(sys_obj, V, p, n_max=2)
             n_fail += 1 if rp.classification == FAIL else 0
-            if not quiet or rp.classification == FAIL:
+            if rp.classification == FAIL:
+                print("p=(%s, %s)  pointwise=%s  %s%s"
+                      % (_fmt(p[0]), _fmt(p[1]), FAIL, _rounded(rp.witnesses), _fail_details(rp)))
+            elif not quiet:
                 print("p=(%s, %s)  pointwise=%s" % (_fmt(p[0]), _fmt(p[1]), rp.classification))
     return len(pts), n_fail
 

@@ -13,9 +13,16 @@ numerical policy; every report carries the tolerances it used.
 The pointwise checkers walk their trees on Python floats taken from
 ``x.tolist()``: the ring gives the same bits on them as on NumPy scalars
 (see :mod:`sdstab.jets`, division included) at a fraction of the cost per
-operation. ``check_prop1_point`` walks each distinct clause tree once: the
-drift power ``f^jV`` is the j-fold drift clause ``f…fV`` (``f^1V`` is
-``fV``), so both names carry the one walk's witness and tolerance.
+operation. The integrator-form check stays on floats to the end: a gradient
+is one float walk per unit direction, which per component makes the same
+IEEE operations as one walk on the rows of the identity, and its dot
+products and maxima keep the bits of NumPy's ``@`` and ``abs(...).max()``.
+``check_prop1_point`` walks each distinct clause tree once: the drift
+power ``f^jV`` is the j-fold drift clause ``f…fV`` (``f^1V`` is ``fV``),
+so both names carry the one walk's witness and tolerance. Within one call
+it also builds each distinct bracket tree once, so a shared subtree is one
+field, and evaluates that bracket at the call's point once; nothing is
+kept from one call to the next.
 """
 
 import math
@@ -114,6 +121,22 @@ class BracketField(VectorField):
         return "[%r, %r]" % (self.X, self.Y)
 
 
+class _BracketAtPoint(BracketField):
+    """A bracket that keeps its value at one coordinate list; other coordinates are evaluated afresh."""
+
+    def __init__(self, X, Y, point):
+        super().__init__(X, Y)
+        self.point = point
+        self.value = None
+
+    def eval(self, coords):
+        if coords is not self.point:
+            return BracketField.eval(self, coords)
+        if self.value is None:
+            self.value = BracketField.eval(self, coords)
+        return self.value
+
+
 class ScalarField:
     dim = 0
 
@@ -159,10 +182,13 @@ class LieDerivative(ScalarField):
 
 
 def gradient(V, x):
-    """DV(x) as a plain vector, from one walk whose directions are the unit rows."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.size)
-    out[:] = coeff(_along(V, x.tolist(), np.eye(x.size)), 1)
+    """DV(x) as a list of floats, from one walk on floats per unit direction."""
+    xs = [float(c) for c in x]
+    out = []
+    for i in range(len(xs)):
+        e = [0.0] * len(xs)
+        e[i] = 1.0
+        out.append(float(coeff(_along(V, xs, e), 1)))
     return out
 
 
@@ -305,13 +331,20 @@ def check_prop1_point(sys, V, x, n_max=4):
     witnesses = {}
     taus = {}
     walked = {}
+    fields = {GEN_DRIFT: f, GEN_INPUT: g}
+
+    def field_of(tree):
+        # one field per distinct tree, so a shared subtree is one bracket valued at xs once
+        if tree not in fields:
+            fields[tree] = _BracketAtPoint(field_of(tree[0]), field_of(tree[1]), xs)
+        return fields[tree]
 
     def record(name, seq):
         # seq lists the clause's trees, outermost first; f^jV is the j-fold f clause
         if seq not in walked:
             W = V
             for t in reversed(seq):
-                W = LieDerivative(tree_field(t, f, g), W)
+                W = LieDerivative(field_of(t), W)
             walked[seq] = _eval_scaled(W, xs)
         return _record(witnesses, taus, name, *walked[seq])
 
@@ -365,6 +398,25 @@ def check_prop1_point(sys, V, x, n_max=4):
         return ConditionReport(x, FAIL, witnesses, taus, detail=exc.args[0])
 
 
+def _abs_max(values):
+    """max |v| over a non-empty list of floats; NaN if any is NaN, as NumPy's max gives."""
+    m = 0.0
+    for v in values:
+        a = abs(v)
+        if a != a:  # Python's max skips a NaN that is not first
+            return a
+        if a > m:
+            m = a
+    return m
+
+
+def _dot(a, b):
+    """a·b with the bits of NumPy's ``@``, which at length 1 is 0.0 + a*b (+0.0, never -0.0)."""
+    if len(a) == 1:
+        return 0.0 + a[0] * b[0]
+    return float(np.array(a) @ np.array(b))
+
+
 def check_corollary1_point(F, V, W, region, p):
     """Classify a point of a feedback-integrator system (state (x, y), input drives y).
 
@@ -382,7 +434,7 @@ def check_corollary1_point(F, V, W, region, p):
     n = V.dim
     if F.dim != n + 1 or F.odim != n or W.dim != n + 1:
         raise ValueError("dimension mismatch between F, V, W")
-    x = p[:n]
+    xs = ps[:n]
     y_dir = [0.0] * (n + 1)
     y_dir[n] = 1.0
     witnesses = {}
@@ -390,21 +442,22 @@ def check_corollary1_point(F, V, W, region, p):
 
     try:
         if region == "D1":
-            if float(abs(x).max()) <= ZERO_TOL:
+            if _abs_max(xs) <= ZERO_TOL:
                 return ConditionReport(
                     p, FAIL, witnesses, taus, detail="x-part vanishes on a region that forbids it"
                 )
-            dv = gradient(V, x)
-            fxy = np.array([float(v) for v in F.eval(ps)])
-            dvf = float(dv @ fxy)
-            tau = ZERO_TOL * (1.0 + float(abs(dv).max()) + float(abs(fxy).max()))
+            dv = gradient(V, xs)
+            dv_max = _abs_max(dv)
+            fxy = [float(v) for v in F.eval(ps)]
+            dvf = _dot(dv, fxy)
+            tau = ZERO_TOL * (1.0 + dv_max + _abs_max(fxy))
             _record(witnesses, taus, "DV·F", dvf, tau)
             if dvf < -tau:
                 return ConditionReport(p, VDOT_NEGATIVE, witnesses, taus)
             if abs(dvf) <= tau:
-                dfdy = [coeff(w, 1) for w in _along(F, ps, y_dir)]
-                dvdfdy = float(dv @ np.array([float(v) for v in dfdy]))
-                tau2 = ZERO_TOL * (1.0 + float(abs(dv).max()) + max(abs(float(v)) for v in dfdy))
+                dfdy = [float(coeff(w, 1)) for w in _along(F, ps, y_dir)]
+                dvdfdy = _dot(dv, dfdy)
+                tau2 = ZERO_TOL * (1.0 + dv_max + _abs_max(dfdy))
                 _record(witnesses, taus, "DV·dF/dy", dvdfdy, tau2)
                 if abs(dvdfdy) > tau2:
                     return ConditionReport(p, VDOT_ZERO_YDIR_NONZERO, witnesses, taus)
@@ -418,7 +471,7 @@ def check_corollary1_point(F, V, W, region, p):
             _record(witnesses, taus, "dW/dy", wy, tau)
             if abs(wy) <= tau:
                 return ConditionReport(p, FAIL, witnesses, taus, detail="dW/dy vanishes")
-            if float(abs(x).max()) <= ZERO_TOL:
+            if _abs_max(xs) <= ZERO_TOL:
                 witnesses["W"] = wval
                 taus["W"] = tau
                 if wval <= tau:

@@ -856,6 +856,52 @@ points = 99
     assert code == 0
 
 
+INLINE_LIE_FAIL = """
+[experiment]
+kind = check-lie
+[system]
+dim = 2
+f = x1, x2
+g = 1, -1
+[lie]
+V = 0.5*x1^2 + 0.5*x2^2
+[grid]
+points = 5
+"""
+
+
+@pytest.mark.parametrize("quiet", [[], ["--quiet"]])
+def test_check_lie_inline_fail_lines_give_witnesses_and_detail(tmp_path, capsys, quiet):
+    cfg = write(tmp_path / "lie.ini", INLINE_LIE_FAIL)
+    assert main(["check-lie", "--config", cfg, "--out", str(tmp_path)] + quiet) == 1
+    lines = capsys.readouterr().out.splitlines()
+    fails = [line for line in lines if "pointwise=FAIL" in line]
+    assert fails == [
+        "p=(%s)  pointwise=FAIL  {'gV': 0.0, 'fV': %s, 'f^1V': %s}  no clause verified" % (p, v, v)
+        for p, v in (("-2.0, -2.0", 8.0), ("-1.0, -1.0", 2.0), ("1.0, 1.0", 2.0), ("2.0, 2.0", 8.0))
+    ]
+    # a line that is not FAIL keeps its bytes
+    assert ("p=(1.0, 0.0)  pointwise=gV-nonzero" in lines) == (not quiet)
+    assert len(lines) == (5 if quiet else 25) and lines[-1] == "RESULT fail 24 4"
+
+
+def test_check_lie_registry_fail_line_ends_with_the_failing_detail(tmp_path, capsys, monkeypatch):
+    # every point in the second region: on the x1-axis dW/dy vanishes, and only that report fails
+    monkeypatch.setattr(registry.DoubleIntegratorExample, "in_first_region_closure", lambda self, p: False)
+    cfg = write(
+        tmp_path / "lie.ini",
+        "[experiment]\nkind = check-lie\n[system]\nregistry = double-integrator\n[grid]\npoints = 5\n",
+    )
+    assert main(["check-lie", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "RESULT fail 24 4"
+    assert lines[2] == (
+        "p=(1.0, 0.0)  pointwise=odd-bracket-nonzero  integrator=FAIL  "
+        "{'gV': 0.0, 'fV': 0.0, 'f^1V': 0.0, 'f^2V': 0.0, '[f,g]V': -1.0}  dW/dy vanishes"
+    )
+    assert all(line.endswith("  dW/dy vanishes") for line in lines[:-1])
+
+
 @pytest.mark.parametrize("extent, points", [("0", "5"), ("2", "1")])
 def test_check_lie_rejects_a_grid_without_points(tmp_path, capsys, extent, points):
     cfg = write(

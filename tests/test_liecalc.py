@@ -3,13 +3,14 @@
 import hashlib
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from sdstab import liecalc, registry
 from sdstab.exprs import Add, Const, Mul, Var, parse_scalar, coord_names
-from sdstab.jets import coeff
+from sdstab.jets import Jet, coeff
 from sdstab.liecalc import (
     EVEN_BRACKET_NEGATIVE,
     DRIFT_POWER_NEGATIVE,
@@ -341,6 +342,26 @@ class TestPointwiseChecker:
             for name in ["f^%dV" % j] + (["f" * j + "V"] if j < 4 else []):
                 assert (float.hex(rep.witnesses[name]), float.hex(rep.taus[name])) == want, name
 
+    def test_each_bracket_valued_once_at_the_point(self, monkeypatch):
+        # [f,g] is inside [f,g]V, [[f,g],g]V, [[f,g],f]V and more; at the point of one
+        # check its value is formed once, and the next check forms it again
+        f = ExprVectorField.from_text("x2^3, -x1^3", 2)
+        g = ExprVectorField.from_text("0, x1^3", 2)
+        V = ExprScalarField.from_text("0.25*x1^4 + 0.25*x2^4", 2)
+        at_point = []
+        evaluate = BracketField.eval
+
+        def counted(field, coords):
+            if not any(isinstance(c, Jet) for c in coords):
+                at_point.append(repr(field))
+            return evaluate(field, coords)
+
+        monkeypatch.setattr(BracketField, "eval", counted)
+        reports = [check_prop1_point(AffineSystem(f, g), V, [0.0, 1.0], n_max=4) for _ in range(2)]
+        counts = Counter(at_point)
+        assert len(counts) >= 5 and set(counts.values()) == {2}
+        assert reports[0].witnesses == reports[1].witnesses
+
     def test_n_max_validated(self):
         V = ExprScalarField.from_text("0.5*x1^2", 2)
         for n_max in (0, 5, 7):
@@ -429,6 +450,57 @@ class TestIntegratorFormChecker:
     def test_region_name_validated(self):
         with pytest.raises(ValueError):
             check_corollary1_point(self.F, self.V, self.W, "D3", [1.0, 0.0])
+
+    def test_decrease_witness_of_a_signed_zero_product_is_plus_zero(self):
+        # DV·F is -2.0 * 0.0 here; NumPy's dot product, which the check keeps, adds it to +0.0
+        rep = check_corollary1_point(self.F, self.V, self.W, "D1", [-2.0, 0.0])
+        assert rep.classification == VDOT_ZERO_YDIR_NONZERO
+        assert float.hex(rep.witnesses["DV·F"]) == "0x0.0p+0"
+
+
+def array_formula(F, V, p):
+    """(witness, tolerance) of the integrator-form clauses from the gradient walk on unit-row arrays."""
+    n = V.dim
+    ps = [float(c) for c in p]
+    dv = np.empty(n)
+    dv[:] = coeff(liecalc._along(V, ps[:n], np.eye(n)), 1)
+    fxy = np.array(F(p))
+    dfdy = np.array([float(coeff(w, 1)) for w in liecalc._along(F, ps, [0.0] * n + [1.0])])
+    return dv, {
+        name: (float(dv @ u), liecalc.ZERO_TOL * (1.0 + float(abs(dv).max()) + float(abs(u).max())))
+        for name, u in (("DV·F", fxy), ("DV·dF/dy", dfdy))
+    }
+
+
+class TestIntegratorFormOnTwoStates:
+    V = ExprScalarField.from_text("0.5*x1^2 + x1*x2 + x2^2", 2)
+    W = ExprScalarField.from_text("0.5*y^2 + x1*y", 2, with_y=True)
+
+    @pytest.mark.parametrize(
+        "F, p, names",
+        [
+            ("y*(x1 - x2^2), y*sin(x1) + x1*x2*y^2", [0.7, -1.3, 0.4], ["DV·F"]),
+            ("y*(x1 - x2^2), y*sin(x1) + x1*x2*y^2", [-0.3, 1.1, -0.9], ["DV·F"]),
+            # F vanishes at y = 0, so the y-derivative clause decides
+            ("y*(x1 - x2^2), y*sin(x1) + x1*x2*y^2", [0.7, -1.3, 0.0], ["DV·F", "DV·dF/dy"]),
+            # the second entry of F is inf - inf = NaN, after a first entry of -inf
+            ("y*(x1 - x2^2), x2^3 - x2^3", [1.0, 1e200, 0.5], ["DV·F"]),
+            # F vanishes, and the second entry of dF/dy is -inf + inf = NaN after a finite one
+            ("y*x1, 1/y - 1/y", [1.0, 2.0, 1e-300], ["DV·F", "DV·dF/dy"]),
+        ],
+    )
+    def test_float_check_keeps_the_bits_of_the_array_formula(self, F, p, names):
+        F = ExprVectorField.from_text(F, 2, with_y=True)
+        with np.errstate(all="ignore"):
+            rep = check_corollary1_point(F, self.V, self.W, "D1", p)
+            dv, want = array_formula(F, self.V, p)
+            assert list(map(float.hex, gradient(self.V, p[:2]))) == list(map(float.hex, dv.tolist()))
+        assert list(rep.witnesses) == names
+        for name in names:
+            got = (rep.witnesses[name], rep.taus[name])
+            assert tuple(map(float.hex, got)) == tuple(map(float.hex, want[name])), name
+        if any(map(math.isnan, rep.witnesses.values())):
+            assert rep.classification == FAIL and math.isnan(rep.taus[names[-1]])
 
 
 # SHA-256 of every witness, tau, label and n_used of three reports on the 41x41
