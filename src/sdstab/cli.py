@@ -42,7 +42,7 @@ from .sdfctl import (
     certify_decrease,
     run_closed_loop,
 )
-from .sysmodel import AffineSystem, StateLinearSystem, at_origin, origin_value
+from .sysmodel import AffineSystem, StateLinearSystem, at_origin, matrix_from_entries, origin_value
 from .synth import synthesize_gain
 
 EXIT_OK = 0
@@ -137,8 +137,9 @@ def _expr_matrix(cfg, key, dim, cols=None, constant_ok=False):
 
     It has dim rows of ``cols`` entries, or of as many as its first row. Every
     subtree that names no coordinate is evaluated once, here. The matrix is a
-    function of the state; with ``constant_ok``, the matrix itself when no
-    entry names a coordinate.
+    function of the state, made from its float form (the entries, row-major,
+    evaluated on the coordinate list); with ``constant_ok``, the matrix
+    itself when no entry names a coordinate.
     """
     names = coord_names(dim)
 
@@ -152,20 +153,19 @@ def _expr_matrix(cfg, key, dim, cols=None, constant_ok=False):
     if len(rows) != dim or any(len(row) != cols for row in rows):
         raise ConfigError("[system] %s needs %d rows of %d entries, got rows of %s"
                           % (key, dim, cols, ", ".join(str(len(row)) for row in rows)))
-    entries = [[_folded(e, "matrix entry") for e in row] for row in rows]
-    if constant_ok and all(isinstance(e, Const) for row in entries for e in row):
-        return np.array([[e.value for e in row] for row in entries]), cols
+    entries = [_folded(e, "matrix entry") for row in rows for e in row]
+    if constant_ok and all(isinstance(e, Const) for e in entries):
+        return np.array([e.value for e in entries]).reshape(dim, cols), cols
 
     # Python floats, not NumPy scalars: the same IEEE operations give the same
     # bits on both, floats are faster and do not warn on overflow. A division
     # by zero gives inf or NaN, which the system reports as a non-finite
     # matrix that names the state; NumPy's warning would only repeat it
-    def matrix(x):
-        xs = np.asarray(x, dtype=float).tolist()
+    def entries_at(xs):
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.array([[float(e.eval(xs)) for e in row] for row in entries])
+            return [float(e.eval(xs)) for e in entries]
 
-    return matrix, cols
+    return matrix_from_entries(entries_at, (dim, cols)), cols
 
 
 def _build_system(cfg):
@@ -415,10 +415,13 @@ def cmd_check_lie(cfg, out_dir, seed, quiet):
             bad = rp.classification == FAIL or rc.classification == FAIL
             n_fail += 1 if bad else 0
             if not quiet or bad:
+                # a failing integrator-form report adds its witnesses after the pointwise ones
+                witnesses = str(_rounded(rp.witnesses))
+                if rc.classification == FAIL:
+                    witnesses += "  %s" % _rounded(rc.witnesses)
                 print(
                     "p=(%s, %s)  pointwise=%s  integrator=%s  %s%s"
-                    % (_fmt(p[0]), _fmt(p[1]), rp.classification, rc.classification,
-                       _rounded(rp.witnesses), _fail_details(rp, rc))
+                    % (_fmt(p[0]), _fmt(p[1]), rp.classification, rc.classification, witnesses, _fail_details(rp, rc))
                 )
     else:
         sys_obj = _build_system(cfg)

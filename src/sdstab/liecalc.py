@@ -211,14 +211,6 @@ def tree_label(tree):
     return "[%s,%s]" % (tree_label(tree[0]), tree_label(tree[1]))
 
 
-def tree_field(tree, f, g):
-    if tree == GEN_DRIFT:
-        return f
-    if tree == GEN_INPUT:
-        return g
-    return BracketField(tree_field(tree[0], f, g), tree_field(tree[1], f, g))
-
-
 def bracket_monomials(max_order):
     """Canonical bracket monomials of grade <= max_order, excluding the bare input generator.
 

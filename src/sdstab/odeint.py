@@ -18,20 +18,23 @@ and pass the stack of them to :func:`rk4_stack_step`.
 The step loop, :func:`rk4_autonomous_step` and :func:`rk4_stack_step` run
 one step kernel. On Python floats a stage maps a state's coordinates and its
 input term to the list of field values, and the kernel forms the stage states
-x + c*k and the update x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4) coordinate by
-coordinate. Arrays are built only where a product or a record needs one: a
-state-linear stage makes one state array for A(x) and its product, and one
-tolist() (with a callable B, also B(x) and its product); the grid becomes
+x + c*k and the update x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4). The kernel for
+n coordinates is generated once per n from a source template, as
+``collections.namedtuple`` generates its class, and is written out coordinate
+by coordinate: it unpacks the state and each stage into locals and forms
+each coordinate's stage state and update by name, with no comprehension,
+zip or tuple per coordinate. Arrays are built only where a product or a
+record needs one: a state-linear stage fills the arrays it keeps for A(x)
+and the state when A has a float form, and makes a state array otherwise,
+then one product and one tolist() (see
+:meth:`~sdstab.sysmodel.StateLinearSystem._linear_stage`); the grid becomes
 one array at the end, and only a state near the escape threshold makes one
 for x.x. The bits are those of the same expressions on float arrays: NumPy's
 elementwise + and * are single IEEE-754 operations, so the same operations in
 the same order round alike, signed zeros, infinities and NaN included, and 2*k
-is an exact doubling. The float lists pay off on small states only. With the
-field's cost left out, a step on lists took about 70 % of the array step's
-time at n = 1 to 3, the same at n = 5, and 1.1, 1.4 and 2 times as long at
-n = 8, 12 and 20 (one microbenchmark on a shared 2-core x86-64 VM). Every
-registry system, README config and benchmark workload that integrates has
-n <= 3.
+is an exact doubling. On a 2-D state with a trivial stage the written-out
+step took about 0.55 us against 2.3 us for one comprehension per stage (one
+microbenchmark on a shared 2-core x86-64 VM, CPython 3.11).
 
 Products stay in NumPy, because OpenBLAS fuses multiply-adds: with OpenBLAS
 0.3.31 (Haswell kernels) on x86-64, 85,559 of 200,000 seeded 2 x 2
@@ -54,6 +57,7 @@ bits of :func:`rk4_autonomous_step` on that row.
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
 
 import numpy as np
@@ -126,6 +130,7 @@ def integrate(sys, x0, u, window, cfg=IntegrationConfig(), first_stages=None):
     terms = getattr(sys, "input_terms", None) or (lambda U: U)
     blowup = cfg.blowup_norm
     steps = _steps(t1 - t0, cfg.step)
+    rk4_step = _rk4_kernel(x.size)
     w_start = None if record_u else terms(np.zeros((1, sys.dim_input)))[0]
 
     # the grid keeps each state as its list of floats, made into the record's
@@ -164,7 +169,7 @@ def integrate(sys, x0, u, window, cfg=IntegrationConfig(), first_stages=None):
                     w_mid, w_end = next(rows), next(rows)
                 else:
                     w_mid = w_end = w_start
-                xs = _rk4_step(stage, xs, hk, k1, w_mid, w_end)
+                xs = rk4_step(stage, xs, hk, k1, w_mid, w_end)
                 # Escape unless every |x_i| and then the norm are within the
                 # threshold. A state the coordinate test rejects would fail the norm
                 # test too; testing it first keeps x.dot(x) from overflowing. NaN fails
@@ -201,21 +206,48 @@ def rk4_autonomous_step(f, x, h, k1):
     """
     n = len(x)
     stage = lambda ys, _w: _stage_list(f(np.array(ys)), n)  # noqa: E731
-    return np.array(_rk4_step(stage, x.tolist(), h, _stage_list(k1, n), None, None))
+    return np.array(_rk4_kernel(n)(stage, x.tolist(), h, _stage_list(k1, n), None, None))
 
 
-def _rk4_step(stage, xs, h, a, w_mid, w_end):
-    """One classical RK4 step of size h from the state xs, a list of floats, as a list.
-
-    ``a`` is the first stage, at xs; the later stages are stage(y, w_mid), stage(y, w_mid)
-    and stage(y, w_end) at their stage states y, each a list of len(xs) floats.
-    """
+# One RK4 step on n coordinates, written out coordinate by coordinate. Each
+# coordinate runs the expressions x + half*k, x + h*k and
+# x + w*(((p + 2*q) + 2*r) + s), the stage states in full before each stage.
+_KERNEL = """\
+def rk4_step_{n}(stage, xs, h, a, w_mid, w_end):
+    {x}, = xs
+    {a}, = a
     half = h / 2
-    b = stage([x + half * k for x, k in zip(xs, a)], w_mid)
-    c = stage([x + half * k for x, k in zip(xs, b)], w_mid)
-    d = stage([x + h * k for x, k in zip(xs, c)], w_end)
+    {b}, = stage([{xb}], w_mid)
+    {c}, = stage([{xc}], w_mid)
+    {d}, = stage([{xd}], w_end)
     w = h / 6
-    return [x + w * (((p + 2 * q) + 2 * r) + s) for x, p, q, r, s in zip(xs, a, b, c, d)]
+    return [{update}]
+"""
+
+
+@cache
+def _rk4_kernel(n):
+    """The RK4 step on n coordinates: (stage, xs, h, a, w_mid, w_end) -> the next state, a list.
+
+    ``xs`` is the state, a list of n floats (or of one stack, with n = 1),
+    and ``a`` the first stage, at xs; the later stages are stage(y, w_mid),
+    stage(y, w_mid) and stage(y, w_end) at their stage states y, each a list
+    of n values. The step is generated from ``_KERNEL`` once per n, as
+    ``collections.namedtuple`` generates its class.
+    """
+    x, a, b, c, d = (["%s%d" % (k, i) for i in range(n)] for k in "xabcd")
+
+    def stage_states(factor, k):
+        return ", ".join("%s + %s * %s" % (xi, factor, ki) for xi, ki in zip(x, k))
+
+    source = _KERNEL.format(
+        n=n, x=", ".join(x), a=", ".join(a), b=", ".join(b), c=", ".join(c), d=", ".join(d),
+        xb=stage_states("half", a), xc=stage_states("half", b), xd=stage_states("h", c),
+        update=", ".join("%s + w * (((%s + 2 * %s) + 2 * %s) + %s)" % v for v in zip(x, a, b, c, d)),
+    )
+    namespace = {"__name__": __name__}
+    exec(source, namespace)
+    return namespace["rk4_step_%d" % n]
 
 
 def rk4_stack_step(f, X, dt, K1):
@@ -228,7 +260,7 @@ def rk4_stack_step(f, X, dt, K1):
     does. Every stage must have the shape of X.
     """
     stage = lambda ys, _w: [_stage_stack(f(ys[0]), X.shape)]  # noqa: E731
-    return _rk4_step(stage, [X], dt[:, None], [K1], None, None)[0]
+    return _rk4_kernel(1)(stage, [X], dt[:, None], [K1], None, None)[0]
 
 
 def _stage_stack(K, shape):

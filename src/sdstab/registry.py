@@ -12,11 +12,13 @@ Entries:
   boundary, equal quadratic pieces forced apart by distinct offsets.
 
 Both state-linear entries pass their input matrix as a constant, so it is
-never re-evaluated, and their plant and internal-model runs take the
-one-matrix float stage of ``StateLinearSystem``. Their ``A`` stays a function
-of the state, and carries a stacked form ``A.stack(X)``: the (k, n, n) stack
-of ``A`` at the rows of a (k, n) stack of states, with the bits of one call
-per row.
+never re-evaluated. Each defines its ``A`` once, by its float form
+``A.entries(xs)`` (the entries at the coordinate list xs, row-major, as
+Python floats), and makes the function ``A(x)`` from it with
+:func:`~sdstab.sysmodel.matrix_from_entries`; their plant and
+internal-model stages read the entries. ``A`` also carries a stacked form
+``A.stack(X)``: the (k, n, n) stack of ``A`` at the rows of a (k, n) stack
+of states, with the bits of one call per row.
 """
 
 import math
@@ -26,27 +28,27 @@ import numpy as np
 
 from .liecalc import ExprScalarField, ExprVectorField, check_corollary1_point, check_prop1_point
 from .patchwork import ClassK, LyapunovPiece, PatchworkFamily, PatchworkW, Region, build_family
-from .sysmodel import AffineSystem, StateLinearSystem
+from .sysmodel import AffineSystem, StateLinearSystem, matrix_from_entries
 
 
 def scalar_unstable():
-    def A(x):
-        return np.array([[1.0]])
-
+    A = matrix_from_entries(lambda xs: [1.0], (1, 1))
     A.stack = lambda X: np.ones((len(X), 1, 1))
     return StateLinearSystem(A, np.array([[1.0]]), 1, 1)
 
 
 def statedep_2d():
-    # On Python floats, in one flat list: the bits of NumPy's sin and ** and of
-    # nested rows, in less time. Where floats raise (|x2| > 1.3e154 overflows,
-    # sin(inf)) NumPy gives inf or NaN, kept for state_matrix to refuse.
-    def A(x):
-        x1, x2 = x.tolist()
+    # On Python floats: the bits of NumPy's sin and ** in less time. Where
+    # floats raise (|x2| > 1.3e154 overflows, sin(inf)) NumPy gives inf or NaN,
+    # kept for state_matrix to refuse.
+    def entries(xs):
+        x1, x2 = xs
         try:
-            return np.array([0.0, 1.0, math.sin(x1), x2 ** 2]).reshape(2, 2)
+            return [0.0, 1.0, math.sin(x1), x2 ** 2]
         except (OverflowError, ValueError):
-            return np.array([[0.0, 1.0], [np.sin(x[0]), x[1] ** 2]])
+            return [0.0, 1.0, float(np.sin(x1)), float(np.float64(x2) ** 2)]
+
+    A = matrix_from_entries(entries, (2, 2))
 
     # The same floats for a (k, 2) stack, column by column; where they raise,
     # the rows go through A one at a time. x2 * x2 would differ from x2 ** 2

@@ -93,6 +93,24 @@ def _all_finite(M):
     return math.isfinite(sum(v)) or all(map(math.isfinite, v))
 
 
+def matrix_from_entries(entries, shape):
+    """The matrix function of a float form: x -> entries(xs) as a float array of ``shape``.
+
+    ``entries`` maps the coordinate list xs of a state to the matrix's
+    entries, row-major, as Python floats; the function carries it as its
+    ``entries``, which :meth:`StateLinearSystem._linear_stage` reads. A list
+    of another length is returned flat, for :func:`_matrix_at` to refuse.
+    """
+    size = shape[0] * shape[1]
+
+    def matrix(x):
+        M = np.array(entries(np.asarray(x, dtype=float).tolist()), dtype=float)
+        return M.reshape(shape) if M.size == size else M
+
+    matrix.entries = entries
+    return matrix
+
+
 def _matrix_at(matrix, X, what, shape):
     """matrix(x) at the state X, or stacked at the rows of a (k, n) stack X (by ``matrix.stack`` if
     it has one), as floats. Raises ValueError unless each has ``shape``, and NonFiniteMatrixError,
@@ -226,13 +244,18 @@ class StateLinearSystem:
     at the origin, where a non-finite matrix is a ValueError; elsewhere it is
     a :class:`~sdstab.errors.NonFiniteMatrixError`, a numerical failure that
     names the state. ``A`` is looked up on every call, so it may be replaced.
-    A matrix function may carry a stacked form, ``A.stack(X)``: the
-    (k, n, n) stack of ``A`` at the rows of a (k, n) stack of states, with
-    the bits of one call per row; a replacement without one is called row
-    by row. Products go through :func:`product`, so they have the bits of
-    ``@``. :meth:`_linear_stage` builds every stage, the plant's
-    ``stage(ys, w)`` (w a row of :meth:`input_terms`), which :meth:`rhs`
-    wraps in one array, and the frozen-gain field's.
+    A matrix function may carry a float form, ``A.entries(xs)``: the n*n
+    entries of ``A`` at the coordinate list xs, row-major, as Python floats
+    with the bits of ``A(x)`` (see :func:`matrix_from_entries`). With a
+    constant B the stages read it in place of ``A``; a replacement without
+    one, such as a counting wrapper, is called once per stage. A matrix
+    function may also carry a stacked form, ``A.stack(X)``: the (k, n, n)
+    stack of ``A`` at the rows of a (k, n) stack of states, with the bits of
+    one call per row; a replacement without one is called row by row.
+    Products go through :func:`product`, so they have the bits of ``@``.
+    :meth:`_linear_stage` builds every stage, the plant's ``stage(ys, w)``
+    (w a row of :meth:`input_terms`), which :meth:`rhs` wraps in one array,
+    and the frozen-gain field's.
     """
 
     def __init__(self, A, B, dim_state, dim_input):
@@ -281,28 +304,48 @@ class StateLinearSystem:
         """The stage (ys, w) -> A(x) x + B(x) u, or with a gain F, (ys, w) -> (A(x) + B(x) F) x, as floats.
 
         w is a row of :meth:`input_terms`: B u with a constant B, whose B F
-        is formed here, once; u with a callable B, read at x. A non-finite
-        entry of A(x) makes its row of the product inf or NaN (inf * 0 is
-        NaN), so only an A(x) of the wrong shape or a product that is not
-        finite calls :meth:`state_matrix`, which raises; a finite A(x) whose
-        product overflows escapes.
+        is formed here, once; u with a callable B, read at x. With a constant
+        B and an ``A`` that has a float form, ``A.entries(ys)`` fills one
+        n x n array kept for the stage (plus B F on floats, entry by entry,
+        for the field) and ys one state array; otherwise the stage makes the
+        state array and calls ``A``. A non-finite entry of A(x) makes its row
+        of the product inf or NaN (inf * 0 is NaN), so only an A(x) of the
+        wrong shape or a product that is not finite calls
+        :meth:`state_matrix`, which raises; a finite A(x) whose product
+        overflows escapes. The kept arrays are the stage's own: one stage
+        must not run in two threads at once.
         """
         n, m, times_x, times_u = self.dim_state, self.dim_input, self._times_x, self._times_u
         B, closed = self.B, F is not None
         BF = times_u(B, F) if closed and self.constant_B else None
         B_at = None if self.constant_B else lambda x: _matrix_at(B, x, "input matrix B", (n, m))
+        bf = None if BF is None else BF.ravel().tolist()
+        M_kept, x_kept = np.empty((n, n)), np.empty(n)
+        M_entries = M_kept.reshape(n * n)  # a view: filling it fills M_kept
 
         def stage(ys, w):
-            x = np.array(ys)
-            M = np.asarray(self.A(x), dtype=float)
-            if M.shape != (n, n):
-                M = self.state_matrix(x)
-            if B_at is not None:
-                if closed:
-                    M = M + times_u(B_at(x), F)
-                else:
-                    w = times_u(B_at(x), w).tolist()
-            k = times_x(M if BF is None else M + BF, x).tolist()
+            entries = None if B_at is not None else getattr(self.A, "entries", None)
+            if entries is not None:
+                e = entries(ys)
+                if len(e) != n * n:
+                    raise ValueError("the state matrix A(x) must be %d x %d, got %d entries" % (n, n, len(e)))
+                M_entries[:] = e if bf is None else [p + q for p, q in zip(e, bf)]
+                x = x_kept
+                x[:] = ys
+                M = M_kept
+            else:
+                x = np.array(ys)
+                M = np.asarray(self.A(x), dtype=float)
+                if M.shape != (n, n):
+                    M = self.state_matrix(x)
+                if B_at is not None:
+                    if closed:
+                        M = M + times_u(B_at(x), F)
+                    else:
+                        w = times_u(B_at(x), w).tolist()
+                elif BF is not None:
+                    M = M + BF
+            k = times_x(M, x).tolist()
             if not (math.isfinite(sum(k)) or all(map(math.isfinite, k))):
                 self.state_matrix(x)
             return k if closed else [p + q for p, q in zip(k, w)]

@@ -886,7 +886,8 @@ def test_check_lie_inline_fail_lines_give_witnesses_and_detail(tmp_path, capsys,
 
 
 def test_check_lie_registry_fail_line_ends_with_the_failing_detail(tmp_path, capsys, monkeypatch):
-    # every point in the second region: on the x1-axis dW/dy vanishes, and only that report fails
+    # every point in the second region: on the x1-axis dW/dy vanishes, and only that report fails;
+    # its line gives that report's witnesses after the pointwise ones
     monkeypatch.setattr(registry.DoubleIntegratorExample, "in_first_region_closure", lambda self, p: False)
     cfg = write(
         tmp_path / "lie.ini",
@@ -897,9 +898,14 @@ def test_check_lie_registry_fail_line_ends_with_the_failing_detail(tmp_path, cap
     assert lines[-1] == "RESULT fail 24 4"
     assert lines[2] == (
         "p=(1.0, 0.0)  pointwise=odd-bracket-nonzero  integrator=FAIL  "
-        "{'gV': 0.0, 'fV': 0.0, 'f^1V': 0.0, 'f^2V': 0.0, '[f,g]V': -1.0}  dW/dy vanishes"
+        "{'gV': 0.0, 'fV': 0.0, 'f^1V': 0.0, 'f^2V': 0.0, '[f,g]V': -1.0}  {'dW/dy': 0.0}  dW/dy vanishes"
     )
-    assert all(line.endswith("  dW/dy vanishes") for line in lines[:-1])
+    assert all(line.endswith("  {'dW/dy': 0.0}  dW/dy vanishes") for line in lines[:-1])
+    # a line that is not FAIL keeps its bytes
+    assert main(["check-lie", "--config", cfg, "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "p=(1.0, 1.0)  pointwise=gV-nonzero  integrator=dWdy-nonzero  {'gV': 1.0}" in lines
+    assert len(lines) == 25 and sum("integrator=FAIL" in line for line in lines) == 4
 
 
 @pytest.mark.parametrize("extent, points", [("0", "5"), ("2", "1")])

@@ -31,7 +31,6 @@ from sdstab.liecalc import (
     check_corollary1_point,
     check_prop1_point,
     gradient,
-    tree_field,
     tree_label,
 )
 from sdstab.sysmodel import AffineSystem
@@ -77,12 +76,17 @@ class TestBrackets:
         f = ExprVectorField.from_text("x2, 0", 2)
         g = ExprVectorField.from_text("0, 1", 2)
         np.testing.assert_allclose(BracketField(f, g)([1.3, -2.2]), [-1.0, 0.0], atol=1e-14)
+        # the tree [[f,g],g]: [f,g] is constant, so its bracket with g vanishes
+        for x in ([0.5, 1.0], [-1.0, 2.0]):
+            np.testing.assert_allclose(BracketField(BracketField(f, g), g)(x), [0.0, 0.0], atol=1e-14)
 
     def test_shear_pair(self):
         X = ExprVectorField.from_text("x1^2, 0", 2)
         Y = ExprVectorField.from_text("0, x1", 2)
         x = [0.7, -0.3]
         np.testing.assert_allclose(BracketField(X, Y)(x), [0.0, 0.49], atol=1e-14)
+        # the tree [X,[X,Y]] = (0, 2 x1^3)
+        np.testing.assert_allclose(BracketField(X, BracketField(X, Y))(x), [0.0, 0.686], atol=1e-14)
 
     def test_rotation_dilation(self):
         X = ExprVectorField.from_text("x2, -x1", 2)
@@ -207,14 +211,6 @@ class TestBracketTrees:
         assert "g" not in labels
         assert "[f,[f,g]]" in labels or "[[f,g],f]" in labels
         assert all(bracket_order(t) <= 3 for t in bracket_monomials(3))
-
-    def test_tree_field_matches_direct_bracket(self):
-        f = ExprVectorField.from_text("x2, 0", 2)
-        g = ExprVectorField.from_text("0, 1", 2)
-        built = tree_field((("f", "g"), "g"), f, g)
-        direct = BracketField(BracketField(f, g), g)
-        for x in ([0.5, 1.0], [-1.0, 2.0]):
-            np.testing.assert_allclose(built(x), direct(x), atol=1e-14)
 
 
 def integrator_system():

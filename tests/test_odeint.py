@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from sdstab.errors import NonFiniteMatrixError
-from sdstab.odeint import BLOCK_STEPS, IntegrationConfig, integrate, max_excursion, rk4_autonomous_step, rk4_stack_step
+from sdstab.odeint import (
+    BLOCK_STEPS,
+    IntegrationConfig,
+    _rk4_kernel,
+    integrate,
+    max_excursion,
+    rk4_autonomous_step,
+    rk4_stack_step,
+)
 from sdstab.sysmodel import ControlSignal, GeneralSystem, StateLinearSystem
 
 
@@ -325,6 +333,67 @@ def test_stack_step_keeps_the_bits_of_one_step_per_row(n):
         assert hexes(got) == hexes(want), (n, case)
         # the stack takes each stage for all rows before the next stage
         assert sorted(ours.log) == sorted(theirs.log), (n, case)
+
+
+def comprehension_step(stage, xs, h, a, w_mid, w_end):
+    """The RK4 step as one comprehension per stage over the coordinates: the kernel's reference."""
+    half = h / 2
+    b = stage([x + half * k for x, k in zip(xs, a)], w_mid)
+    c = stage([x + half * k for x, k in zip(xs, b)], w_mid)
+    d = stage([x + h * k for x, k in zip(xs, c)], w_end)
+    w = h / 6
+    return [x + w * (((p + 2 * q) + 2 * r) + s) for x, p, q, r, s in zip(xs, a, b, c, d)]
+
+
+def float_stage(field):
+    """The stage (ys, w) -> field values at ys under the input w, as floats, logged by the field."""
+    return lambda ys, w: field.rhs(np.array(ys), np.array([w])).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_kernel_keeps_the_bits_of_the_comprehension_step(n):
+    rng = np.random.default_rng(900 + n)
+    kernel = _rk4_kernel(n)
+    assert _rk4_kernel(n) is kernel
+    # each coordinate NaN, +-inf or -0.0 in turn, then seeded draws, half of them
+    # with special values mixed in and half without, where rounding decides the bits
+    edges = []
+    for v in (np.nan, np.inf, -np.inf, -0.0):
+        for i in range(n):
+            edges.append(np.full(n, 0.5))
+            edges[-1][i] = v
+    for case in range(100):
+        draw = special_vector if case % 2 else (lambda rng, n: rng.normal(size=n))
+        x = edges[case] if case < len(edges) else draw(rng, n)
+        k1 = edges[-1 - case] if case < len(edges) else draw(rng, n)
+        h = (1e-3, 0.37, 2.0, 1e-310, 0.05)[case % 5]
+        w_mid, w_end = (0.5, -0.0) if case % 2 else (np.inf, 0.25)
+        scale = (1.0, 1e-300, 1e160, -2.0)[case % 4]
+        ours, theirs = LoggedField(np.random.default_rng(case), n, scale), LoggedField(np.random.default_rng(case), n, scale)
+        with np.errstate(all="ignore"):
+            got = kernel(float_stage(ours), x.tolist(), h, k1.tolist(), w_mid, w_end)
+            want = comprehension_step(float_stage(theirs), x.tolist(), h, k1.tolist(), w_mid, w_end)
+        assert hexes(got) == hexes(want), (n, case)
+        assert ours.log == theirs.log, (n, case)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_stack_step_keeps_the_bits_of_the_comprehension_step(n):
+    # a (k, n) stack as the one coordinate, with a column of step sizes
+    rng = np.random.default_rng(950 + n)
+    for case in range(20):
+        k = int(rng.integers(1, 30))
+        X = np.array([special_vector(rng, n) for _ in range(k)])
+        K1 = np.array([special_vector(rng, n) for _ in range(k)])
+        X[0, 0], K1[-1, -1] = np.nan, -0.0
+        dt = rng.choice([1e-3, 0.37, 2.0, 1e-310, 0.05, -0.0], k)
+        field = LoggedField(np.random.default_rng(case), n, (1.0, 1e-300, 1e160, -2.0)[case % 4])
+        f = lambda Y: np.array([field.field(y) for y in Y])  # noqa: E731
+        with np.errstate(all="ignore"):
+            got = rk4_stack_step(f, X, dt, K1)
+            want = comprehension_step(lambda ys, _w: [f(ys[0])], [X], dt[:, None], [K1], None, None)[0]
+        assert got.shape == (k, n)
+        assert hexes(got) == hexes(want), (n, case)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

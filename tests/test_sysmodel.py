@@ -6,6 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from sdstab import registry
+from sdstab.cli import Config, _build_system
 from sdstab.errors import NonFiniteMatrixError, NumericalFailure
 from sdstab.liecalc import ExprVectorField
 from sdstab.odeint import IntegrationConfig, integrate
@@ -18,6 +20,7 @@ from sdstab.sysmodel import (
     _all_finite,
     constant_signal,
     at_origin,
+    matrix_from_entries,
     origin_value,
     product,
     rows_product,
@@ -500,6 +503,113 @@ def test_stacked_closed_loop_field_checks_finiteness(callable_B, which):
     assert field(np.array([[0.5, 0.0], [1.0, 1.0]])).shape == (2, 2)
     with pytest.raises(NonFiniteMatrixError, match="system matrices must be finite at finite states"):
         field(np.array([[0.5, 0.0], [2.0, 1.0], [0.1, 0.0]]))
+
+
+# -- stages on the float form of A ----------------------------------------------------
+
+INLINE_A = """
+[system]
+dim = 2
+A = 0, 1; sin(x1) + 1/(x1 - 2), x2^2
+B = 0; 1
+"""
+
+
+def build_statedep(tmp_path):
+    return registry.statedep_2d()
+
+
+def build_inline(tmp_path):
+    path = tmp_path / "a.ini"
+    path.write_text(INLINE_A)
+    return _build_system(Config.load(str(path)))
+
+
+def stage_outcome(stage, ys, w):
+    """The bits of a stage's values, or the error it raised."""
+    try:
+        return [float.hex(v) for v in stage(ys, w)]
+    except (ValueError, NumericalFailure) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+# x2 ** 2 overflows beyond 1.3e154 and x1 = 2 divides by zero in the inline A;
+# a finite A(x) whose product overflows escapes
+FLOAT_FORM_EDGES = [0.0, -0.0, 2.0, 1e100, 1.3e154, -1.35e154, 1e200, np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("build", [build_statedep, build_inline], ids=["statedep-2d", "inline"])
+def test_float_form_stage_keeps_the_bits_of_the_array_stage(tmp_path, build):
+    fast, slow = build(tmp_path), build(tmp_path)
+    assert callable(fast.A.entries)
+    A = slow.A
+    slow.A = lambda x: A(x)  # no float form: the array path
+    F = np.array([[-1.5, -2.25]])
+    fast_field, slow_field = fast.closed_loop_field(F).stage, slow.closed_loop_field(F).stage
+    rng = np.random.default_rng(35)
+    states = rng.uniform(-3.0, 3.0, (300, 2)).tolist()
+    states += (rng.normal(size=(300, 2)) * 10.0 ** rng.integers(-5, 160, (300, 2))).tolist()
+    states += [[a, b] for a in FLOAT_FORM_EDGES for b in FLOAT_FORM_EDGES]
+    seen = set()
+    with np.errstate(all="ignore"):
+        for ys in states:
+            for u in (0.7, -0.0):
+                w = fast.input_terms(np.array([[u]]))[0]
+                got = stage_outcome(fast.stage, ys, w)
+                assert got == stage_outcome(slow.stage, ys, w), ys
+                seen.add(got[:26] if isinstance(got, str) else "inf" in str(got))
+            got = stage_outcome(fast_field, ys, None)
+            assert got == stage_outcome(slow_field, ys, None), ys
+    # finite values, overflowed products and matrices refused as not finite all occur
+    # (the inline sin(x1) on floats also raises at x1 = +-inf, on both paths)
+    assert {False, True, "NonFiniteMatrixError: syst"} <= seen
+
+
+def test_float_form_stage_does_not_call_A():
+    system = registry.statedep_2d()
+    entries = system.A.entries
+
+    def A(x):
+        raise AssertionError("A(x) called where its float form serves")
+
+    A.entries = entries
+    system.A = A
+    traj = integrate(system, [2.0, -1.0], constant_signal(0.5, [0.3]), (0.0, 0.5), IntegrationConfig(step=0.01))
+    assert len(traj) == 51 and not traj.escaped
+    system.closed_loop_field(np.array([[-1.0, -2.0]]))(np.array([0.5, 0.5]))
+
+
+def test_a_float_form_of_the_wrong_length_raises():
+    # 2 x 2 at the origin, three entries elsewhere
+    A = matrix_from_entries(lambda xs: [1.0, 0.0, 0.0, 1.0] if not any(xs) else [1.0, 0.0, 0.0], (2, 2))
+    system = StateLinearSystem(A, np.array([[0.0], [1.0]]), 2, 1)
+    field = system.closed_loop_field(np.array([[-1.0, -1.0]]))
+    checks = [
+        lambda: integrate(system, [0.5, 0.5], None, (0.0, 1.0), IntegrationConfig(step=0.25)),
+        lambda: system.rhs(np.array([0.5, 0.5]), np.zeros(1)),
+        lambda: field(np.array([0.5, 0.5])),
+        lambda: system.state_matrix([0.5, 0.5]),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match=r"the state matrix A\(x\) must be 2 x 2"):
+            check()
+
+
+def test_a_non_finite_float_form_names_the_state():
+    # finite at the origin; at x1 = 10 the entry x1 * 1e308 overflows to inf
+    A = matrix_from_entries(lambda xs: [xs[0] * 1e308, 0.0, 0.0, -1.0], (2, 2))
+    system = StateLinearSystem(A, np.array([[0.0], [1.0]]), 2, 1)
+    field = system.closed_loop_field(np.array([[-1.0, -1.0]]))
+    checks = [
+        lambda: system.rhs(np.array([10.0, 0.5]), np.zeros(1)),
+        lambda: field(np.array([10.0, 0.5])),
+        lambda: integrate(system, [10.0, 0.5], None, (0.0, 1.0), IntegrationConfig(step=0.25)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check in checks:
+            with pytest.raises(NonFiniteMatrixError, match=r"A\(x\) is not finite at x = \[10\.0, 0\.5\]"):
+                check()
 
 
 class TestVectorizedSignal:
