@@ -35,7 +35,6 @@ from .odeint import IntegrationConfig, integrate, max_excursion
 from .sysmodel import (
     AffineSystem,
     ControlSignal,
-    GeneralSystem,
     StateLinearSystem,
     Trajectory,
     state_vector,
@@ -58,7 +57,6 @@ __all__ = [
     "ControlSignal",
     "ControllerError",
     "GainSynthesisResult",
-    "GeneralSystem",
     "IntegrationConfig",
     "NoCertifiedStepError",
     "NonFiniteMatrixError",

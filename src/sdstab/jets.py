@@ -15,7 +15,8 @@ Integer powers are repeated products on every ring, so a polynomial gives
 the same bits on an array as element by element; so does ``exp``, which is
 NumPy's on scalars too (past the float range a scalar raises
 ``OverflowError``, as :func:`math.exp` does). ``sin`` and ``cos`` use
-:mod:`math` on scalars and NumPy on arrays. Coefficient 0 of every
+:mod:`math` on scalars, where ±inf gives NaN, as NumPy does, without a
+warning, and NumPy on arrays. Coefficient 0 of every
 operation is the plain operation on coefficients 0, so coefficient 0 of a
 jet evaluation is the plain evaluation, bit for bit.
 
@@ -63,10 +64,6 @@ class Jet:
         self.coeffs = tuple(coeffs)
         if not self.coeffs:
             raise ValueError("jet needs at least one coefficient")
-
-    @property
-    def order(self):
-        return len(self.coeffs) - 1
 
     def __repr__(self):
         return "Jet(%s)" % (list(self.coeffs),)
@@ -195,13 +192,23 @@ def _sincos(u):
 
 def jsin(u):
     if not isinstance(u, Jet):
-        return np.sin(u) if isinstance(u, np.ndarray) else math.sin(u)
+        if isinstance(u, np.ndarray):
+            return np.sin(u)
+        try:
+            return math.sin(u)
+        except ValueError:  # +-inf: NumPy's NaN, without its warning
+            return math.nan
     return _sincos(u)[0]
 
 
 def jcos(u):
     if not isinstance(u, Jet):
-        return np.cos(u) if isinstance(u, np.ndarray) else math.cos(u)
+        if isinstance(u, np.ndarray):
+            return np.cos(u)
+        try:
+            return math.cos(u)
+        except ValueError:  # +-inf: NumPy's NaN, without its warning
+            return math.nan
     return _sincos(u)[1]
 
 

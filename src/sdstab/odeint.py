@@ -25,8 +25,7 @@ by coordinate: it unpacks the state and each stage into locals and forms
 each coordinate's stage state and update by name, with no comprehension,
 zip or tuple per coordinate. Arrays are built only where a product or a
 record needs one: a state-linear stage fills the arrays it keeps for A(x)
-and the state when A has a float form, and makes a state array otherwise,
-then one product and one tolist() (see
+and the state, then runs one product and one tolist() (see
 :meth:`~sdstab.sysmodel.StateLinearSystem._linear_stage`); the grid becomes
 one array at the end, and only a state near the escape threshold makes one
 for x.x. The bits are those of the same expressions on float arrays: NumPy's
@@ -37,14 +36,15 @@ step took about 0.55 us against 2.3 us for one comprehension per stage (one
 microbenchmark on a shared 2-core x86-64 VM, CPython 3.11).
 
 Products stay in NumPy, because OpenBLAS fuses multiply-adds: with OpenBLAS
-0.3.31 (Haswell kernels) on x86-64, 85,559 of 200,000 seeded 2 x 2
-matrix-vector products and 31,700 of 200,000 2-D dot products differ in the
-last bit from the plain Python sums. They go through ``ndarray.dot`` where it
-calls the BLAS routine ``@`` calls (gemv, or ddot for a single row): the
-same bits with half the dispatch. That is every product with an inner
-dimension of two or more (see :func:`sdstab.sysmodel.product`), and the
-escape test's x.x at any dimension, since a sum of squares has no negative
-product to round. A product with one inner coordinate, such as B F with one
+0.3.31 on x86-64, 85,559 of 200,000 seeded 2 x 2 matrix-vector products and
+31,700 of 200,000 2-D dot products differ in the last bit from the plain
+Python sums. Which products round so follows the OpenBLAS kernel picked for
+the CPU when the library loads, so the bits of a run do too. They go through
+``ndarray.dot`` where it calls the BLAS routine ``@`` calls (gemv, or ddot
+for a single row): the same bits with half the dispatch. That is every
+product with an inner dimension of two or more (see
+:func:`sdstab.sysmodel.product`), and the escape test's x.x at any
+dimension, since a sum of squares has no negative product to round. A product with one inner coordinate, such as B F with one
 input, stays on ``@``: there dot multiplies through BLAS axpy or ger, and a
 negative product that underflows comes out -0.0 where ``@`` gives +0.0. A
 constant B's terms B u are formed for a whole block of inputs by one

@@ -219,9 +219,6 @@ class GainSynthesisResult:
     abscissa: float
     riccati: np.ndarray
 
-    def closed_loop(self, A, B):
-        return np.asarray(A, float) + np.asarray(B, float) @ self.gain
-
 
 def synthesize_gain(A, B):
     """LQR-style stabilizing gain for the pair (A, B); detects unstabilizability.

@@ -19,6 +19,7 @@ system's matrix functions, at a state or at each row of a stack.
 
 import math
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -83,14 +84,18 @@ def product(inner):
     return np.ndarray.dot if inner > 1 else np.matmul
 
 
-def _all_finite(M):
-    """np.isfinite(M).all() for a float array; faster at the small sizes used here.
+def _finite(v):
+    """Whether every float of the list v is finite; faster than np.isfinite at the small sizes used here.
 
     A non-finite entry makes the sum inf or NaN, so a finite sum decides at
     once; a sum that overflows from finite entries falls back to the entries.
     """
-    v = M.ravel().tolist()
     return math.isfinite(sum(v)) or all(map(math.isfinite, v))
+
+
+def _all_finite(M):
+    """np.isfinite(M).all() for a float array, by :func:`_finite` on its entries."""
+    return _finite(M.ravel().tolist())
 
 
 def matrix_from_entries(entries, shape):
@@ -196,20 +201,6 @@ def zero_signal(horizon, dim_input):
     return constant_signal(horizon, np.zeros(dim_input))
 
 
-class GeneralSystem:
-    """A hand-written field dx/dt = rhs(x, u) with rhs(0, 0) = 0."""
-
-    def __init__(self, dim_state, dim_input, rhs):
-        self.dim_state = int(dim_state)
-        self.dim_input = int(dim_input)
-        self._rhs = rhs
-        if not at_origin(origin_value(self.rhs, self.dim_state, np.zeros(self.dim_input))):
-            raise ValueError("rhs(0, 0) must vanish (origin is the target equilibrium)")
-
-    def rhs(self, x, u):
-        return _vector(self._rhs(x, u))
-
-
 class AffineSystem:
     """Single-input affine dynamics dx/dt = drift(x) + u * input_field(x).
 
@@ -246,24 +237,22 @@ class StateLinearSystem:
     names the state. ``A`` is looked up on every call, so it may be replaced.
     A matrix function may carry a float form, ``A.entries(xs)``: the n*n
     entries of ``A`` at the coordinate list xs, row-major, as Python floats
-    with the bits of ``A(x)`` (see :func:`matrix_from_entries`). With a
-    constant B the stages read it in place of ``A``; a replacement without
-    one, such as a counting wrapper, is called once per stage. A matrix
-    function may also carry a stacked form, ``A.stack(X)``: the (k, n, n)
-    stack of ``A`` at the rows of a (k, n) stack of states, with the bits of
-    one call per row; a replacement without one is called row by row.
-    Products go through :func:`product`, so they have the bits of ``@``.
-    :meth:`_linear_stage` builds every stage, the plant's ``stage(ys, w)``
-    (w a row of :meth:`input_terms`), which :meth:`rhs` wraps in one array,
-    and the frozen-gain field's.
+    with the bits of ``A(x)`` (see :func:`matrix_from_entries`). A stage
+    reads it in place of ``A``; an ``A`` without one, such as a counting
+    wrapper, is called once per stage. A matrix function may also carry a
+    stacked form, ``A.stack(X)``: the (k, n, n) stack of ``A`` at the rows of
+    a (k, n) stack of states, with the bits of one call per row; a
+    replacement without one is called row by row. Products go through
+    :func:`product`, so they have the bits of ``@``. :meth:`_linear_stage`
+    builds every stage, the plant's ``stage(ys, w)`` (w a row of
+    :meth:`input_terms`), which :meth:`rhs` wraps in one array, and the
+    frozen-gain field's.
     """
 
     def __init__(self, A, B, dim_state, dim_input):
         self.A = A
         self.dim_state = n = int(dim_state)
         self.dim_input = m = int(dim_input)
-        self._times_x = product(n)
-        self._times_u = product(m)
         self.constant_B = not callable(B)
         if self.constant_B:
             B = np.array(B, dtype=float)
@@ -275,7 +264,7 @@ class StateLinearSystem:
             _matrix_at((lambda _x: B) if self.constant_B else B, origin, "input matrix B", (n, m))
         except NonFiniteMatrixError:
             raise ValueError("system matrices must be finite at the origin") from None
-        self.stage = self._linear_stage(None)
+        self.stage, _ = self._linear_stage(None)
 
     def state_matrix(self, x):
         """A(x) as a float array, read by :func:`_matrix_at`."""
@@ -303,54 +292,55 @@ class StateLinearSystem:
     def _linear_stage(self, F):
         """The stage (ys, w) -> A(x) x + B(x) u, or with a gain F, (ys, w) -> (A(x) + B(x) F) x, as floats.
 
-        w is a row of :meth:`input_terms`: B u with a constant B, whose B F
-        is formed here, once; u with a callable B, read at x. With a constant
-        B and an ``A`` that has a float form, ``A.entries(ys)`` fills one
-        n x n array kept for the stage (plus B F on floats, entry by entry,
-        for the field) and ys one state array; otherwise the stage makes the
-        state array and calls ``A``. A non-finite entry of A(x) makes its row
-        of the product inf or NaN (inf * 0 is NaN), so only an A(x) of the
-        wrong shape or a product that is not finite calls
-        :meth:`state_matrix`, which raises; a finite A(x) whose product
-        overflows escapes. The kept arrays are the stage's own: one stage
-        must not run in two threads at once.
+        Returns the stage and the constant B's B F (None without F or with a
+        callable B), formed here, once. w is a row of :meth:`input_terms`: B u
+        with a constant B; u with a callable B, which the stage reads at x and
+        turns into B(x) u, or for the field into B(x) F. Every stage fills one
+        state array and one n x n array kept for the stage: the state from ys,
+        the matrix from ``A.entries(ys)`` when ``A`` has a float form (a list
+        of another length than n*n is a ValueError) and else from ``A(x)``
+        (checked to be n x n), plus B F entry by entry, on floats, for the
+        field. ``A`` gets the kept state array, so it must not keep it, or a
+        view of it, beyond its call: the next stage refills it. Then one
+        product and one finiteness test: a non-finite entry of A(x) makes its
+        row of the product inf or NaN (inf * 0 is NaN), so only an A(x) of the
+        wrong shape or a product that is not finite calls :meth:`state_matrix`,
+        which raises; a finite A(x) whose product overflows escapes. The kept
+        arrays are the stage's own: one stage must not run in two threads at
+        once.
         """
-        n, m, times_x, times_u = self.dim_state, self.dim_input, self._times_x, self._times_u
-        B, closed = self.B, F is not None
+        n, m, nn, closed = self.dim_state, self.dim_input, self.dim_state ** 2, F is not None
+        times_x, times_u, B = product(n), product(m), self.B
         BF = times_u(B, F) if closed and self.constant_B else None
         B_at = None if self.constant_B else lambda x: _matrix_at(B, x, "input matrix B", (n, m))
         bf = None if BF is None else BF.ravel().tolist()
-        M_kept, x_kept = np.empty((n, n)), np.empty(n)
-        M_entries = M_kept.reshape(n * n)  # a view: filling it fills M_kept
+        M, x = np.empty((n, n)), np.empty(n)
+        M_entries = M.reshape(nn)  # a view: filling it fills M
 
         def stage(ys, w):
-            entries = None if B_at is not None else getattr(self.A, "entries", None)
+            A = self.A
+            entries = getattr(A, "entries", None)
+            x[:] = ys
             if entries is not None:
                 e = entries(ys)
-                if len(e) != n * n:
+                if len(e) != nn:
                     raise ValueError("the state matrix A(x) must be %d x %d, got %d entries" % (n, n, len(e)))
-                M_entries[:] = e if bf is None else [p + q for p, q in zip(e, bf)]
-                x = x_kept
-                x[:] = ys
-                M = M_kept
             else:
-                x = np.array(ys)
-                M = np.asarray(self.A(x), dtype=float)
-                if M.shape != (n, n):
-                    M = self.state_matrix(x)
-                if B_at is not None:
-                    if closed:
-                        M = M + times_u(B_at(x), F)
-                    else:
-                        w = times_u(B_at(x), w).tolist()
-                elif BF is not None:
-                    M = M + BF
+                A_x = np.asarray(A(x), dtype=float)
+                e = (A_x if A_x.shape == (n, n) else self.state_matrix(x)).ravel().tolist()
+            if B_at is None:
+                f = bf
+            elif closed:
+                f = times_u(B_at(x), F).ravel().tolist()
+            else:
+                f, w = None, times_u(B_at(x), w).tolist()
+            M_entries[:] = e if f is None else list(map(add, e, f))
             k = times_x(M, x).tolist()
-            if not (math.isfinite(sum(k)) or all(map(math.isfinite, k))):
+            if not _finite(k):
                 self.state_matrix(x)
-            return k if closed else [p + q for p, q in zip(k, w)]
+            return k if closed else list(map(add, k, w))
 
-        return stage
+        return stage, BF
 
     def closed_loop_field(self, F):
         """The frozen-gain field x -> (A(x) + B(x) F) x: its ``stage`` in one array.
@@ -363,9 +353,8 @@ class StateLinearSystem:
         a system without inputs for :func:`~sdstab.odeint.integrate`.
         """
         n, m = self.dim_state, self.dim_input
-        stage = self._linear_stage(F)
         # B F is the same product at every x when B is constant, so the stack keeps the stage's bits
-        BF = self._times_u(self.B, F) if self.constant_B else None
+        stage, BF = self._linear_stage(F)
 
         def field(x):
             if x.ndim == 1:

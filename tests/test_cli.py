@@ -692,6 +692,19 @@ def test_division_by_zero_in_a_matrix_entry_prints_no_warning(tmp_path, capsys, 
     assert capsys.readouterr().err == err
 
 
+def test_sin_of_an_infinite_coordinate_is_a_numerical_failure(tmp_path, capsys):
+    # x1 overflows to inf within the run; sin(inf) is NaN, a non-finite state matrix, not a
+    # configuration error, and no RuntimeWarning repeats it
+    text = SIM_DIV.replace("A = 0, 1; %s, 0", "A = 0, 1e300; sin(x1), 0").replace("x0 = 20, 0", "x0 = 1, 1e10")
+    cfg = write(tmp_path / "s.ini", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: system matrices must be finite at finite states: ")
+    assert "the state matrix A(x) is not finite at x = [inf, " in err and err.count("\n") == 1
+
+
 SIM_NEAR_ORIGIN = """
 [experiment]
 kind = simulate

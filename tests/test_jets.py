@@ -1,6 +1,7 @@
 """Jet arithmetic against finite differences and closed-form series."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,17 @@ def test_sin_cos_derivative_chain():
     assert c.coeffs[1] == pytest.approx(-math.sin(0.7), rel=1e-14)
     assert s.coeffs[2] == pytest.approx(-math.sin(0.7) / 2, rel=1e-13)
     assert c.coeffs[2] == pytest.approx(-math.cos(0.7) / 2, rel=1e-13)
+
+
+@pytest.mark.parametrize("func, plain", [(jsin, math.sin), (jcos, math.cos)], ids=["sin", "cos"])
+@pytest.mark.parametrize("scalar", [float, np.float64], ids=["float", "numpy"])
+def test_sin_and_cos_of_an_infinite_scalar_are_nan_without_a_warning(func, plain, scalar):
+    # math raises at +-inf; the scalar ring gives NumPy's NaN there, without its warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [func(scalar(v)) for v in (np.inf, -np.inf, 0.5)]
+    assert math.isnan(got[0]) and math.isnan(got[1])
+    assert got[2] == plain(0.5)
 
 
 def test_division_roundtrip():

@@ -16,11 +16,16 @@ from sdstab.odeint import (
     rk4_autonomous_step,
     rk4_stack_step,
 )
-from sdstab.sysmodel import ControlSignal, GeneralSystem, StateLinearSystem
+from sdstab.sysmodel import ControlSignal, StateLinearSystem
+
+
+def unforced(A, n=1):
+    """The state-linear system dx/dt = A(x) x whose input matrix is zero."""
+    return StateLinearSystem(A, np.zeros((n, 1)), n, 1)
 
 
 def decay():
-    return GeneralSystem(1, 1, lambda x, u: -x)
+    return unforced(lambda x: [[-1.0]])
 
 
 def test_exponential_decay_accuracy():
@@ -30,14 +35,14 @@ def test_exponential_decay_accuracy():
 
 
 def test_constant_field_constant_trajectory():
-    sys = GeneralSystem(2, 1, lambda x, u: np.zeros(2))
+    sys = unforced(lambda x: np.zeros((2, 2)), 2)
     traj = integrate(sys, [3.0, 4.0], None, (0.0, 2.0))
     np.testing.assert_array_equal(traj.states[0], traj.states[-1])
     assert not traj.escaped
 
 
 def test_blowup_detected_before_threshold_time():
-    sys = GeneralSystem(1, 1, lambda x, u: x * x)
+    sys = unforced(lambda x: [[x[0]]])
     traj = integrate(sys, [1.0], None, (0.0, 2.0), IntegrationConfig(step=1e-3))
     assert traj.escaped
     assert traj.escape_time < 1.5  # closed form blows up at t = 1
@@ -45,7 +50,7 @@ def test_blowup_detected_before_threshold_time():
 
 
 class ConstantField:
-    """dx/dt = value everywhere (not an equilibrium system, so not a GeneralSystem)."""
+    """dx/dt = value everywhere (not an equilibrium system, so not a state-linear one)."""
 
     dim_state = 1
     dim_input = 1
@@ -135,7 +140,7 @@ def test_invalid_window():
 
 
 def test_excursion_zero_for_constant():
-    sys = GeneralSystem(2, 1, lambda x, u: np.zeros(2))
+    sys = unforced(lambda x: np.zeros((2, 2)), 2)
     traj = integrate(sys, [3.0, 4.0], None, (0.0, 1.0))
     assert max_excursion(traj, [3.0, 4.0]) == 0.0
 
@@ -147,7 +152,7 @@ def test_excursion_of_decay():
 
 def test_excursion_unit_drift():
     # unit-speed drift does not vanish at the origin, so satisfy the rhs
-    # contract structurally rather than through GeneralSystem validation
+    # contract structurally rather than through a system's validation
     class Unit:
         dim_state = 1
         dim_input = 1
@@ -183,7 +188,7 @@ def test_config_rejects_a_non_finite_threshold(blowup):
 
 def test_stage_of_the_wrong_length_raises():
     # a 2-D system whose field returns one value: NumPy would broadcast it
-    short = GeneralSystem(2, 1, lambda x, u: -x[:1])
+    short = SimpleNamespace(dim_state=2, dim_input=1, rhs=lambda x, u: -x[:1])
     with pytest.raises(ValueError, match=r"shape \(1,\) for a state of dimension 2"):
         integrate(short, [1.0, 2.0], None, (0.0, 1.0))
     with pytest.raises(ValueError, match=r"shape \(3,\) for a state of dimension 2"):

@@ -28,7 +28,6 @@ from sdstab.sdfctl import (
 )
 from sdstab.sysmodel import (
     ControlSignal,
-    GeneralSystem,
     StateLinearSystem,
     Trajectory,
     constant_signal,
@@ -37,6 +36,11 @@ from sdstab.sysmodel import (
 )
 
 DOUBLING = lambda s: 2 * s  # noqa: E731
+
+
+def unforced(A, n=1):
+    """The state-linear plant dx/dt = A(x) x whose input matrix is zero."""
+    return StateLinearSystem(A, np.zeros((n, 1)), n, 1)
 
 
 def scalar_unstable():
@@ -137,7 +141,7 @@ class TestClosedLoopRuns:
                 assert np.max(np.abs(rec.x_end - exact)) < 1e-6
 
     def test_zero_controller_ignores_partition(self):
-        plant = GeneralSystem(1, 1, lambda x, u: -x)
+        plant = unforced(lambda x: [[-1.0]])
         ctrl = ZeroController()
         ra = run_closed_loop(plant, ctrl, 0.1, [1.0], 1.0)
         rb = run_closed_loop(plant, ctrl, 0.5, [1.0], 1.0)
@@ -145,7 +149,7 @@ class TestClosedLoopRuns:
         assert rb.final_state()[0] == pytest.approx(np.exp(-1), abs=1e-9)
 
     def test_escape_recorded_not_raised(self):
-        plant = GeneralSystem(1, 1, lambda x, u: x * x)
+        plant = unforced(lambda x: [[x[0]]])
         run = run_closed_loop(plant, ZeroController(), 0.5, [1.0], 2.0)
         assert run.escaped
         assert run.escape_time == pytest.approx(1.0, abs=0.1)
@@ -167,13 +171,13 @@ class TestClosedLoopRuns:
 
     def test_escape_ends_a_run_long_before_its_horizon(self):
         # the instants are made one at a time, so none is made after the escape
-        plant = GeneralSystem(1, 1, lambda x, u: x * x)
+        plant = unforced(lambda x: [[x[0]]])
         run = run_closed_loop(plant, ZeroController(), 0.5, [1.0], 1e9)
         assert run.escaped
         assert [rec.t_end for rec in run.records] == [0.5, 1.0, 1.5]
 
     def test_trajectory_concatenation_no_duplicates(self):
-        plant = GeneralSystem(1, 1, lambda x, u: -x)
+        plant = unforced(lambda x: [[-1.0]])
         run = run_closed_loop(plant, ZeroController(), 0.25, [1.0], 1.0)
         times, states, inputs = run.trajectory()
         assert np.all(np.diff(times) > 0)
@@ -197,7 +201,7 @@ class TestCertificates:
         assert abs(run.final_state()[0]) <= np.exp(-5 * np.sqrt(2)) + 1e-6
 
     def test_no_decrease_fails(self):
-        plant = GeneralSystem(2, 1, lambda x, u: np.zeros(2))
+        plant = unforced(lambda x: np.zeros((2, 2)), 2)
         run = run_closed_loop(plant, ZeroController(), 0.2, [3.0, 4.0], 1.0)
         V = ExprScalarField.from_text("x1^2 + x2^2", 2)
         cert = certify_decrease(run, V)
@@ -205,7 +209,7 @@ class TestCertificates:
         assert all(ic.margin == 0.0 for ic in cert.intervals)
 
     def test_monotone_decay_respects_growth_bound(self):
-        plant = GeneralSystem(1, 1, lambda x, u: -x)
+        plant = unforced(lambda x: [[-1.0]])
         run = run_closed_loop(plant, ZeroController(), 0.2, [1.0], 1.0)
         V = ExprScalarField.from_text("x1^2", 1)
         cert = certify_decrease(run, V, a=DOUBLING)
@@ -214,7 +218,7 @@ class TestCertificates:
             assert ic.v_max <= ic.v_start * (1 + 1e-12)
 
     def test_telescoping_soundness(self):
-        plant = GeneralSystem(1, 1, lambda x, u: -x)
+        plant = unforced(lambda x: [[-1.0]])
         run = run_closed_loop(plant, ZeroController(), 0.1, [1.0], 1.0)
         V = ExprScalarField.from_text("x1^2", 1)
         cert = certify_decrease(run, V)
@@ -224,7 +228,7 @@ class TestCertificates:
         assert abs((v0 - total) - vK) <= 1e-8 * len(cert.intervals)
 
     def test_marginal_decrease_flagged(self):
-        plant = GeneralSystem(1, 1, lambda x, u: -x)
+        plant = unforced(lambda x: [[-1.0]])
         run = run_closed_loop(plant, ZeroController(), 0.1, [1e-6], 0.1)
         V = ExprScalarField.from_text("x1^2", 1)
         cert = certify_decrease(run, V)
@@ -232,7 +236,7 @@ class TestCertificates:
         assert cert.intervals[0].marginal
 
     def test_waived_at_equilibrium(self):
-        plant = GeneralSystem(1, 1, lambda x, u: -x)
+        plant = unforced(lambda x: [[-1.0]])
         run = run_closed_loop(plant, ZeroController(), 0.1, [0.0], 0.1)
         cert = certify_decrease(run, ExprScalarField.from_text("x1^2", 1))
         assert cert.passed
@@ -251,7 +255,7 @@ class TestCertificates:
             assert ic.v_max == max(ic.values)
 
     def test_escape_fails_certificate(self):
-        plant = GeneralSystem(1, 1, lambda x, u: x * x)
+        plant = unforced(lambda x: [[x[0]]])
         run = run_closed_loop(plant, ZeroController(), 0.5, [1.0], 2.0)
         V = ExprScalarField.from_text("x1^2", 1)
         cert = certify_decrease(run, V)
@@ -264,7 +268,7 @@ class TestCertificates:
     def test_escaped_interval_with_a_decrease_fails(self):
         # x2 escapes, but V barely sees it: V falls and stays under its
         # growth bound on the interval, which still must not certify
-        plant = GeneralSystem(2, 1, lambda x, u: np.array([-x[0], 50.0 * x[1]]))
+        plant = unforced(lambda x: [[-1.0, 0.0], [0.0, 50.0]], 2)
         run = run_closed_loop(plant, ZeroController(), 0.5, [1.0, 1.0], 1.0)
         cert = certify_decrease(run, ExprScalarField.from_text("x1^2 + 1e-30*x2^2", 2))
         ic = cert.intervals[0]

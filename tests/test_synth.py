@@ -144,7 +144,7 @@ class TestGainSynthesis:
         np.testing.assert_allclose(res.gain, [[-1.0, -np.sqrt(3)]], atol=1e-9)
         assert res.abscissa < 0
         # brute-force pole verification of the closed loop
-        poles = np.linalg.eigvals(res.closed_loop([[0, 1], [0, 0]], [[0], [1]]))
+        poles = np.linalg.eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]) + np.array([[0.0], [1.0]]) @ res.gain)
         assert np.all(poles.real < 0)
 
     def test_uncontrollable_unstable_mode(self):
@@ -179,7 +179,8 @@ class TestGainSynthesis:
             except NotStabilizableError:
                 continue
             assert res.abscissa < -1e-8
-            S = (res.lyapunov @ res.closed_loop(A, B) + res.closed_loop(A, B).T @ res.lyapunov) / 2
+            Acl = A + B @ res.gain
+            S = (res.lyapunov @ Acl + Acl.T @ res.lyapunov) / 2
             assert np.max(np.linalg.eigvalsh(S)) <= -res.decay + 1e-10
             done += 1
 
@@ -217,7 +218,7 @@ class TestGainSynthesis:
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
         res = synthesize_gain(A, [[0.0], [big]])
         assert res.abscissa == pytest.approx(-1.0, abs=1e-2)
-        assert spectral_abscissa(res.closed_loop(A, [[0.0], [big]])) < 0
+        assert spectral_abscissa(A + np.array([[0.0], [big]]) @ res.gain) < 0
 
     @pytest.mark.parametrize("big", [1e9, 1e12])
     def test_badly_scaled_input_misses_the_unstable_mode(self, big):
@@ -231,7 +232,7 @@ class TestGainSynthesis:
         A = np.array([[0.0, 1.0], [-0.6016, 11588.3]])
         B = np.array([[0.0], [1.0]])
         res = synthesize_gain(A, B)
-        poles = eigvals(res.closed_loop(A, B))
+        poles = eigvals(A + B @ res.gain)
         assert np.all(poles.real < 0)
         assert res.abscissa == pytest.approx(-1.0e-4, rel=0.05)
 
@@ -242,7 +243,7 @@ class TestGainSynthesis:
         monkeypatch.setattr(synth, "_smallest_singular_values", refuse)
         A = np.array([[1.0, 2.0], [0.0, 0.5]])  # both modes unstable
         res = synthesize_gain(A, [[0.0], [1.0]])
-        assert spectral_abscissa(res.closed_loop(A, [[0.0], [1.0]])) < 0
+        assert spectral_abscissa(A + np.array([[0.0], [1.0]]) @ res.gain) < 0
 
     def test_a_failed_construction_names_the_uncontrollable_mode(self):
         # the Schur Riccati solve fails first; the PBH test then names the mode
@@ -257,7 +258,7 @@ class TestGainSynthesis:
         A, B = rng.standard_normal((24, 24)), rng.standard_normal((24, 2))
         res = synthesize_gain(A, B)
         assert res.abscissa < 0 and res.decay > 0
-        assert backward_error(res.closed_loop(A, B), np.eye(24), res.lyapunov) <= synth.LYAP_BACKWARD_TOL
+        assert backward_error(A + B @ res.gain, np.eye(24), res.lyapunov) <= synth.LYAP_BACKWARD_TOL
 
 
 def construction_inputs():
@@ -319,7 +320,7 @@ class TestInternalLyapunovSolve:
         # synthesize_gain solves on its checked closed loop without the public
         # checks; the public solve on the same closed loop gives the same bits
         res = synthesize_gain(A, B)
-        P = solve_lyapunov(res.closed_loop(A, B), np.eye(A.shape[0]))
+        P = solve_lyapunov(A + B @ res.gain, np.eye(A.shape[0]))
         assert res.lyapunov.tobytes() == P.tobytes()
 
 

@@ -15,7 +15,6 @@ from sdstab.sdfctl import PerSampleQuadratic, sampling_times
 from sdstab.sysmodel import (
     AffineSystem,
     ControlSignal,
-    GeneralSystem,
     StateLinearSystem,
     _all_finite,
     constant_signal,
@@ -97,10 +96,6 @@ class TestControlSignal:
 
 
 class TestSystems:
-    def test_general_requires_equilibrium_at_origin(self):
-        with pytest.raises(ValueError):
-            GeneralSystem(1, 1, lambda x, u: x + 1.0)
-
     def test_state_linear_rhs(self):
         sys = StateLinearSystem(
             lambda x: np.array([[0.0, 1.0], [0.0, 0.0]]),
@@ -133,12 +128,6 @@ class TestSystems:
         gf = ExprVectorField.from_text("0, 1", 2)
         with pytest.raises(ValueError):
             AffineSystem(f, gf)
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e-11])
-    def test_general_field_that_does_not_vanish_is_refused(self, value):
-        # `max|r0| > ORIGIN_TOL` is false for NaN; at_origin refuses NaN
-        with pytest.raises(ValueError, match="must vanish"):
-            GeneralSystem(1, 1, lambda x, u: np.array([value]))
 
     @pytest.mark.parametrize("drift", ["x2 + 0/(x1^2 + x2^2), 0", "x2, 1/x1", "x2 + 2e-12, 0"])
     def test_affine_drift_that_does_not_vanish_is_refused_without_a_warning(self, drift):
@@ -519,10 +508,17 @@ def build_statedep(tmp_path):
     return registry.statedep_2d()
 
 
-def build_inline(tmp_path):
+def build_inline(tmp_path, text=INLINE_A):
     path = tmp_path / "a.ini"
-    path.write_text(INLINE_A)
+    path.write_text(text)
     return _build_system(Config.load(str(path)))
+
+
+def build_callable_B(tmp_path):
+    # cos(x2) names a coordinate, so B is a function of the state
+    system = build_inline(tmp_path, INLINE_A.replace("B = 0; 1", "B = 0; cos(x2)"))
+    assert not system.constant_B
+    return system
 
 
 def stage_outcome(stage, ys, w):
@@ -533,17 +529,20 @@ def stage_outcome(stage, ys, w):
         return "%s: %s" % (type(exc).__name__, exc)
 
 
-# x2 ** 2 overflows beyond 1.3e154 and x1 = 2 divides by zero in the inline A;
-# a finite A(x) whose product overflows escapes
+# x2 ** 2 overflows beyond 1.3e154, x1 = 2 divides by zero and sin(+-inf) is NaN in
+# the inline A (cos(+-inf) in the callable B); a finite A(x) whose product overflows escapes
 FLOAT_FORM_EDGES = [0.0, -0.0, 2.0, 1e100, 1.3e154, -1.35e154, 1e200, np.inf, -np.inf, np.nan]
 
 
-@pytest.mark.parametrize("build", [build_statedep, build_inline], ids=["statedep-2d", "inline"])
+@pytest.mark.parametrize(
+    "build", [build_statedep, build_inline, build_callable_B], ids=["statedep-2d", "inline", "callable-B"]
+)
 def test_float_form_stage_keeps_the_bits_of_the_array_stage(tmp_path, build):
+    # a stage reads A's float form, or else calls A(x): both give the same bits and errors
     fast, slow = build(tmp_path), build(tmp_path)
     assert callable(fast.A.entries)
     A = slow.A
-    slow.A = lambda x: A(x)  # no float form: the array path
+    slow.A = lambda x: A(x)  # no float form: the stage calls it
     F = np.array([[-1.5, -2.25]])
     fast_field, slow_field = fast.closed_loop_field(F).stage, slow.closed_loop_field(F).stage
     rng = np.random.default_rng(35)
@@ -561,7 +560,6 @@ def test_float_form_stage_keeps_the_bits_of_the_array_stage(tmp_path, build):
             got = stage_outcome(fast_field, ys, None)
             assert got == stage_outcome(slow_field, ys, None), ys
     # finite values, overflowed products and matrices refused as not finite all occur
-    # (the inline sin(x1) on floats also raises at x1 = +-inf, on both paths)
     assert {False, True, "NonFiniteMatrixError: syst"} <= seen
 
 
