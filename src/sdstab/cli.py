@@ -29,7 +29,7 @@ from .errors import (
     NumericalFailure,
     OffsetSelectionError,
 )
-from .exprs import Const, ExprSyntaxError, coord_names, fold_constants, parse_components
+from .exprs import Const, Div, ExprSyntaxError, Pow, coord_names, fold_constants, parse_components
 from .liecalc import FAIL, ExprScalarField, ExprVectorField, check_prop1_point
 from .odeint import IntegrationConfig
 from .patchwork import verify_patchwork
@@ -160,12 +160,23 @@ def _expr_matrix(cfg, key, dim, cols=None, constant_ok=False):
     # Python floats, not NumPy scalars: the same IEEE operations give the same
     # bits on both, floats are faster and do not warn on overflow. A division
     # by zero gives inf or NaN, which the system reports as a non-finite
-    # matrix that names the state; NumPy's warning would only repeat it
+    # matrix that names the state; NumPy's warning would only repeat it. Only
+    # a division meets NumPy there, so only a dividing matrix enters errstate
     def entries_at(xs):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return [float(e.eval(xs)) for e in entries]
+        return [float(e.eval(xs)) for e in entries]
 
-    return matrix_from_entries(entries_at, (dim, cols)), cols
+    def quiet_entries_at(xs):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return entries_at(xs)
+
+    return matrix_from_entries(quiet_entries_at if any(map(_divides, entries)) else entries_at, (dim, cols)), cols
+
+
+def _divides(expr):
+    """Whether expr holds a Div or a negative Pow: the nodes whose divisor can be zero."""
+    if isinstance(expr, Div) or isinstance(expr, Pow) and expr.exponent < 0:
+        return True
+    return any(_divides(getattr(expr, s)) for s in ("a", "b") if hasattr(expr, s))
 
 
 def _build_system(cfg):

@@ -24,8 +24,9 @@ n coordinates is generated once per n from a source template, as
 by coordinate: it unpacks the state and each stage into locals and forms
 each coordinate's stage state and update by name, with no comprehension,
 zip or tuple per coordinate. Arrays are built only where a product or a
-record needs one: a state-linear stage fills the arrays it keeps for A(x)
-and the state, then runs one product and one tolist() (see
+record needs one: a state-linear stage fills the one buffer it keeps for
+A(x) and the state, writes its product into a kept array and reads it with
+one tolist() (see
 :meth:`~sdstab.sysmodel.StateLinearSystem._linear_stage`); the grid becomes
 one array at the end, and only a state near the escape threshold makes one
 for x.x. The bits are those of the same expressions on float arrays: NumPy's

@@ -18,6 +18,7 @@ system's matrix functions, at a state or at each row of a stack.
 """
 
 import math
+import struct
 from dataclasses import dataclass
 from operator import add
 
@@ -178,9 +179,12 @@ class ControlSignal:
         return self.values([t])[0]
 
     def check_bound(self, n=1000):
-        """Max |u(t)| over an n-point grid, NaN when an input is; raises unless it is within the bound."""
+        """Max |u(t)| over an n-point grid, NaN when an input is; raises unless it is within the bound.
+
+        One stacked ``np.matmul`` forms every u.u, with the bits of ``u.dot(u)``.
+        """
         U = self.values(np.linspace(0.0, self.horizon, n))
-        norms = [math.sqrt(u.dot(u)) for u in U]
+        norms = np.sqrt(np.matmul(U[:, None, :], U[:, :, None])[:, 0, 0]).tolist()
         # max() skips a NaN that is not first
         worst = math.nan if any(map(math.isnan, norms)) else max(norms)
         if not worst <= self.bound * (1.0 + 1e-9) + 1e-12:
@@ -296,31 +300,37 @@ class StateLinearSystem:
         callable B), formed here, once. w is a row of :meth:`input_terms`: B u
         with a constant B; u with a callable B, which the stage reads at x and
         turns into B(x) u, or for the field into B(x) F. Every stage fills one
-        state array and one n x n array kept for the stage: the state from ys,
-        the matrix from ``A.entries(ys)`` when ``A`` has a float form (a list
-        of another length than n*n is a ValueError) and else from ``A(x)``
-        (checked to be n x n), plus B F entry by entry, on floats, for the
-        field. ``A`` gets the kept state array, so it must not keep it, or a
-        view of it, beyond its call: the next stage refills it. Then one
-        product and one finiteness test: a non-finite entry of A(x) makes its
-        row of the product inf or NaN (inf * 0 is NaN), so only an A(x) of the
-        wrong shape or a product that is not finite calls :meth:`state_matrix`,
-        which raises; a finite A(x) whose product overflows escapes. The kept
-        arrays are the stage's own: one stage must not run in two threads at
-        once.
+        buffer of n*n + n floats, kept for the stage, whose first n*n entries
+        are viewed as the n x n matrix and last n as the state, in one
+        ``struct`` pack (the C doubles NumPy's list assignment would store, in
+        about half its time): the matrix entries from ``A.entries(ys)`` when
+        ``A`` has a float form (a list of another length than n*n is a
+        ValueError) and else from ``A(x)`` (checked to be n x n), plus B F
+        entry by entry, on floats, for the field; then the coordinates ys. A
+        plain ``A`` and a callable B read the kept state array, so on those
+        paths it is filled from ys first; ``A`` must not keep it, or a view of
+        it, beyond its call: the next stage refills it. Then one product,
+        written into a kept n-array, and :func:`_finite`'s test on its values:
+        a non-finite entry of A(x) makes its row of the product inf or NaN
+        (inf * 0 is NaN), so only an A(x) of the wrong shape or a product that
+        is not finite calls :meth:`state_matrix`, which raises; a finite A(x)
+        whose product overflows escapes. The kept arrays are the stage's own:
+        one stage must not run in two threads at once.
         """
         n, m, nn, closed = self.dim_state, self.dim_input, self.dim_state ** 2, F is not None
         times_x, times_u, B = product(n), product(m), self.B
         BF = times_u(B, F) if closed and self.constant_B else None
         B_at = None if self.constant_B else lambda x: _matrix_at(B, x, "input matrix B", (n, m))
         bf = None if BF is None else BF.ravel().tolist()
-        M, x = np.empty((n, n)), np.empty(n)
-        M_entries = M.reshape(nn)  # a view: filling it fills M
+        buf, out = np.empty(nn + n), np.empty(n)
+        M, x = buf[:nn].reshape(n, n), buf[nn:]  # views: filling buf fills both
+        fill, view = struct.Struct("%dd" % (nn + n)).pack_into, memoryview(buf)
 
         def stage(ys, w):
             A = self.A
             entries = getattr(A, "entries", None)
-            x[:] = ys
+            if entries is None or B_at is not None:
+                x[:] = ys
             if entries is not None:
                 e = entries(ys)
                 if len(e) != nn:
@@ -334,9 +344,9 @@ class StateLinearSystem:
                 f = times_u(B_at(x), F).ravel().tolist()
             else:
                 f, w = None, times_u(B_at(x), w).tolist()
-            M_entries[:] = e if f is None else list(map(add, e, f))
-            k = times_x(M, x).tolist()
-            if not _finite(k):
+            fill(view, 0, *(e if f is None else map(add, e, f)), *ys)
+            k = times_x(M, x, out).tolist()
+            if not (math.isfinite(sum(k)) or all(map(math.isfinite, k))):  # _finite(k), without its call
                 self.state_matrix(x)
             return k if closed else list(map(add, k, w))
 

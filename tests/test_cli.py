@@ -407,6 +407,26 @@ horizon = 0.2
                 want = outcome(lambda: tree.eval(list(x)))  # on NumPy scalars
             assert got == want, (entry, x.tolist())
 
+    @pytest.mark.parametrize(
+        "entry, quiet",
+        [("sin(x1)", False), ("exp(x1) - cos(x2) + 1/3", False), ("x1/(1+x2^2)", True), ("x1*(1 + x2^2)^-1", True)],
+    )
+    def test_only_a_dividing_matrix_enters_errstate(self, tmp_path, monkeypatch, entry, quiet):
+        # only a division can meet NumPy's zero-divisor fallback, the one float path that warns;
+        # the constant 1/3 is folded before any state is seen
+        sys_obj = self.build(tmp_path, readme_ini("synthesize").replace("sin(x1), x2^2", entry + ", x2^2"))
+        entered, errstate = [], np.errstate
+
+        def counting(**kwargs):
+            entered.append(kwargs)
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", counting)
+        for xs in ([0.5, -1.0], [2.0, 0.0], [-0.0, 3.0]):
+            sys_obj.A.entries(xs)
+        monkeypatch.undo()
+        assert entered == ([dict(divide="ignore", invalid="ignore")] * 3 if quiet else [])
+
     def test_constant_A_stays_a_function(self, tmp_path):
         text = readme_ini("synthesize").replace("sin(x1), x2^2", "0, 0")
         sys_obj = self.build(tmp_path, text)
@@ -1373,6 +1393,42 @@ def test_playback_over_its_bound_fails_that_run_alone(tmp_path, capsys):
     )
     assert captured.err == ""
     assert sorted(p.name for p in out_dir.iterdir()) == ["cert_0.csv", "traj_0.csv"]
+
+
+# The held input, where the sampling step decides the verdict: from (0, 3) the
+# step h = 0.1 certifies every interval, and h = 0.2 lets the first one escape
+SIM_HELD = """
+[experiment]
+kind = simulate
+seed = 0
+[system]
+registry = statedep-2d
+[controller]
+type = frozen-gain-zoh
+[partition]
+h = %s
+[run]
+x0 = 0, 3
+horizon = 10
+"""
+
+
+@pytest.mark.parametrize(
+    "h, code, failure, result",
+    [
+        ("0.1", 0, None, "RESULT pass 101 0"),
+        ("0.2", 1, "    interval 0: growth bound exceeded (257.088 > 0.981981); trajectory escaped at t=0.15",
+         "RESULT fail 2 2"),
+    ],
+)
+def test_held_input_verdict_follows_the_sampling_step(tmp_path, capsys, h, code, failure, result):
+    cfg = write(tmp_path / "held.ini", SIM_HELD % h)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[-1] == result
+    assert [line for line in lines if line.startswith("    interval")] == ([failure] if failure else [])
+    assert captured.err == ""
 
 
 def test_run_line_prints_x0_as_run(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """System, signal, and sampling-instant construction contracts."""
 
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -332,6 +333,20 @@ def test_system_products_give_the_bits_of_matmul():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
+def test_per_sample_quadratic_on_a_stack_keeps_the_per_state_bits(n):
+    # certify_decrease values an interval's grid states in one call; each row must be V(x)
+    rng = np.random.default_rng(50 + n)
+    for i in range(300):
+        A = draw_operand(rng, (n, n))
+        # a sample at the origin has no synthesis: V is 0.5 |x|^2
+        info = {"synthesis": SimpleNamespace(lyapunov=A @ A.T)} if i % 5 else {}
+        V = PerSampleQuadratic().for_interval(SimpleNamespace(xi=np.zeros(n), info=info))
+        X = draw_operand(rng, (int(rng.integers(1, 30)), n))
+        with np.errstate(all="ignore"):
+            assert list(map(float.hex, V(X).tolist())) == [float.hex(V(x)) for x in X]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("m", [1, 2])
 def test_input_terms_give_the_bits_of_matmul(n, m):
     # integrate forms a block's B u in one call; each row must be B @ u
@@ -631,3 +646,35 @@ class TestVectorizedSignal:
     def test_a_scalar_shaped_func_is_refused(self):
         with pytest.raises(ValueError, match=r"returned shape \(1,\) for 33 times and 1 inputs"):
             ControlSignal(1.0, 1.0, 1, lambda t: np.array([0.0]))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_bound_check_keeps_the_per_row_norms(self, m):
+        # the norms come from one stacked product: each keeps the bits of sqrt(u.dot(u)), the
+        # worst is NaN when any norm is, and an overflowing row warns as u.dot(u) does
+        rng = np.random.default_rng(60 + m)
+        edges = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e200, -1e200, 5e-324]
+        stack = {"U": np.zeros((33, m))}
+        sig = ControlSignal(1.0, 1e300, m, lambda ts: stack["U"])
+        seen = set()
+        for _ in range(300):
+            U = draw_operand(rng, (int(rng.integers(1, 40)), m))
+            edge = rng.random(U.shape) < 0.05
+            U[edge] = rng.choice(edges, int(edge.sum()))
+            stack["U"] = U
+            with warnings.catch_warnings(record=True) as want_warnings:
+                warnings.simplefilter("always")
+                norms = [math.sqrt(u.dot(u)) for u in U]
+            worst = math.nan if any(map(math.isnan, norms)) else max(norms)
+            with warnings.catch_warnings(record=True) as got_warnings:
+                warnings.simplefilter("always")
+                try:
+                    got = float.hex(sig.check_bound(len(U)))
+                except ValueError as exc:
+                    got = str(exc)
+            want = float.hex(worst) if worst <= 1e300 else "signal exceeds its declared bound: %g > 1e+300" % worst
+            assert got == want, U.tolist()
+            overflowed = [any("overflow" in str(w.message) for w in ws) for ws in (got_warnings, want_warnings)]
+            assert overflowed[0] == overflowed[1]
+            seen.add(got[:1] if got.startswith("0x") else got[-12:])
+        # finite worst norms, NaN and inf all occur
+        assert {"0", "nan > 1e+300", "inf > 1e+300"} <= seen
