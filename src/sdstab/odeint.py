@@ -15,18 +15,25 @@ block of where it happens. A caller that replays substeps from the grid
 (the frozen-gain controller's playback) can collect each step's first stage
 and pass the stack of them to :func:`rk4_stack_step`.
 
-The step loop, :func:`rk4_autonomous_step` and :func:`rk4_stack_step` run
-one step kernel. On Python floats a stage maps a state's coordinates and its
-input term to the list of field values, and the kernel forms the stage states
-x + c*k and the update x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4). The kernel for
-n coordinates is generated once per n from a source template, as
-``collections.namedtuple`` generates its class, and is written out coordinate
-by coordinate: it unpacks the state and each stage into locals and forms
-each coordinate's stage state and update by name, with no comprehension,
-zip or tuple per coordinate. Arrays are built only where a product or a
-record needs one: a state-linear stage fills the one buffer it keeps for
-A(x) and the state, writes its product into a kept array and reads it with
-one tolist() (see
+Every RK4 step is generated from one source template, ``_KERNEL``, as
+``collections.namedtuple`` generates its class. On Python floats a stage maps
+a state's coordinates and its input term to the field values, and the step
+forms the stage states x + c*k and the update
+x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4), written out coordinate by coordinate:
+it unpacks the state and each stage into locals and forms each coordinate's
+stage state and update by name, with no comprehension, zip or tuple per
+coordinate. Each stage is a source fragment of the template (see
+:func:`rk4_source`). The generic fragment is one call of a stage function;
+the kernel it makes, once per n, takes the first stage from its caller and
+serves :func:`rk4_autonomous_step`, :func:`rk4_stack_step` (whose playback
+reuses the internal model's first stages) and the step loop on a system
+without a generated step (``AffineSystem.rhs``, a duck system). A
+state-linear system writes its stage as a fragment of its own, so its
+``stage.step`` has all four stages, the first one recorded, written into it
+without a call (see :func:`~sdstab.sysmodel._linear_code`), and the step
+loop runs it. Arrays are built only where a product or a record needs one:
+a state-linear stage fills the one buffer it keeps for A(x) and the state,
+writes its product into a kept array and reads it with one tolist() (see
 :meth:`~sdstab.sysmodel.StateLinearSystem._linear_stage`); the grid becomes
 one array at the end, and only a state near the escape threshold makes one
 for x.x. The bits are those of the same expressions on float arrays: NumPy's
@@ -114,10 +121,12 @@ def integrate(sys, x0, u, window, cfg=IntegrationConfig(), first_stages=None):
     so entry k belongs to grid point k. An rhs value or a state matrix of
     the wrong shape raises ValueError.
 
-    A system with a ``stage(ys, w)`` (a state-linear system or its
-    ``closed_loop_field``) is stepped through it, w being the row of its
-    ``input_terms`` of the block that belongs to u; any other system
-    through ``rhs(x, u)``, adapted once. Without a signal u is 0.
+    A system with a ``stage(ys, w)`` is stepped through it, w being the row
+    of its ``input_terms`` of the block that belongs to u: by the step the
+    stage carries as ``stage.step`` (a state-linear system and its
+    ``closed_loop_field`` do), or else by the generic kernel calling the
+    stage. Any other system is stepped through ``rhs(x, u)``, adapted once.
+    Without a signal u is 0.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0:
@@ -128,11 +137,11 @@ def integrate(sys, x0, u, window, cfg=IntegrationConfig(), first_stages=None):
 
     record_u = u is not None
     stage = getattr(sys, "stage", None) or (lambda ys, w: _stage_list(sys.rhs(np.array(ys), w), sys.dim_state))
+    step = getattr(stage, "step", None) or _recording_step(stage, x.size)
     terms = getattr(sys, "input_terms", None) or (lambda U: U)
     blowup = cfg.blowup_norm
     steps = _steps(t1 - t0, cfg.step)
-    rk4_step = _rk4_kernel(x.size)
-    w_start = None if record_u else terms(np.zeros((1, sys.dim_input)))[0]
+    w_start = w_mid = w_end = None if record_u else terms(np.zeros((1, sys.dim_input)))[0]
 
     # the grid keeps each state as its list of floats, made into the record's
     # array once; the inputs are kept as one slice of each block's stack
@@ -163,14 +172,9 @@ def integrate(sys, x0, u, window, cfg=IntegrationConfig(), first_stages=None):
                     U = U[1:]
                 stepped = len(times)
             for tau, hk, end in block:
-                k1 = stage(xs, w_start)
-                if first_stages is not None:
-                    first_stages.append(k1)
                 if record_u:
                     w_mid, w_end = next(rows), next(rows)
-                else:
-                    w_mid = w_end = w_start
-                xs = rk4_step(stage, xs, hk, k1, w_mid, w_end)
+                xs = step(xs, hk, w_start, w_mid, w_end, first_stages)
                 # Escape unless every |x_i| and then the norm are within the
                 # threshold. A state the coordinate test rejects would fail the norm
                 # test too; testing it first keeps x.dot(x) from overflowing. NaN fails
@@ -212,18 +216,56 @@ def rk4_autonomous_step(f, x, h, k1):
 
 # One RK4 step on n coordinates, written out coordinate by coordinate. Each
 # coordinate runs the expressions x + half*k, x + h*k and
-# x + w*(((p + 2*q) + 2*r) + s), the stage states in full before each stage.
+# x + sixth*(((p + 2*q) + 2*r) + s), the stage states in full before each stage.
+# {first} takes the first stage, and each later stage is a source fragment.
 _KERNEL = """\
-def rk4_step_{n}(stage, xs, h, a, w_mid, w_end):
+def rk4_step({params}):
     {x}, = xs
-    {a}, = a
+{first}
     half = h / 2
-    {b}, = stage([{xb}], w_mid)
-    {c}, = stage([{xc}], w_mid)
-    {d}, = stage([{xd}], w_end)
-    w = h / 6
+{b}
+{c}
+{d}
+    sixth = h / 6
     return [{update}]
 """
+
+
+def rk4_source(n, stage, records=False):
+    """The source of the RK4 step on n coordinates from ``_KERNEL``, each stage written by ``stage``.
+
+    ``stage(ys, w, k)`` returns the lines that set the names in the list k to
+    the stage at the state whose n coordinates have the sources ys, under the
+    input term named w. Without ``records`` the step is
+    ``rk4_step(stage, xs, h, a, w_mid, w_end)``, the first stage a passed in.
+    With it the step is ``rk4_step(xs, h, w_start, w_mid, w_end,
+    first_stages)``: it forms the first stage at xs under w_start itself and
+    appends it, as a list, to ``first_stages`` unless that is None.
+    """
+    x, a, b, c, d = (["%s%d" % (k, i) for i in range(n)] for k in "xabcd")
+
+    def lines(source):
+        return "\n".join("    " + line for line in source)
+
+    def at(factor, k, w, out):
+        return lines(stage(["%s + %s * %s" % (xi, factor, ki) for xi, ki in zip(x, k)], w, out))
+
+    if records:
+        params = "xs, h, w_start, w_mid, w_end, first_stages"
+        first = lines(stage(x, "w_start", a) + [
+            "if first_stages is not None:", "    first_stages.append([%s])" % ", ".join(a)])
+    else:
+        params, first = "stage, xs, h, a, w_mid, w_end", lines(["%s, = a" % ", ".join(a)])
+    return _KERNEL.format(
+        params=params, x=", ".join(x), first=first,
+        b=at("half", a, "w_mid", b), c=at("half", b, "w_mid", c), d=at("h", c, "w_end", d),
+        update=", ".join("%s + sixth * (((%s + 2 * %s) + 2 * %s) + %s)" % v for v in zip(x, a, b, c, d)),
+    )
+
+
+def _call_stage(ys, w, k):
+    """The generic stage fragment: one call of the kernel's ``stage`` argument."""
+    return ["%s, = stage([%s], %s)" % (", ".join(k), ", ".join(ys), w)]
 
 
 @cache
@@ -233,22 +275,28 @@ def _rk4_kernel(n):
     ``xs`` is the state, a list of n floats (or of one stack, with n = 1),
     and ``a`` the first stage, at xs; the later stages are stage(y, w_mid),
     stage(y, w_mid) and stage(y, w_end) at their stage states y, each a list
-    of n values. The step is generated from ``_KERNEL`` once per n, as
-    ``collections.namedtuple`` generates its class.
+    of n values. The step is generated from ``_KERNEL`` with the generic
+    stage fragment, one call of ``stage``, once per n, as
+    ``collections.namedtuple`` generates its class. A state-linear system's
+    stage carries its own step from the same template, with its stage written
+    into it (see :meth:`~sdstab.sysmodel.StateLinearSystem._linear_stage`).
     """
-    x, a, b, c, d = (["%s%d" % (k, i) for i in range(n)] for k in "xabcd")
-
-    def stage_states(factor, k):
-        return ", ".join("%s + %s * %s" % (xi, factor, ki) for xi, ki in zip(x, k))
-
-    source = _KERNEL.format(
-        n=n, x=", ".join(x), a=", ".join(a), b=", ".join(b), c=", ".join(c), d=", ".join(d),
-        xb=stage_states("half", a), xc=stage_states("half", b), xd=stage_states("h", c),
-        update=", ".join("%s + w * (((%s + 2 * %s) + 2 * %s) + %s)" % v for v in zip(x, a, b, c, d)),
-    )
     namespace = {"__name__": __name__}
-    exec(source, namespace)
-    return namespace["rk4_step_%d" % n]
+    exec(rk4_source(n, _call_stage), namespace)
+    return namespace["rk4_step"]
+
+
+def _recording_step(stage, n):
+    """The step (xs, h, w_start, w_mid, w_end, first_stages) of the generic kernel on ``stage``."""
+    kernel = _rk4_kernel(n)
+
+    def step(xs, h, w_start, w_mid, w_end, first_stages):
+        a = stage(xs, w_start)
+        if first_stages is not None:
+            first_stages.append(a)
+        return kernel(stage, xs, h, a, w_mid, w_end)
+
+    return step
 
 
 def rk4_stack_step(f, X, dt, K1):

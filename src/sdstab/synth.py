@@ -6,9 +6,11 @@ F = -B'P_r from the continuous algebraic Riccati equation
     A'P_r + P_r A - P_r B B' P_r + I = 0,
 
 solved through the stable invariant subspace of the 2n x 2n Hamiltonian
-[[A, -BB'], [-I, -A']] as P_r = U2 U1^-1. That graph solve has a relative
-error of about n eps cond(U1); when this exceeds the Riccati tolerance the
-balanced Schur solver (scipy's solve_continuous_are) is used instead. The
+[[A, -BB'], [-I, -A']] as P_r = U2 U1^-1. The basis U has unit columns, so
+that graph solve has a relative error of about n eps max(|U1|, 1) / s_min(U1),
+not n eps cond(U1): at n = 1 the condition number is 1 however small U1 is.
+When this exceeds the Riccati tolerance the balanced Schur solver (scipy's
+solve_continuous_are) is used instead. The
 closed loop is then certified with a quadratic Lyapunov matrix P from
 A_cl' P + P A_cl = -I, accepted by its backward error
 |A_cl'P + P A_cl + I| <= tol (2 |A_cl| |P| + |I|) so that the check scales
@@ -294,7 +296,9 @@ def _certified_lqr(A, B, eye):
     U = V[:, stable]
     U1, U2 = U[:n], U[n:]
     sv = np.linalg.svd(U1, compute_uv=False)
-    if n * np.finfo(float).eps * sv[0] > CARE_TOL * sv[-1]:
+    # U is a unit-norm basis, so the graph solve's rounding is relative to 1 at least: at
+    # n = 1 sv[0] is sv[-1], and the ratio alone cannot see a U1 of 1e-10
+    if n * np.finfo(float).eps * max(sv[0], 1.0) > CARE_TOL * sv[-1]:
         # the graph solve would lose more than CARE_TOL: use the balanced Schur solver
         try:
             Pr = scipy.linalg.solve_continuous_are(A, B, eye, np.eye(B.shape[1]))

@@ -1,5 +1,6 @@
 """Gain synthesis, Lyapunov solves, and their closed-form oracles."""
 
+import decimal
 import hashlib
 import os
 import subprocess
@@ -166,6 +167,27 @@ class TestGainSynthesis:
             res = synthesize_gain(a, b)
             assert res.gain[0, 0] == pytest.approx(scalar_riccati_gain(a, b), abs=1e-10)
 
+    def test_scalar_riccati_meets_the_closed_form_over_input_scales(self):
+        # P = (a + sqrt(a^2 + b^2)) / b^2 in 50-digit decimal. A tiny b leaves the stable
+        # eigenvector's state part of size b inside a unit basis, where the graph solve
+        # loses digits; the first pair is the one seed 3737's synth-batch draws. Where a > 1
+        # and |b| < 2e-6 scipy's balanced Schur solve is itself more than CARE_TOL off, so
+        # the bound is CARE_TOL or that solve's own error, whichever is larger
+        rng = np.random.default_rng(38)
+        pairs = [(0.12587382561385965, 5.433735554357114e-06)]
+        for _ in range(200):
+            b = 10.0 ** rng.uniform(-6, 3) * (1 if rng.uniform() < 0.5 else -1)
+            pairs.append((float(rng.uniform(-2, 2)), b))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            for a, b in pairs:
+                da, db = decimal.Decimal(a), decimal.Decimal(b)
+                want = (da + (da * da + db * db).sqrt()) / (db * db)
+                schur = solve_continuous_are(np.array([[a]]), np.array([[b]]), np.eye(1), np.eye(1))[0, 0]
+                bound = max(decimal.Decimal(synth.CARE_TOL), abs((decimal.Decimal(schur) - want) / want))
+                got = synthesize_gain(a, b).riccati[0, 0]
+                assert abs((decimal.Decimal(got) - want) / want) <= bound, (a, b)
+
     def test_random_stabilizable_pairs(self):
         rng = np.random.default_rng(2024)
         done = 0
@@ -326,6 +348,7 @@ class TestInternalLyapunovSolve:
 
 # Hashes every synthesis result of 20 seeded 12-state pairs, or the error it raised.
 THREAD_COUNT_SCRIPT = """
+import decimal
 import hashlib
 import numpy as np
 from sdstab.synth import synthesize_gain

@@ -1,6 +1,7 @@
 """System, signal, and sampling-instant construction contracts."""
 
 import math
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -11,13 +12,14 @@ from sdstab import registry
 from sdstab.cli import Config, _build_system
 from sdstab.errors import NonFiniteMatrixError, NumericalFailure
 from sdstab.liecalc import ExprVectorField
-from sdstab.odeint import IntegrationConfig, integrate
+from sdstab.odeint import IntegrationConfig, _rk4_kernel, integrate
 from sdstab.sdfctl import PerSampleQuadratic, sampling_times
 from sdstab.sysmodel import (
     AffineSystem,
     ControlSignal,
     StateLinearSystem,
     _all_finite,
+    _linear_code,
     constant_signal,
     at_origin,
     matrix_from_entries,
@@ -536,12 +538,17 @@ def build_callable_B(tmp_path):
     return system
 
 
-def stage_outcome(stage, ys, w):
-    """The bits of a stage's values, or the error it raised."""
+def outcome(run):
+    """The bits of run()'s values, or the error it raised."""
     try:
-        return [float.hex(v) for v in stage(ys, w)]
+        return [float.hex(v) for v in run()]
     except (ValueError, NumericalFailure) as exc:
         return "%s: %s" % (type(exc).__name__, exc)
+
+
+def stage_outcome(stage, ys, w):
+    """The bits of a stage's values, or the error it raised."""
+    return outcome(lambda: stage(ys, w))
 
 
 # x2 ** 2 overflows beyond 1.3e154, x1 = 2 divides by zero and sin(+-inf) is NaN in
@@ -623,6 +630,127 @@ def test_a_non_finite_float_form_names_the_state():
         for check in checks:
             with pytest.raises(NonFiniteMatrixError, match=r"A\(x\) is not finite at x = \[10\.0, 0\.5\]"):
                 check()
+
+
+STEP_EDGES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2e-310, 1e200, -1.3e154]
+
+
+def edge_coordinates(rng, n):
+    """A seeded coordinate list: normal draws of varied size, one in three entries a special value."""
+    v = (rng.normal(size=n) * 10.0 ** rng.integers(-3, 3, n)).tolist()
+    return [STEP_EDGES[rng.integers(len(STEP_EDGES))] if rng.random() < 1 / 3 else x for x in v]
+
+
+def seeded_state_linear(rng, n, m, float_form, constant_B):
+    """A state-linear system whose A entries are c + d x_i x_j, with its float form or without it."""
+    C, D = rng.normal(size=(2, n * n)).tolist()
+    entries = lambda xs: [c + d * xs[i // n] * xs[i % n] for i, (c, d) in enumerate(zip(C, D))]  # noqa: E731
+    A = matrix_from_entries(entries, (n, n))
+    B0 = rng.normal(size=(n, m))
+    B = B0 if constant_B else (lambda x: B0 * (1.0 + 0.1 * x[0] * x[-1]))
+    system = StateLinearSystem(A if float_form else (lambda x: A(x)), B, n, m)
+    assert callable(getattr(system.A, "entries", None)) == float_form
+    return system
+
+
+def generic_step(stage, n, xs, h, ws, firsts):
+    """The generic kernel driven by the standalone stage, its first stage recorded as integrate records it."""
+    k1 = stage(xs, ws[0])
+    firsts.append(k1)
+    return _rk4_kernel(n)(stage, xs, h, k1, ws[1], ws[2])
+
+
+def array_stage(system, F, xs, w):
+    """The stage's values from the matrices on arrays: (A(x) + B F) x, or A(x) x + B u."""
+    x = np.array(xs)
+    n, m = system.dim_state, system.dim_input
+    A, B = np.array(system.A(x)), system.B if system.constant_B else system.B(x)
+    if F is not None:
+        return product(n)(A + product(m)(B, F), x)
+    return product(n)(A, x) + (np.array(w) if system.constant_B else product(m)(B, w))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("closed", [False, True], ids=["plant", "field"])
+@pytest.mark.parametrize("float_form", [True, False], ids=["float-form-A", "plain-A"])
+@pytest.mark.parametrize("constant_B", [True, False], ids=["constant-B", "callable-B"])
+def test_the_generated_step_keeps_the_bits_of_the_generic_kernel(n, closed, float_form, constant_B):
+    # the step writes the stage into itself four times; the generic kernel calls it
+    rng = np.random.default_rng([n, closed, float_form, constant_B])
+    seen = set()
+    for case in range(120):
+        m = 1 + case % 2
+        system = seeded_state_linear(rng, n, m, float_form, constant_B)
+        F = rng.normal(size=(m, n)) if closed else None
+        xs, h = edge_coordinates(rng, n), (1e-3, 0.05, 0.37, 2.0, 1e-310)[case % 5]
+        got_firsts, want_firsts = [], []
+        with np.errstate(all="ignore"):
+            if closed:
+                stage, ws = system.closed_loop_field(F).stage, [None] * 3
+            else:
+                stage = system.stage
+                ws = list(system.input_terms(np.array([edge_coordinates(rng, m) for _ in range(3)])))
+            got = outcome(lambda: stage.step(xs, h, *ws, got_firsts))
+            want = outcome(lambda: generic_step(stage, n, xs, h, ws, want_firsts))
+            assert outcome(lambda: stage.step(xs, h, *ws, None)) == want, (case, xs)
+            value = outcome(lambda: stage(xs, ws[0]))
+            if not isinstance(value, str):
+                assert value == outcome(lambda: array_stage(system, F, xs, ws[0]).tolist()), (case, xs)
+        assert got == want, (case, xs)
+        assert [outcome(lambda: k) for k in got_firsts] == [outcome(lambda: k) for k in want_firsts], (case, xs)
+        seen.add(got.split(":")[0] if isinstance(got, str) else any("nan" in v or "inf" in v for v in got))
+    # finite steps and refused matrices occur, and non-finite plant steps (from non-finite inputs)
+    assert ({False, "NonFiniteMatrixError"} if closed else {False, True, "NonFiniteMatrixError"}) <= seen, seen
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["plant", "field"])
+@pytest.mark.parametrize("float_form", [True, False], ids=["float-form-A", "plain-A"])
+@pytest.mark.parametrize("constant_B", [True, False], ids=["constant-B", "callable-B"])
+def test_the_generated_step_refuses_a_matrix_at_a_stage_state(closed, float_form, constant_B):
+    # from x1 = 1 the second stage state x1 + (h/2) a1 = 1.0005 crosses 1.0004; xs does not
+    def system(spoiled):
+        A = matrix_from_entries(lambda xs: [1.0, 0.0, 0.0, -1.0] if xs[0] <= 1.0004 else spoiled, (2, 2))
+        B = np.array([[0.0], [1.0]])
+        system = StateLinearSystem(A if float_form else (lambda x: A(x)), B if constant_B else (lambda x: B), 2, 1)
+        if closed:
+            return system.closed_loop_field(np.zeros((1, 2))).stage, [None] * 3
+        return system.stage, system.input_terms(np.zeros((3, 1)))
+
+    stage_state = [1.0 + 0.0005 * 1.0, 0.5 + 0.0005 * -0.5]
+    cases = [
+        ([1.0, 0.0, 0.0], ValueError, r"the state matrix A\(x\) must be 2 x 2"),
+        ([1.0, 0.0, 0.0, np.inf], NonFiniteMatrixError, re.escape("A(x) is not finite at x = %s" % stage_state)),
+    ]
+    for spoiled, error, message in cases:
+        stage, ws = system(spoiled)
+        firsts = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):
+                stage.step([1.0, 0.5], 1e-3, *ws, firsts)
+        # the first stage, at xs, is recorded before the second refuses its matrix
+        assert firsts == [[1.0, -0.5]]
+
+
+def test_the_stage_code_is_compiled_once_per_shape():
+    # a run plans a gain per interval: each plan binds its own stage, none compiles one
+    _linear_code.cache_clear()
+    system = registry.statedep_2d()
+    rng = np.random.default_rng(600)
+    gains = rng.normal(size=(600, 1, 2))
+    steps = []
+    for F in gains:
+        steps.append(system.closed_loop_field(F).stage.step([0.5, -0.25], 0.01, None, None, None, None))
+    plant = integrate(system, [0.5, -0.25], constant_signal(0.1, [0.3]), (0.0, 0.1), IntegrationConfig(step=0.01))
+    assert len(plant) == 11
+    info = _linear_code.cache_info()
+    # the plant's shape and the field's, each compiled at its first use
+    assert (info.misses, info.hits, info.currsize) == (2, 599, 2)
+    # each field steps with its own gain
+    assert len({tuple(x) for x in steps}) == 600
+    for F, got in zip(gains[:5], steps):
+        want = integrate(system.closed_loop_field(F), [0.5, -0.25], None, (0.0, 0.01), IntegrationConfig(step=0.01))
+        assert want.states[-1].tolist() == got
 
 
 class TestVectorizedSignal:
