@@ -24,7 +24,6 @@ Layers:
 from .errors import (
     ConfigError,
     ControllerError,
-    NoCertifiedStepError,
     NonFiniteMatrixError,
     NotStabilizableError,
     NumericalFailure,
@@ -42,11 +41,9 @@ from .sysmodel import (
 )
 from .synth import (
     GainSynthesisResult,
-    UniformBounds,
     solve_lyapunov,
     spectral_abscissa,
     synthesize_gain,
-    uniform_bounds,
 )
 
 __version__ = "0.1.0"
@@ -58,7 +55,6 @@ __all__ = [
     "ControllerError",
     "GainSynthesisResult",
     "IntegrationConfig",
-    "NoCertifiedStepError",
     "NonFiniteMatrixError",
     "NotStabilizableError",
     "NumericalFailure",
@@ -66,13 +62,11 @@ __all__ = [
     "StateLinearSystem",
     "Trajectory",
     "UncoveredPointError",
-    "UniformBounds",
     "integrate",
     "max_excursion",
     "solve_lyapunov",
     "spectral_abscissa",
     "state_vector",
     "synthesize_gain",
-    "uniform_bounds",
     "zero_signal",
 ]

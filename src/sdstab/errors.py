@@ -52,16 +52,5 @@ class OffsetSelectionError(RuntimeError):
         self.point = point
 
 
-class NoCertifiedStepError(RuntimeError):
-    """Step-size bisection exhausted without a certified decrease.
-
-    ``trace`` is a list of (step, min_margin) pairs for the attempted steps.
-    """
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace or []
-
-
 class ConfigError(ValueError):
     """An experiment configuration failed to parse or validate."""

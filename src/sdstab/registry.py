@@ -40,13 +40,14 @@ def scalar_unstable():
 def statedep_2d():
     # On Python floats: the bits of NumPy's sin and ** in less time. Where
     # floats raise (|x2| > 1.3e154 overflows, sin(inf)) NumPy gives inf or NaN,
-    # kept for state_matrix to refuse.
+    # quietly, kept for state_matrix to refuse.
     def entries(xs):
         x1, x2 = xs
         try:
             return [0.0, 1.0, math.sin(x1), x2 ** 2]
         except (OverflowError, ValueError):
-            return [0.0, 1.0, float(np.sin(x1)), float(np.float64(x2) ** 2)]
+            with np.errstate(over="ignore", invalid="ignore"):
+                return [0.0, 1.0, float(np.sin(x1)), float(np.float64(x2) ** 2)]
 
     A = matrix_from_entries(entries, (2, 2))
 

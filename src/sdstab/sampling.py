@@ -86,10 +86,16 @@ def box_points(lo, hi, count, seed=0):
 
 
 def ball_points(dim, count, radius, seed=0):
-    """`count` quasi-random points in the closed ball of given radius."""
-    if not radius > 0:
-        raise ValueError("ball radius must be positive, got %r" % (radius,))
+    """`count` quasi-random points in the closed ball of given radius.
+
+    Membership is decided on the points scaled by the power of two that brings
+    the radius into [0.5, 1): the scaling is exact, and the norm neither
+    overflows at a huge radius nor underflows at a tiny one.
+    """
+    if not 0 < radius < math.inf:
+        raise ValueError("ball radius must be positive and finite, got %r" % (radius,))
     count = int(count)
+    scaled_radius, exponent = math.frexp(radius)
     share = math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) / 2.0**dim  # the ball's share of its cube
     sampler = _Halton(dim, seed)
     chunks = [np.empty((0, dim))]
@@ -99,7 +105,7 @@ def ball_points(dim, count, radius, seed=0):
         # draw is sized for the points still missing, in draws of 128 to 2^16
         size = min(max(math.ceil((count - kept) / share), 128), 1 << 16)
         x = radius * (2.0 * sampler.random(size) - 1.0)
-        x = x[np.linalg.norm(x, axis=1) <= radius]
+        x = x[np.linalg.norm(np.ldexp(x, -exponent), axis=1) <= scaled_radius]
         chunks.append(x)
         kept += len(x)
     return np.concatenate(chunks)[:count]

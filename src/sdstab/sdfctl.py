@@ -24,7 +24,7 @@ from itertools import chain, count, pairwise, takewhile
 
 import numpy as np
 
-from .errors import ControllerError, NoCertifiedStepError, NotStabilizableError
+from .errors import ControllerError, NotStabilizableError
 from .odeint import IntegrationConfig, integrate, max_excursion, rk4_stack_step
 from .patchwork import DOUBLING, active_indices
 from .sysmodel import ControlSignal, at_origin, constant_signal, product, rows_product, state_vector, zero_signal
@@ -420,25 +420,3 @@ def certify_decrease(run, V, a=DOUBLING):
             intervals.append(cert)
     return DecreaseCertificate(intervals=intervals)
 
-
-def adapt_epsilon(plant, ctrl, xi, V, a, eps0, cfg=IntegrationConfig(), max_halvings=20):
-    """Halve the sampling step until a single-interval run certifies a strict decrease.
-
-    Returns (accepted step, certificate). Exhausting the halvings raises
-    with the (step, margin) trace attached.
-    """
-    if eps0 <= 0:
-        raise ValueError("initial step must be positive")
-    xi = state_vector(xi)
-    trace = []
-    eps = float(eps0)
-    for _ in range(max_halvings + 1):
-        run = run_closed_loop(plant, ctrl, eps, xi, eps, cfg)
-        cert = certify_decrease(run, V, a)
-        trace.append((eps, cert.uniform_margin))
-        if cert.passed:
-            return eps, cert
-        eps /= 2
-    raise NoCertifiedStepError(
-        "no certified decrease from %s down to step %g" % (xi, trace[-1][0]), trace=trace
-    )

@@ -725,6 +725,20 @@ def test_sin_of_an_infinite_coordinate_is_a_numerical_failure(tmp_path, capsys):
     assert "the state matrix A(x) is not finite at x = [inf, " in err and err.count("\n") == 1
 
 
+
+@pytest.mark.parametrize("key", ["points = 0, 0 ; 0, 1e200", "radius = 1e200"], ids=["point", "ball-radius"])
+def test_statedep_2d_at_a_huge_state_is_a_numerical_failure_without_warnings(tmp_path, capsys, key):
+    # x2^2 overflows at x2 = 1e200: float ** raises, and NumPy's fallback must not warn;
+    # a ball of radius 1e200 is sampled in full and reaches such states too
+    cfg = write(tmp_path / "h.ini", "[experiment]\nkind = synthesize\n[system]\nregistry = statedep-2d\n"
+                "[synthesize]\n%s\n" % key)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["synthesize", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "state matrix A(x)" in err
+    assert "RuntimeWarning" not in err
+
 SIM_NEAR_ORIGIN = """
 [experiment]
 kind = simulate

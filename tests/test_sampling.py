@@ -15,11 +15,23 @@ from sdstab.sampling import _Halton, ball_points, box_points, unit_points
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
-def test_ball_points_rejects_a_non_positive_radius(radius):
-    # with a negative or NaN radius the rejection loop never collects a point
-    with pytest.raises(ValueError, match="radius must be positive"):
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"), float("inf")])
+def test_ball_points_rejects_a_non_positive_or_infinite_radius(radius):
+    # with a negative or NaN radius the rejection loop never collects a point,
+    # and an infinite one gives infinite or NaN points
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
         ball_points(2, 10, radius)
+
+
+@pytest.mark.parametrize("radius", [1e155, 1e200, 1e-300])
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_ball_points_at_a_huge_or_tiny_radius_are_the_unit_ball_scaled(dim, radius):
+    # |x|^2 overflows from a radius of about 1.3e154 and underflows near 1e-154:
+    # the membership test must see neither, nor keep a point outside the ball
+    pts = ball_points(dim, 2000, radius, seed=1)
+    unit = ball_points(dim, 2000, 1.0, seed=1)
+    np.testing.assert_allclose(pts / radius, unit, rtol=1e-14, atol=1e-14)
+    assert (np.linalg.norm(pts / radius, axis=1) <= 1.0).all()
 
 
 @pytest.mark.parametrize("dim", [1, 3, 6, 8])

@@ -1,6 +1,7 @@
-"""Sampled-data loops: planning, dispatch, certificates, step adaptation."""
+"""Sampled-data loops: planning, dispatch, certificates, one-interval step thresholds."""
 
 import configparser
+import math
 import re
 import warnings
 from bisect import bisect_right
@@ -11,7 +12,7 @@ from scipy.linalg import expm
 
 from sdstab import registry, sdfctl
 from sdstab.cli import Config, _build_system
-from sdstab.errors import ControllerError, NoCertifiedStepError, NonFiniteMatrixError
+from sdstab.errors import ControllerError, NonFiniteMatrixError
 from sdstab.liecalc import ExprScalarField
 from sdstab.odeint import IntegrationConfig, _steps, integrate, rk4_autonomous_step
 from sdstab.patchwork import ClassK, LyapunovPiece, PatchworkFamily, PatchworkW, Region
@@ -22,7 +23,6 @@ from sdstab.sdfctl import (
     PatchworkController,
     PerSampleQuadratic,
     ZeroController,
-    adapt_epsilon,
     certify_decrease,
     run_closed_loop,
 )
@@ -405,44 +405,49 @@ class TestPatchworkDispatch:
             assert piece.region.in_closure(xi)
 
 
-class TestAdaptEpsilon:
-    def test_lti_accepts_initial_step(self):
-        sys = scalar_unstable()
-        eps, cert = adapt_epsilon(sys, FrozenGainController(sys), np.array([1.0]),
-                                  PerSampleQuadratic(), DOUBLING, 0.1)
-        assert eps == 0.1
-        assert cert.passed
+def one_interval_certificate(plant, ctrl, eps):
+    """The certificate of one interval of length eps from x = 1."""
+    return certify_decrease(run_closed_loop(plant, ctrl, eps, [1.0], eps), PerSampleQuadratic())
 
-    def test_model_mismatch_forces_refinement(self):
+
+def mismatched_plant():
+    """dx/dt = (1 + 5 x^2) x + u: its decrease is lost on intervals that are too long."""
+    return StateLinearSystem(lambda x: np.array([[1.0 + 5.0 * x[0] ** 2]]), lambda x: np.array([[1.0]]), 1, 1)
+
+
+class TestOneIntervalStep:
+    def test_model_mismatch_needs_a_shorter_step(self):
         # the controller's model is LTI frozen at the sample; the plant keeps
         # its state dependence, so long intervals lose the decrease
-        plant_sl = StateLinearSystem(
-            lambda x: np.array([[1.0 + 5.0 * x[0] ** 2]]), lambda x: np.array([[1.0]]), 1, 1
-        )
-        frozen_A = plant_sl.matrices_at(np.array([1.0]))[0]
-        model = StateLinearSystem(lambda x, A=frozen_A: A, lambda x: np.array([[1.0]]), 1, 1)
-        eps, cert = adapt_epsilon(plant_sl, FrozenGainController(model),
-                                  np.array([1.0]), PerSampleQuadratic(), DOUBLING, 1.0)
-        assert eps == 0.25  # regression value from the recorded bisection
-        assert cert.passed
+        plant = mismatched_plant()
+        frozen_A = plant.matrices_at(np.array([1.0]))[0]
+        ctrl = FrozenGainController(StateLinearSystem(lambda x, A=frozen_A: A, lambda x: np.array([[1.0]]), 1, 1))
+        escaped, no_decrease, passed = (one_interval_certificate(plant, ctrl, eps) for eps in (1.0, 0.5, 0.25))
+        assert "trajectory escaped" in escaped.failures[0]
+        assert "no strict decrease" in no_decrease.failures[0]
+        assert passed.passed  # regression value from the recorded step halving
 
-    def test_equilibrium_accepts_trivially(self):
+    def test_a_gain_far_too_weak_fails_at_every_step(self):
+        plant = mismatched_plant()
+        ctrl = FrozenGainController(scalar_unstable())
+        for k in range(7):
+            assert not one_interval_certificate(plant, ctrl, 2.0**-k).passed
+
+    def test_held_input_passes_below_its_exact_threshold(self):
+        # LQR gives F = -(1 + sqrt 2), so the held interval map is
+        # phi(h) = (1 + sqrt 2) - sqrt 2 e^h, and |phi(h)| < 1 exactly when h < ln(1 + sqrt 2)
         sys = scalar_unstable()
-        eps, cert = adapt_epsilon(sys, FrozenGainController(sys), np.zeros(1),
-                                  PerSampleQuadratic(), DOUBLING, 0.5)
-        assert eps == 0.5
-        assert cert.passed
-
-    def test_exhaustion_raises_with_trace(self):
-        # hopeless mismatch: the gain is far too weak for the plant's growth
-        plant = StateLinearSystem(
-            lambda x: np.array([[1.0 + 5.0 * x[0] ** 2]]), lambda x: np.array([[1.0]]), 1, 1
-        )
-        weak_model = scalar_unstable()
-        with pytest.raises(NoCertifiedStepError) as err:
-            adapt_epsilon(plant, FrozenGainController(weak_model), np.array([1.0]),
-                          PerSampleQuadratic(), DOUBLING, 1.0, max_halvings=6)
-        assert len(err.value.trace) == 7
+        ctrl = FrozenGainController(sys, zero_order_hold=True)
+        lo, hi = 0.5, 1.2
+        assert one_interval_certificate(sys, ctrl, lo).passed
+        assert not one_interval_certificate(sys, ctrl, hi).passed
+        while hi - lo > 1e-7:
+            mid = (lo + hi) / 2
+            if one_interval_certificate(sys, ctrl, mid).passed:
+                lo = mid
+            else:
+                hi = mid
+        assert abs(lo - math.log(1 + math.sqrt(2))) < 1e-6
 
 
 class TestConstantInputMatrix:

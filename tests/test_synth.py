@@ -14,7 +14,6 @@ from scipy.linalg import eigvals, solve_continuous_are
 from sdstab import synth
 from sdstab.errors import NotStabilizableError, NumericalFailure
 from sdstab.synth import (
-    UniformBounds,
     _bartels_stewart,
     _certified_lqr,
     _hamiltonian,
@@ -24,7 +23,6 @@ from sdstab.synth import (
     solve_lyapunov,
     spectral_abscissa,
     synthesize_gain,
-    uniform_bounds,
 )
 
 
@@ -422,37 +420,3 @@ class TestLyapunovSolverSplit:
         assert backward_error(A, np.eye(n), P) <= synth.LYAP_BACKWARD_TOL
         assert np.min(np.linalg.eigvalsh(P)) > 0
 
-
-class TestUniformBounds:
-    def test_constant_field(self):
-        ub = uniform_bounds(lambda xi: np.eye(2), 2, 1.0, samples=64)
-        assert ub.c_low == pytest.approx(1.0)
-        assert ub.c_high == pytest.approx(1.0)
-
-    def test_radial_growth(self):
-        ub = uniform_bounds(lambda xi: (1 + float(xi @ xi)) * np.eye(2), 2, 1.0, samples=500)
-        assert ub.c_low == pytest.approx(1.0, abs=0.05)
-        assert ub.c_high == pytest.approx(2.0, abs=0.05)
-
-    def test_scalar_synthesis_field(self):
-        def P(xi):
-            return synthesize_gain(np.array([[float(xi[0])]]), np.array([[1.0]])).lyapunov
-
-        ub = uniform_bounds(P, 1, 1.0, samples=64)
-        assert 0 < ub.c_low <= ub.c_high < np.inf
-
-    def test_propagates_witness(self):
-        def P(xi):
-            if abs(float(xi[0])) > 0.5:
-                raise NotStabilizableError("forced")
-            return np.eye(1)
-
-        with pytest.raises(NotStabilizableError) as err:
-            uniform_bounds(P, 1, 1.0, samples=16)
-        assert err.value.point is not None
-
-    def test_bounds_invariant(self):
-        with pytest.raises(ValueError):
-            UniformBounds(c_low=0.0, c_high=1.0, radius=1.0)
-        with pytest.raises(ValueError):
-            UniformBounds(c_low=2.0, c_high=1.0, radius=1.0)
